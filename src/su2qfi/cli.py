@@ -81,6 +81,14 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.scenario not in ("magnetometry", "generic"):
             raise ConfigError("unknown-scenario", f"unknown scenario {self.scenario!r}")
+        for name in ("t", "B", "theta", "phi", "x_norm", "dx_norm"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError("non-finite", f"{name} must be finite, got {value}")
+        for name in ("x_norm", "dx_norm"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigError("negative-norm", f"{name} must be nonnegative, got {value}")
         if self.t <= 0:
             raise ConfigError("nonpositive-segment-time", f"t must be positive, got {self.t}")
         if self.N < 1:
@@ -193,15 +201,6 @@ def _build_scheme(cfg: RunConfig) -> tuple[SchemeConfig, np.ndarray, tuple]:
     return scheme, x, names
 
 
-def _fmt(value) -> str:
-    """17-significant-digit, round-trip-exact serialization of one cell."""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
-
-
 def _write_text(text: str, out_path: str | None):
     if out_path is None:
         sys.stdout.write(text)
@@ -210,10 +209,15 @@ def _write_text(text: str, out_path: str | None):
             fh.write(text)
 
 
-def _csv(header: list[str], rows: list[list]) -> str:
+def _csv(header: list[str], columns: list[np.ndarray]) -> str:
+    """CSV text from an integer first column and float columns.
+
+    Floats carry 17 significant digits (round-trip exact); ``%g`` writes the
+    non-finite values as the literals inf/-inf/nan.
+    """
+    row_format = "%d" + ",%.17g" * (len(columns) - 1)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [row_format % row for row in zip(*(col.tolist() for col in columns))]
     return "\n".join(lines) + "\n"
 
 
@@ -247,25 +251,21 @@ def cmd_report(cfg: RunConfig, out_path: str | None) -> int:
 
 def cmd_sweep_alpha(cfg: RunConfig, out_path: str | None) -> int:
     alphas = np.linspace(0.0, np.pi, cfg.alpha_count)
-    rows = gap_profile(cfg.n_values, alphas, cfg.t, cfg.x_norm, cfg.dx_norm)
-    table = [
-        [row.n_segments, row.alpha, row.uncontrolled_max, row.controlled_limit, row.gap]
-        for row in rows
-    ]
+    table = gap_profile(cfg.n_values, alphas, cfg.t, cfg.x_norm, cfg.dx_norm)
+    columns = [table.n_segments, table.alpha, table.uncontrolled_max, table.controlled_limit,
+               table.gap]
     _write_text(
-        _csv(["N", "alpha", "uncontrolled_max", "controlled_limit", "gap"], table), out_path
+        _csv(["N", "alpha", "uncontrolled_max", "controlled_limit", "gap"], columns), out_path
     )
     return 0
 
 
 def cmd_curves(cfg: RunConfig, out_path: str | None) -> int:
     point = FieldPoint(cfg.B, cfg.theta, cfg.phi)
-    rows = precision_curves(point, cfg.t, cfg.n_max, cfg.controlled, cfg.probe)
-    table = [
-        [row.n_segments, row.total_time, row.delta_b, row.delta_theta, row.delta_phi]
-        for row in rows
-    ]
-    _write_text(_csv(["N", "T", "dB", "dtheta", "dphi"], table), out_path)
+    table = precision_curves(point, cfg.t, cfg.n_max, cfg.controlled, cfg.probe)
+    columns = [table.n_segments, table.total_time, table.delta_b, table.delta_theta,
+               table.delta_phi]
+    _write_text(_csv(["N", "T", "dB", "dtheta", "dphi"], columns), out_path)
     return 0
 
 
@@ -304,36 +304,17 @@ def _add_override_flags(parser: argparse.ArgumentParser, names: list[str]):
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
-    mapping = {
-        "scenario": "scenario",
-        "B": "B",
-        "theta": "theta",
-        "phi": "phi",
-        "t": "t",
-        "N": "N",
-        "mode": "mode",
-        "probe": "probe",
-        "r": "r",
-        "control": "control",
-        "x_tilde": "x_tilde",
-        "control_vector": "control_vector",
-        "n_values": "n_values",
-        "alpha_count": "alpha_count",
-        "x_norm": "x_norm",
-        "dx_norm": "dx_norm",
-        "n_max": "n_max",
-        "controlled": "controlled",
-    }
+    """Config fields given as flags; each flag's dest is its field name."""
     overrides = {}
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is None:
             continue
-        if key == "controlled":
+        if f.name == "controlled":
             value = value == "true"
         if isinstance(value, list):
             value = tuple(value)
-        overrides[key] = value
+        overrides[f.name] = value
     return overrides
 
 

@@ -167,15 +167,25 @@ def generators_controlled(
     return gen_b, gen_theta, gen_phi
 
 
+def _qfim_diagonal(p: FieldPoint, total_time, controlled: bool) -> np.ndarray:
+    """Optimal QFIM diagonal (B, theta, phi) at each total time, shape (3, *T.shape).
+
+    The B entry is 4T^2 either way.  The angular entries are 4 sin^2(BT)
+    without control and 4(BT)^2 with it, the azimuth one times sin^2(theta).
+    """
+    total_time = np.asarray(total_time, dtype=float)
+    bt = p.B * total_time
+    angular = 4.0 * (bt**2 if controlled else np.sin(bt) ** 2)
+    return np.array([4.0 * total_time**2, angular, angular * np.sin(p.theta) ** 2])
+
+
 def qfim_no_control(p: FieldPoint, total_time: float) -> np.ndarray:
     """Optimal QFIM without control: diag(4T^2, 4 sin^2(BT), 4 sin^2(BT) sin^2(theta)).
 
     The angular entries oscillate with BT and stay bounded no matter how long
     the evolution runs.
     """
-    bt = p.B * total_time
-    osc = 4.0 * np.sin(bt) ** 2
-    return np.diag([4.0 * total_time**2, osc, osc * np.sin(p.theta) ** 2])
+    return np.diag(_qfim_diagonal(p, total_time, controlled=False))
 
 
 def qfim_controlled(p: FieldPoint, total_time: float) -> np.ndarray:
@@ -184,8 +194,7 @@ def qfim_controlled(p: FieldPoint, total_time: float) -> np.ndarray:
     The B entry is unchanged by the control; the angular entries trade their
     oscillation for quadratic growth in T.
     """
-    bt2 = 4.0 * (p.B * total_time) ** 2
-    return np.diag([4.0 * total_time**2, bt2, bt2 * np.sin(p.theta) ** 2])
+    return np.diag(_qfim_diagonal(p, total_time, controlled=True))
 
 
 @dataclass(frozen=True)
@@ -237,20 +246,19 @@ def weak_comm_example(
     )
 
 
-@dataclass(frozen=True)
-class CurveRow:
-    """One point of a precision-versus-time curve."""
+@dataclass(frozen=True, eq=False)
+class CurveTable:
+    """Precision-versus-time curves, one equal-length 1-D array per column.
 
-    n_segments: int
-    total_time: float
-    delta_b: float
-    delta_theta: float
-    delta_phi: float
+    ``attainable`` holds for the whole table: it depends only on the probe.
+    """
+
+    n_segments: np.ndarray
+    total_time: np.ndarray
+    delta_b: np.ndarray
+    delta_theta: np.ndarray
+    delta_phi: np.ndarray
     attainable: bool
-
-
-def _deviation(info: float) -> float:
-    return 1.0 / np.sqrt(info) if info > 0.0 else np.inf
 
 
 def precision_curves(
@@ -259,7 +267,7 @@ def precision_curves(
     n_max: int,
     controlled: bool,
     probe: str = "entangled",
-) -> list[CurveRow]:
+) -> CurveTable:
     """Best single-shot standard deviations against segment count.
 
     Deviations are 1/sqrt of the optimal QFIM diagonal; entries with zero
@@ -271,23 +279,12 @@ def precision_curves(
         raise ValueError("n_max must be at least 1")
     if probe not in ("pure", "entangled"):
         raise ValueError(f"unknown probe kind {probe!r}")
-    attainable = probe == "entangled"
-    rows = []
-    for n in range(1, n_max + 1):
-        total_time = n * segment_time
-        qfim = qfim_controlled(p, total_time) if controlled else qfim_no_control(p, total_time)
-        diag = np.diag(qfim)
-        rows.append(
-            CurveRow(
-                n_segments=n,
-                total_time=total_time,
-                delta_b=_deviation(diag[0]),
-                delta_theta=_deviation(diag[1]),
-                delta_phi=_deviation(diag[2]),
-                attainable=attainable,
-            )
-        )
-    return rows
+    n = np.arange(1, n_max + 1)
+    total_time = n * segment_time
+    info = _qfim_diagonal(p, total_time, controlled)
+    with np.errstate(divide="ignore"):
+        dev = np.where(info > 0.0, 1.0 / np.sqrt(info), np.inf)
+    return CurveTable(n, total_time, dev[0], dev[1], dev[2], attainable=probe == "entangled")
 
 
 def orthogonality_frame(

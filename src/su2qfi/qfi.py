@@ -62,18 +62,18 @@ def qfim_pure(gens, r, tol: Tolerances = DEFAULT) -> np.ndarray:
     return out
 
 
-def qfi_max_from_angle(x_norm: float, dx_norm: float, alpha: float, total_time: float) -> float:
+def qfi_max_from_angle(x_norm, dx_norm, alpha, total_time):
     """Maximal QFI given |X|, |dX|, their angle and the total time.
 
     Evaluated as T^2 |dX|^2 [cos^2(a) + sin^2(a) sinc^2(T|X|/2)], which is
     exact for |X| > 0 and continuous at |X| = 0 where it reaches the ceiling
-    T^2 |dX|^2.
+    T^2 |dX|^2.  The arguments broadcast against each other: array arguments
+    give an array, scalar arguments a float.
     """
     z_half = total_time * x_norm / 2.0
     sinc = np.sinc(z_half / np.pi)  # sin(z_half)/z_half, exactly 1 at 0
-    return float(
-        total_time**2 * dx_norm**2 * (np.cos(alpha) ** 2 + np.sin(alpha) ** 2 * sinc**2)
-    )
+    value = total_time**2 * dx_norm**2 * (np.cos(alpha) ** 2 + np.sin(alpha) ** 2 * sinc**2)
+    return value if isinstance(value, np.ndarray) and value.ndim else float(value)
 
 
 def qfi_max(x_coeff, d_coeff, total_time: float, tol: Tolerances = DEFAULT) -> float:

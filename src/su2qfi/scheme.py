@@ -202,15 +202,15 @@ def effectiveness_profile(scheme: SchemeConfig, x) -> list[EffectivenessRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class GapRow:
-    """One point of the control-benefit landscape."""
+@dataclass(frozen=True, eq=False)
+class GapTable:
+    """The control-benefit landscape, one equal-length 1-D array per column."""
 
-    n_segments: int
-    alpha: float
-    uncontrolled_max: float
-    controlled_limit: float
-    gap: float
+    n_segments: np.ndarray
+    alpha: np.ndarray
+    uncontrolled_max: np.ndarray
+    controlled_limit: np.ndarray
+    gap: np.ndarray
 
 
 def gap_profile(
@@ -219,7 +219,7 @@ def gap_profile(
     t: float = 1.0,
     x_norm: float = 2.0,
     dx_norm: float = 1.0,
-) -> list[GapRow]:
+) -> GapTable:
     """Tabulate uncontrolled maxima against the controlled ceiling.
 
     Rows are ordered segment-count-major, then by ascending alpha.  The
@@ -230,21 +230,13 @@ def gap_profile(
 
     if alpha_grid is None:
         alpha_grid = np.linspace(0.0, np.pi, 65)
-    if len(n_values) == 0 or len(alpha_grid) == 0:
+    n = np.asarray(n_values)
+    alpha = np.asarray(alpha_grid, dtype=float)
+    if n.size == 0 or alpha.size == 0:
         raise ValueError("gap_profile requires nonempty grids")
-    rows = []
-    for n in n_values:
-        total_time = n * t
-        ceiling = total_time**2 * dx_norm**2
-        for alpha in alpha_grid:
-            unc = qfi_max_from_angle(x_norm, dx_norm, float(alpha), total_time)
-            rows.append(
-                GapRow(
-                    n_segments=int(n),
-                    alpha=float(alpha),
-                    uncontrolled_max=unc,
-                    controlled_limit=ceiling,
-                    gap=ceiling - unc,
-                )
-            )
-    return rows
+    n_col = np.repeat(n, alpha.size)
+    total_time = n_col * t
+    ceiling = total_time**2 * dx_norm**2
+    alpha_col = np.tile(alpha, n.size)
+    unc = qfi_max_from_angle(x_norm, dx_norm, alpha_col, total_time)
+    return GapTable(n_col, alpha_col, unc, ceiling, ceiling - unc)

@@ -248,16 +248,16 @@ def test_criterion_6_heisenberg_scaling():
     """Controlled deviations are exactly 1/(6N) and 1/(3N) at B=3,
     theta=pi/6, t=1 (within 1e-12); the uncontrolled colatitude deviation
     never drops below 1/2 through N = 100."""
-    rows = precision_curves(POINT, 1.0, 100, controlled=True)
+    table = precision_curves(POINT, 1.0, 100, controlled=True)
     worst_theta = worst_phi = 0.0
-    for row in rows:
-        n = row.n_segments
-        worst_theta = max(worst_theta, abs(row.delta_theta - 1.0 / (6 * n)))
-        worst_phi = max(worst_phi, abs(row.delta_phi - 1.0 / (3 * n)))
+    for k in range(len(table.n_segments)):
+        n = table.n_segments[k]
+        worst_theta = max(worst_theta, abs(table.delta_theta[k] - 1.0 / (6 * n)))
+        worst_phi = max(worst_phi, abs(table.delta_phi[k] - 1.0 / (3 * n)))
     assert worst_theta <= 1e-12
     assert worst_phi <= 1e-12
     uncontrolled = precision_curves(POINT, 1.0, 100, controlled=False)
-    floor = min(row.delta_theta for row in uncontrolled)
+    floor = min(uncontrolled.delta_theta)
     assert floor >= 0.5
     report(
         6,

@@ -1,12 +1,15 @@
 """CLI tests: subcommands, config handling, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import su2qfi
 from su2qfi.cli import ConfigError, RunConfig, main
 
 
@@ -68,6 +71,29 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as err:
             RunConfig.from_dict(data)
         assert err.value.code == code
+
+
+class TestGridInputValidation:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("report", "--t", "nan"), "non-finite"),
+            (("curves", "--t", "inf"), "non-finite"),
+            (("report", "--B", "inf"), "non-finite"),
+            (("curves", "--theta", "nan"), "non-finite"),
+            (("curves", "--phi=-inf"), "non-finite"),
+            (("sweep-alpha", "--x-norm", "nan"), "non-finite"),
+            (("sweep-alpha", "--dx-norm", "inf"), "non-finite"),
+            (("sweep-alpha", "--x-norm", "-1"), "negative-norm"),
+            (("sweep-alpha", "--dx-norm", "-0.5"), "negative-norm"),
+        ],
+    )
+    def test_rejected_with_one_error_line(self, capsys, argv, code):
+        exit_code, out, err = run_main(capsys, *argv)
+        assert exit_code == 2
+        assert out == ""
+        assert err.startswith(f"error[{code}]: ")
+        assert err.count("\n") == 1
 
 
 class TestReport:
@@ -270,19 +296,23 @@ class TestVerify:
         assert "invalid-sample-count" in err
 
 
+def run_module(*argv):
+    """``python -m su2qfi`` in a child that imports the package under test."""
+    env = dict(os.environ)
+    src = str(Path(su2qfi.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "su2qfi", *argv], capture_output=True, text=True, env=env
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "su2qfi", "curves", "--n-max", "2"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("curves", "--n-max", "2")
         assert proc.returncode == 0
         assert proc.stdout.startswith("N,T,dB,dtheta,dphi\n")
 
     def test_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "su2qfi", "--help"], capture_output=True, text=True
-        )
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert "report" in proc.stdout and "verify" in proc.stdout

@@ -1,0 +1,73 @@
+"""Golden CSV regression for ``sweep-alpha`` and ``curves``.
+
+The fixtures under ``tests/golden/`` were recorded with the scalar-loop
+implementation that preceded the array core, by running each argv below as
+``su2qfi --out tests/golden/<name>.csv <argv>``.  They must not be
+regenerated from the code they check.
+
+Default invocations must match byte for byte, and so must the N, alpha and
+T columns of every table.  Other cells may differ by at most 2 ULP: the
+scalar loops squared Python floats through libm ``pow``, which is not always
+the correctly rounded ``x * x`` that numpy's array square computes.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from su2qfi.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "sweep_default": ("sweep-alpha",),
+    "sweep_random_a": ("sweep-alpha", "--n-values", "3", "5", "14", "--alpha-count", "25",
+                       "--t", "0.31834175477039706", "--x-norm", "3.920558797257627",
+                       "--dx-norm", "1.1604977888222647"),
+    "sweep_random_b": ("sweep-alpha", "--n-values", "1", "19", "25", "--alpha-count", "31",
+                       "--t", "0.8623380508210631", "--x-norm", "2.3481033446355295",
+                       "--dx-norm", "0.5763452331045139"),
+    "curves_default": ("curves",),
+    "curves_uncontrolled": ("curves", "--controlled", "false"),
+    "curves_pole": ("curves", "--theta", "0"),
+    # B*T = k*pi: the angular information sits at an oscillation null
+    "curves_null": ("curves", "--B", "1", "--t", "3.141592653589793", "--controlled", "false",
+                    "--n-max", "8"),
+    "curves_random_a": ("curves", "--B", "4.0881751117131175", "--theta", "1.2445131041723667",
+                        "--phi", "0.3776219929801933", "--t", "0.46139032884231834",
+                        "--n-max", "60", "--probe", "pure"),
+    "curves_random_b": ("curves", "--B", "3.7048366758423126", "--theta", "0.5293648265741238",
+                        "--phi", "5.860383858080979", "--t", "0.24209672824954634",
+                        "--n-max", "60", "--controlled", "false"),
+}
+BYTE_IDENTICAL = ("sweep_default", "curves_default")
+EXACT_COLUMNS = 2  # N, then alpha (sweep-alpha) or T (curves)
+
+
+def _run(tmp_path, argv) -> bytes:
+    out = tmp_path / "out.csv"
+    assert main(["--out", str(out), *argv]) == 0
+    return out.read_bytes()
+
+
+def _split(data: bytes) -> tuple[str, list[list[str]]]:
+    lines = data.decode().rstrip("\n").split("\n")
+    return lines[0], [line.split(",") for line in lines[1:]]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_recorded_output(name, tmp_path):
+    golden = (GOLDEN / f"{name}.csv").read_bytes()
+    got = _run(tmp_path, CASES[name])
+    if name in BYTE_IDENTICAL:
+        assert got == golden
+        return
+    header, rows = _split(got)
+    golden_header, golden_rows = _split(golden)
+    assert header == golden_header
+    assert len(rows) == len(golden_rows)
+    assert [r[:EXACT_COLUMNS] for r in rows] == [r[:EXACT_COLUMNS] for r in golden_rows]
+    cells = np.array([[float(c) for c in r[EXACT_COLUMNS:]] for r in rows])
+    expected = np.array([[float(c) for c in r[EXACT_COLUMNS:]] for r in golden_rows])
+    np.testing.assert_array_max_ulp(cells, expected, maxulp=2)

@@ -280,37 +280,38 @@ class TestWeakCommExample:
 
 class TestPrecisionCurves:
     def test_controlled_reference_row(self):
-        rows = precision_curves(POINT, 1.0, 5, controlled=True)
-        assert rows[4].delta_theta == pytest.approx(1 / 30, abs=1e-15)
-        assert rows[4].delta_phi == pytest.approx(1 / 15, abs=1e-15)
-        assert rows[4].delta_b == pytest.approx(0.1, abs=1e-15)
+        table = precision_curves(POINT, 1.0, 5, controlled=True)
+        assert table.delta_theta[4] == pytest.approx(1 / 30, abs=1e-15)
+        assert table.delta_phi[4] == pytest.approx(1 / 15, abs=1e-15)
+        assert table.delta_b[4] == pytest.approx(0.1, abs=1e-15)
 
     def test_uncontrolled_first_row(self):
-        rows = precision_curves(POINT, 1.0, 1, controlled=False)
-        assert rows[0].delta_theta == pytest.approx(1 / (2 * abs(np.sin(3.0))), rel=1e-13)
+        table = precision_curves(POINT, 1.0, 1, controlled=False)
+        assert table.delta_theta[0] == pytest.approx(1 / (2 * abs(np.sin(3.0))), rel=1e-13)
 
     def test_heisenberg_halving(self):
-        rows = precision_curves(POINT, 1.0, 40, controlled=True)
-        by_n = {row.n_segments: row for row in rows}
+        table = precision_curves(POINT, 1.0, 40, controlled=True)
+        by_n = {int(n): k for k, n in enumerate(table.n_segments)}
         for n in (1, 2, 5, 10, 20):
-            assert by_n[2 * n].delta_theta == pytest.approx(by_n[n].delta_theta / 2, rel=1e-12)
-            assert by_n[2 * n].delta_phi == pytest.approx(by_n[n].delta_phi / 2, rel=1e-12)
+            k, k2 = by_n[n], by_n[2 * n]
+            assert table.delta_theta[k2] == pytest.approx(table.delta_theta[k] / 2, rel=1e-12)
+            assert table.delta_phi[k2] == pytest.approx(table.delta_phi[k] / 2, rel=1e-12)
 
     def test_uncontrolled_angles_bounded_below(self):
-        rows = precision_curves(POINT, 1.0, 100, controlled=False)
-        for row in rows:
-            assert row.delta_theta >= 0.5
-            assert row.delta_phi >= 0.5 / np.sin(POINT.theta)
+        table = precision_curves(POINT, 1.0, 100, controlled=False)
+        for k in range(len(table.n_segments)):
+            assert table.delta_theta[k] >= 0.5
+            assert table.delta_phi[k] >= 0.5 / np.sin(POINT.theta)
 
     def test_pole_reports_infinite_azimuth_deviation(self):
         p = FieldPoint(2.0, 0.0, 0.0)
-        rows = precision_curves(p, 1.0, 3, controlled=True)
-        assert all(np.isinf(row.delta_phi) for row in rows)
-        assert all(np.isfinite(row.delta_theta) for row in rows)
+        table = precision_curves(p, 1.0, 3, controlled=True)
+        assert all(np.isinf(table.delta_phi[k]) for k in range(3))
+        assert all(np.isfinite(table.delta_theta[k]) for k in range(3))
 
     def test_probe_sets_attainable_flag(self):
-        assert all(r.attainable for r in precision_curves(POINT, 1.0, 3, True, "entangled"))
-        assert not any(r.attainable for r in precision_curves(POINT, 1.0, 3, True, "pure"))
+        assert precision_curves(POINT, 1.0, 3, True, "entangled").attainable is True
+        assert precision_curves(POINT, 1.0, 3, True, "pure").attainable is False
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -171,39 +171,38 @@ class TestEffectivenessProfile:
 
 class TestGapProfile:
     def test_reference_row(self):
-        rows = gap_profile([5], [np.pi / 2], t=1.0, x_norm=2.0, dx_norm=1.0)
-        row = rows[0]
-        assert row.uncontrolled_max == pytest.approx(np.sin(5.0) ** 2, abs=1e-13)
-        assert row.controlled_limit == 25.0
-        assert row.gap == pytest.approx(25.0 - np.sin(5.0) ** 2, abs=1e-12)
+        table = gap_profile([5], [np.pi / 2], t=1.0, x_norm=2.0, dx_norm=1.0)
+        assert table.uncontrolled_max[0] == pytest.approx(np.sin(5.0) ** 2, abs=1e-13)
+        assert table.controlled_limit[0] == 25.0
+        assert table.gap[0] == pytest.approx(25.0 - np.sin(5.0) ** 2, abs=1e-12)
 
     def test_colinear_angle_has_no_gap(self):
-        for row in gap_profile([3, 5, 10], [0.0]):
-            assert row.gap == 0.0
+        table = gap_profile([3, 5, 10], [0.0])
+        for k in range(len(table.gap)):
+            assert table.gap[k] == 0.0
 
     def test_symmetry_about_right_angle(self):
         alphas = np.linspace(0.0, np.pi, 33)
         for n in (3, 5, 10):
-            rows = gap_profile([n], alphas)
-            gaps = [r.gap for r in rows]
+            gaps = gap_profile([n], alphas).gap
             for k in range(len(gaps)):
                 assert abs(gaps[k] - gaps[len(gaps) - 1 - k]) < 1e-12
 
     def test_controlled_limit_dominates(self):
-        rows = gap_profile([3, 5, 10], np.linspace(0, np.pi, 41))
-        for row in rows:
-            assert row.uncontrolled_max <= row.controlled_limit + 1e-12
+        table = gap_profile([3, 5, 10], np.linspace(0, np.pi, 41))
+        for k in range(len(table.gap)):
+            assert table.uncontrolled_max[k] <= table.controlled_limit[k] + 1e-12
 
     def test_gap_nondecreasing_in_segments(self):
         alphas = np.linspace(0.0, np.pi, 41)[1:-1]
-        by_n = {n: [r.gap for r in gap_profile([n], alphas)] for n in (3, 5, 10)}
+        by_n = {n: gap_profile([n], alphas).gap for n in (3, 5, 10)}
         for k in range(len(alphas)):
             assert by_n[3][k] <= by_n[5][k] + 1e-12
             assert by_n[5][k] <= by_n[10][k] + 1e-12
 
     def test_row_order_is_segment_major(self):
-        rows = gap_profile([5, 3], [0.0, 1.0])
-        assert [(r.n_segments, r.alpha) for r in rows] == [(5, 0.0), (5, 1.0), (3, 0.0), (3, 1.0)]
+        table = gap_profile([5, 3], [0.0, 1.0])
+        assert list(zip(table.n_segments, table.alpha)) == [(5, 0.0), (5, 1.0), (3, 0.0), (3, 1.0)]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -212,7 +211,8 @@ class TestGapProfile:
     def test_matches_direct_maximum(self):
         # table entries agree with the generic maximum on explicit vectors
         alphas = np.linspace(0.1, np.pi - 0.1, 7)
-        for row in gap_profile([4], alphas, t=0.5, x_norm=1.5, dx_norm=2.0):
+        table = gap_profile([4], alphas, t=0.5, x_norm=1.5, dx_norm=2.0)
+        for k in range(len(table.alpha)):
             x = 1.5 * np.array([0.0, 0.0, 1.0])
-            d = 2.0 * np.array([np.sin(row.alpha), 0.0, np.cos(row.alpha)])
-            assert row.uncontrolled_max == pytest.approx(qfi_max(x, d, 2.0), rel=1e-12)
+            d = 2.0 * np.array([np.sin(table.alpha[k]), 0.0, np.cos(table.alpha[k])])
+            assert table.uncontrolled_max[k] == pytest.approx(qfi_max(x, d, 2.0), rel=1e-12)
