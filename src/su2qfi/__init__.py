@@ -9,8 +9,6 @@ example and a CLI that emits the corresponding data tables.
 __version__ = "0.1.0"
 
 from .algebra import (
-    PAULI_BASIS,
-    SU2Basis,
     angle_between,
     cross,
     density,
@@ -64,21 +62,17 @@ from .qfi import (
     entangled_qfi,
     entangled_weak_comm,
     qfi_max,
-    qfi_max_controlled,
     qfi_pure,
     qfim_pure,
     weak_comm_residual,
 )
 from .scheme import (
-    ControlDesign,
     SchemeConfig,
-    apply_control,
+    affine_scheme,
     build_total_unitary,
     characterize,
     design_control,
-    effectiveness_profile,
     gap_profile,
 )
-from .tolerances import DEFAULT, Tolerances
 
 __all__ = [name for name in dir() if not name.startswith("_")]

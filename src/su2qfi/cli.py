@@ -20,12 +20,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .errors import Su2QfiError
+from .algebra import check_bloch
+from .errors import Su2QfiError, UnphysicalStateError
 from .magnetometry import (
     PARAMETER_NAMES,
     FieldPoint,
@@ -33,7 +35,7 @@ from .magnetometry import (
     precision_curves,
 )
 from .qfi import ENTANGLED_WITH_ANCILLA, PURE_QUBIT, build_report
-from .scheme import MERGED, PRODUCT, SchemeConfig, gap_profile
+from .scheme import MERGED, PRODUCT, SchemeConfig, affine_scheme, design_control, gap_profile
 from .verify import run_all, summarize
 
 
@@ -43,6 +45,52 @@ class ConfigError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+
+
+def _number(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError("not-a-number", f"{name} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError("non-finite", f"{name} is too large to be a float") from None
+    if not math.isfinite(value):
+        raise ConfigError("non-finite", f"{name} must be finite, got {value}")
+    return value
+
+
+def _count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError("non-integer-count", f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError("not-a-boolean", f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _sequence(name: str, value, item, length: int | None = None) -> tuple:
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        size = "" if length is None else f" of {length} entries"
+        raise ConfigError("invalid-vector", f"{name} must be a list{size}, got {value!r}")
+    return tuple(item(f"{name}[{i}]", v) for i, v in enumerate(value))
+
+
+_VEC3 = partial(_sequence, item=_number, length=3)
+
+# type and shape of every field that is not a string, checked by from_dict;
+# every number must also be finite
+_FIELD_TYPES = {
+    **dict.fromkeys(("B", "theta", "phi", "t", "x_norm", "dx_norm"), _number),
+    **dict.fromkeys(("N", "alpha_count", "n_max"), _count),
+    **dict.fromkeys(("x0", "r", "control_vector"), _VEC3),
+    **dict.fromkeys(("x", "x_tilde"), partial(_sequence, item=_number)),
+    "gradients": partial(_sequence, item=_VEC3),
+    "n_values": partial(_sequence, item=_count),
+    "controlled": _boolean,
+}
 
 
 @dataclass(frozen=True)
@@ -81,10 +129,6 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.scenario not in ("magnetometry", "generic"):
             raise ConfigError("unknown-scenario", f"unknown scenario {self.scenario!r}")
-        for name in ("t", "B", "theta", "phi", "x_norm", "dx_norm"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError("non-finite", f"{name} must be finite, got {value}")
         for name in ("x_norm", "dx_norm"):
             value = getattr(self, name)
             if value < 0:
@@ -97,18 +141,18 @@ class RunConfig:
             raise ConfigError("invalid-segment-count", f"n_max must be at least 1, got {self.n_max}")
         if any(n < 1 for n in self.n_values):
             raise ConfigError("invalid-segment-count", "every entry of n_values must be >= 1")
-        if self.alpha_count < 1:
-            raise ConfigError("empty-grid", "alpha_count must be at least 1")
+        if not self.n_values or self.alpha_count < 1:
+            raise ConfigError("empty-grid", "n_values and alpha_count must be nonempty grids")
         if self.probe not in ("pure", "entangled"):
             raise ConfigError("unknown-probe", f"unknown probe {self.probe!r}")
         if self.control not in ("none", "optimal", "custom"):
             raise ConfigError("unknown-control", f"unknown control {self.control!r}")
         if self.mode not in (MERGED, PRODUCT):
             raise ConfigError("unknown-mode", f"unknown composition mode {self.mode!r}")
-        if len(self.r) != 3:
-            raise ConfigError("bloch-norm", "r must be a 3-vector")
-        if float(np.linalg.norm(self.r)) > 1.0 + 1e-12:
-            raise ConfigError("bloch-norm", f"|r| = {np.linalg.norm(self.r):.6g} exceeds 1")
+        try:
+            check_bloch(self.r)
+        except UnphysicalStateError as exc:
+            raise ConfigError("bloch-norm", str(exc)) from None
         if self.scenario == "generic":
             if len(self.gradients) == 0:
                 raise ConfigError("missing-gradients", "generic scenario needs gradients")
@@ -117,13 +161,15 @@ class RunConfig:
                     "too-many-parameters",
                     f"{len(self.gradients)} parameters; an su(2) process encodes at most 3",
                 )
-            for g in self.gradients:
-                if len(g) != 3:
-                    raise ConfigError("missing-gradients", "each gradient must be a 3-vector")
             if len(self.x) != len(self.gradients):
                 raise ConfigError(
                     "parameter-point", "x must have one entry per gradient row"
                 )
+        n_params = 3 if self.scenario == "magnetometry" else len(self.gradients)
+        if self.x_tilde and len(self.x_tilde) != n_params:
+            raise ConfigError(
+                "parameter-point", f"x_tilde must have {n_params} entries, one per parameter"
+            )
         return self
 
     def to_dict(self) -> dict:
@@ -139,16 +185,18 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(
+                "not-an-object", f"a config must be a JSON object, got {type(data).__name__}"
+            )
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ConfigError("unknown-field", f"unknown config fields: {sorted(unknown)}")
-        coerced = dict(data)
-        for key in ("x0", "x", "r", "x_tilde", "control_vector", "n_values"):
-            if key in coerced:
-                coerced[key] = tuple(coerced[key])
-        if "gradients" in coerced:
-            coerced["gradients"] = tuple(tuple(g) for g in coerced["gradients"])
+        coerced = {
+            key: _FIELD_TYPES[key](key, value) if key in _FIELD_TYPES else value
+            for key, value in data.items()
+        }
         return cls(**coerced).validate()
 
 
@@ -156,48 +204,24 @@ def _build_scheme(cfg: RunConfig) -> tuple[SchemeConfig, np.ndarray, tuple]:
     """Scheme, evaluation point and parameter names from a validated config."""
     if cfg.scenario == "magnetometry":
         point = FieldPoint(cfg.B, cfg.theta, cfg.phi)
-        x = point.as_array()
-        if cfg.control == "custom":
-            control = np.asarray(cfg.control_vector, dtype=float)
-        elif cfg.control == "optimal":
-            control = "optimal"
-        else:
-            control = "none"
-        x_tilde = np.asarray(cfg.x_tilde, dtype=float) if cfg.x_tilde else None
-        scheme = magnetometry_scheme(
-            point, cfg.t, cfg.N, control=control, x_tilde=x_tilde, mode=cfg.mode
-        )
-        return scheme, x, PARAMETER_NAMES
-    # generic affine map
-    x0 = np.asarray(cfg.x0, dtype=float)
-    grads = np.asarray(cfg.gradients, dtype=float)
-    x = np.asarray(cfg.x, dtype=float)
-    d = grads.shape[0]
-
-    def coefficients(xp):
-        return x0 + grads.T @ xp
-
-    def partials(xp):
-        return grads
-
-    if cfg.control == "custom":
-        control_vec = np.asarray(cfg.control_vector, dtype=float)
-    elif cfg.control == "optimal":
-        x_tilde = np.asarray(cfg.x_tilde, dtype=float) if cfg.x_tilde else x
-        control_vec = -coefficients(x_tilde)
+        x, names = point.as_array(), PARAMETER_NAMES
+        scheme = magnetometry_scheme(point, cfg.t, cfg.N, mode=cfg.mode)
     else:
-        control_vec = np.zeros(3)
-    scheme = SchemeConfig(
-        coefficients=coefficients,
-        partials=partials,
-        n_params=d,
-        control=control_vec,
-        segment_time=cfg.t,
-        segment_count=cfg.N,
-        mode=cfg.mode,
-        validation_points=(x,),
-    )
-    names = tuple(f"x{i + 1}" for i in range(d))
+        x = np.asarray(cfg.x, dtype=float)
+        names = tuple(f"x{i + 1}" for i in range(len(x)))
+        scheme = affine_scheme(cfg.x0, cfg.gradients, np.zeros(3), cfg.t, cfg.N, cfg.mode)
+    if cfg.control == "custom":
+        scheme = replace(scheme, control=cfg.control_vector)
+    elif cfg.control == "optimal":
+        scheme = replace(scheme, control=design_control(scheme, cfg.x_tilde or x))
+    if cfg.mode == PRODUCT and np.any(scheme.control):
+        # the closed forms describe exp(-i N t (X + X_c).J); without control
+        # the segment product equals it exactly, with control it does not
+        raise ConfigError(
+            "product-mode-inexact",
+            "product mode with a nonzero control has no exact report yet; "
+            "use mode merged or control none",
+        )
     return scheme, x, names
 
 
@@ -357,7 +381,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    data.update(_collect_overrides(args))
+    if isinstance(data, dict):  # from_dict rejects anything else
+        data.update(_collect_overrides(args))
     return RunConfig.from_dict(data)
 
 
@@ -370,18 +395,25 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("invalid-sample-count", "--samples must be at least 1")
             return cmd_verify(args.seed, args.samples, args.tolerance_scale, args.out)
         cfg = _load_config(args)
-        if args.command == "report":
-            return cmd_report(cfg, args.out)
-        if args.command == "sweep-alpha":
-            return cmd_sweep_alpha(cfg, args.out)
-        if args.command == "curves":
-            return cmd_curves(cfg, args.out)
+        # a value that leaves the float range raises instead of printing inf or nan
+        with np.errstate(over="raise", invalid="raise"):
+            if args.command == "report":
+                return cmd_report(cfg, args.out)
+            if args.command == "sweep-alpha":
+                return cmd_sweep_alpha(cfg, args.out)
+            if args.command == "curves":
+                return cmd_curves(cfg, args.out)
         raise ConfigError("unknown-command", f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2
     except Su2QfiError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # finite inputs whose results, such as the information (T |dX|)^2,
+        # leave the float range
+        print(f"error[overflow]: the result overflows double precision ({exc})", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error[io]: {exc}", file=sys.stderr)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import PAULI_BASIS, SU2Basis, as_vec3
+from .algebra import as_vec3
 from .errors import SeriesDepthError, StepSizeError, ZeroDerivativeError
 from .scheme import SchemeConfig, build_total_unitary
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEGENERATE
 
 REGULAR = "regular"
 COLINEAR = "colinear"
@@ -47,16 +47,14 @@ class GeneratorDecomposition:
     direction: np.ndarray
     flag: str = REGULAR
 
-    def to_matrix(self, basis: SU2Basis = PAULI_BASIS) -> np.ndarray:
-        return self.magnitude * algebra.su2_element(self.direction, basis)
+    def to_matrix(self) -> np.ndarray:
+        return self.magnitude * algebra.su2_element(self.direction)
 
     def coefficient_vector(self) -> np.ndarray:
         return self.magnitude * as_vec3(self.direction)
 
 
-def closed_form_generator(
-    x_coeff, d_coeff, total_time: float, tol: Tolerances = DEFAULT
-) -> GeneratorDecomposition:
+def closed_form_generator(x_coeff, d_coeff, total_time: float) -> GeneratorDecomposition:
     """Compact closed form of the generator for coefficients X, dX and time T.
 
     The magnitude is
@@ -83,11 +81,11 @@ def closed_form_generator(
     d_hat = d_coeff / nd
 
     nx = float(np.linalg.norm(x_coeff))
-    if nx < tol.degenerate:
+    if nx < DEGENERATE:
         return GeneratorDecomposition(total_time * nd, -d_hat, ZERO_FIELD)
     alpha = algebra.angle_between(x_coeff, d_coeff)
     sin_a = np.sin(alpha)
-    if sin_a < tol.degenerate:
+    if sin_a < DEGENERATE:
         return GeneratorDecomposition(total_time * nd, -d_hat, COLINEAR)
     if total_time == 0.0:
         return GeneratorDecomposition(0.0, -d_hat, REGULAR)
@@ -114,9 +112,7 @@ def closed_form_generator(
     return GeneratorDecomposition(magnitude, direction, REGULAR)
 
 
-def controlled_generator(
-    d_coeff, total_time: float, tol: Tolerances = DEFAULT
-) -> GeneratorDecomposition:
+def controlled_generator(d_coeff, total_time: float) -> GeneratorDecomposition:
     """Generator under optimal control: magnitude T |dX|, direction -dX.
 
     This is the |X + X_c| -> 0 limit of ``closed_form_generator``: with the
@@ -138,7 +134,6 @@ def series_generator(
     total_time: float,
     tol: float = 1e-14,
     max_terms: int = SERIES_TERM_CAP,
-    basis: SU2Basis = PAULI_BASIS,
 ) -> np.ndarray:
     """Generator by direct summation of the nested cross-product series.
 
@@ -156,7 +151,7 @@ def series_generator(
     d_coeff = as_vec3(d_coeff)
     nx = float(np.linalg.norm(x_coeff))
     nd = float(np.linalg.norm(d_coeff))
-    total = np.zeros_like(basis.j1)
+    total = np.zeros((2, 2), dtype=complex)
     w = d_coeff.copy()
     # term n carries coefficient (-T)^(n+1)/(n+1)! and bound (T|X|)^(n+1)/(n+1)!,
     # both updated multiplicatively to sidestep factorial overflow
@@ -171,7 +166,7 @@ def series_generator(
                 f"series not converged in {max_terms} terms (T|X| = {total_time * nx:.3g}); "
                 "use the closed form"
             )
-        total = total + coeff * algebra.su2_element(w, basis)
+        total = total + coeff * algebra.su2_element(w)
         w = np.cross(x_coeff, w)
         if np.linalg.norm(w) == 0.0:
             return total
@@ -192,13 +187,7 @@ def series_term_count(x_coeff, d_coeff, total_time: float, tol: float = 1e-14) -
     return count
 
 
-def numeric_generator(
-    scheme: SchemeConfig,
-    x,
-    ell: int,
-    h: float | None = None,
-    basis: SU2Basis = PAULI_BASIS,
-) -> np.ndarray:
+def numeric_generator(scheme: SchemeConfig, x, ell: int, h: float | None = None) -> np.ndarray:
     """Finite-difference generator oracle: i (dU^dag) U, symmetrized.
 
     Builds the total unitary at x +- h e_ell with the control vector held
@@ -216,9 +205,7 @@ def numeric_generator(
     xm = x.copy()
     xp[ell] += h
     xm[ell] -= h
-    u0 = build_total_unitary(scheme, x, basis)
-    du = (build_total_unitary(scheme, xp, basis) - build_total_unitary(scheme, xm, basis)) / (
-        2.0 * h
-    )
+    u0 = build_total_unitary(scheme, x)
+    du = (build_total_unitary(scheme, xp) - build_total_unitary(scheme, xm)) / (2.0 * h)
     gen = 1j * du.conj().T @ u0
     return (gen + gen.conj().T) / 2.0

@@ -17,7 +17,7 @@ generator/QFI machinery and are cross-checked against it in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from . import algebra
 from .errors import UnphysicalStateError
 from .generators import COLINEAR, REGULAR, ZERO_FIELD, GeneratorDecomposition
 from .oracles import qfim_trace_oracle
-from .scheme import MERGED, SchemeConfig
-from .tolerances import DEFAULT, Tolerances
+from .scheme import MERGED, SchemeConfig, design_control
 
 PARAMETER_NAMES = ("B", "theta", "phi")
 
@@ -51,18 +50,25 @@ class FieldPoint:
         return np.array([self.B, self.theta, self.phi])
 
 
+# the axes from bare angles: the scheme's coefficient maps take a raw
+# (B, theta, phi) array, and their finite-difference check steps outside the
+# ranges FieldPoint enforces
+def _axes(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    n0 = np.array([st * cp, st * sp, ct])
+    n0_theta = np.array([ct * cp, ct * sp, -st])
+    n0_phi = np.array([-st * sp, st * cp, 0.0])
+    return n0, n0_theta, n0_phi
+
+
 def field_axes(p: FieldPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(n0, n0', n0'') - the field axis and its two angular tangents.
 
     n0 and n0' are unit vectors; |n0''| = sin(theta), vanishing at the poles
     where the azimuth is unidentifiable.
     """
-    st, ct = np.sin(p.theta), np.cos(p.theta)
-    sp, cp = np.sin(p.phi), np.cos(p.phi)
-    n0 = np.array([st * cp, st * sp, ct])
-    n0_theta = np.array([ct * cp, ct * sp, -st])
-    n0_phi = np.array([-st * sp, st * cp, 0.0])
-    return n0, n0_theta, n0_phi
+    return _axes(p.theta, p.phi)
 
 
 def _azimuth_unit(p: FieldPoint) -> np.ndarray:
@@ -78,17 +84,12 @@ def field_coefficients(p: FieldPoint) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _coefficients(x: np.ndarray) -> np.ndarray:
     b, theta, phi = x
-    st, ct = np.sin(theta), np.cos(theta)
-    return 2.0 * b * np.array([st * np.cos(phi), st * np.sin(phi), ct])
+    return 2.0 * b * _axes(theta, phi)[0]
 
 
 def _partials(x: np.ndarray) -> np.ndarray:
     b, theta, phi = x
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    n0 = np.array([st * cp, st * sp, ct])
-    n0_theta = np.array([ct * cp, ct * sp, -st])
-    n0_phi = np.array([-st * sp, st * cp, 0.0])
+    n0, n0_theta, n0_phi = _axes(theta, phi)
     return np.vstack([2.0 * n0, 2.0 * b * n0_theta, 2.0 * b * n0_phi])
 
 
@@ -105,26 +106,23 @@ def magnetometry_scheme(
     ``control`` is ``"none"``, ``"optimal"`` (negate the coefficients at
     ``x_tilde``, default the field point itself), or an explicit 3-vector.
     """
-    if isinstance(control, str):
-        if control == "none":
-            control_vec = np.zeros(3)
-        elif control == "optimal":
-            est = p.as_array() if x_tilde is None else np.asarray(x_tilde, dtype=float)
-            control_vec = -_coefficients(est)
-        else:
-            raise ValueError(f"unknown control kind {control!r}")
-    else:
-        control_vec = np.asarray(control, dtype=float)
-    return SchemeConfig(
+    scheme = SchemeConfig(
         coefficients=_coefficients,
         partials=_partials,
         n_params=3,
-        control=control_vec,
         segment_time=segment_time,
         segment_count=segment_count,
         mode=mode,
         validation_points=(p.as_array(),),
     )
+    if isinstance(control, str):
+        if control == "none":
+            return scheme
+        if control != "optimal":
+            raise ValueError(f"unknown control kind {control!r}")
+        control = design_control(scheme, p.as_array() if x_tilde is None else x_tilde)
+    # the partials were checked above; the control does not change them
+    return replace(scheme, control=control, validation_points=())
 
 
 def _decompose(vec: np.ndarray, fallback: np.ndarray, flag: str) -> GeneratorDecomposition:
@@ -210,7 +208,7 @@ class PairResiduals:
 
 
 def weak_comm_example(
-    p: FieldPoint, total_time: float, r, controlled: bool = False, tol: Tolerances = DEFAULT
+    p: FieldPoint, total_time: float, r, controlled: bool = False
 ) -> PairResiduals:
     """Closed-form weak-commutation residuals for the three pairs.
 
@@ -219,9 +217,7 @@ def weak_comm_example(
     vanish only where r is orthogonal to the respective axis, which cannot
     hold for all three at once with a unit r.
     """
-    r = algebra.as_vec3(r)
-    if np.linalg.norm(r) > 1.0 + tol.bloch_norm_slack:
-        raise UnphysicalStateError("Bloch vector norm exceeds 1")
+    r = algebra.check_bloch(r)
     n0, n0_theta, _ = field_axes(p)
     m = _azimuth_unit(p)
     st = np.sin(p.theta)
@@ -304,7 +300,6 @@ def off_diagonal_check(
     r,
     controlled: bool = False,
     project: bool = False,
-    tol: Tolerances = DEFAULT,
 ) -> PairResiduals:
     """Off-diagonal QFIM entries 4 Cov(H_a, H_b), by the matrix-trace oracle.
 
@@ -314,9 +309,7 @@ def off_diagonal_check(
     ``project=True`` the frame components of r are removed first, which
     enforces the orthogonality assumption directly.
     """
-    r = algebra.as_vec3(r)
-    if np.linalg.norm(r) > 1.0 + tol.bloch_norm_slack:
-        raise UnphysicalStateError("Bloch vector norm exceeds 1")
+    r = algebra.check_bloch(r)
     if project:
         for axis in orthogonality_frame(p, total_time, controlled):
             nrm = np.linalg.norm(axis)

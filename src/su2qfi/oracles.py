@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PAULI_BASIS, SU2Basis
 from .errors import StepSizeError, UnphysicalStateError
 from .generators import GeneratorDecomposition, numeric_generator
 from .qfi import BELL_PHI_PLUS
@@ -55,16 +54,14 @@ def entangled_probe_state(u_tot: np.ndarray) -> np.ndarray:
     return np.kron(u_tot, _EYE2) @ BELL_PHI_PLUS
 
 
-def entangled_qfi_oracle(gen: GeneratorDecomposition, basis: SU2Basis = PAULI_BASIS) -> float:
+def entangled_qfi_oracle(gen: GeneratorDecomposition) -> float:
     """Entangled-probe QFI through the 4x4 variance trace."""
-    h4 = np.kron(gen.to_matrix(basis), _EYE2)
+    h4 = np.kron(gen.to_matrix(), _EYE2)
     rho4 = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
     return variance_qfi_oracle(h4, rho4)
 
 
-def entangled_qfim_fd(
-    scheme: SchemeConfig, x, h: float = 1e-6, basis: SU2Basis = PAULI_BASIS
-) -> np.ndarray:
+def entangled_qfim_fd(scheme: SchemeConfig, x, h: float = 1e-6) -> np.ndarray:
     """Entangled-probe QFIM by finite differences of the evolved state.
 
     Entry (a, b) is 4 Re( <da psi|db psi> - <da psi|psi><psi|db psi> ) with
@@ -75,15 +72,15 @@ def entangled_qfim_fd(
         raise StepSizeError(f"finite-difference step {h} outside [1e-12, 1e-2]")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = scheme.n_params
-    psi0 = entangled_probe_state(build_total_unitary(scheme, x, basis))
+    psi0 = entangled_probe_state(build_total_unitary(scheme, x))
     dpsi = []
     for ell in range(d):
         xp = x.copy()
         xm = x.copy()
         xp[ell] += h
         xm[ell] -= h
-        up = entangled_probe_state(build_total_unitary(scheme, xp, basis))
-        um = entangled_probe_state(build_total_unitary(scheme, xm, basis))
+        up = entangled_probe_state(build_total_unitary(scheme, xp))
+        um = entangled_probe_state(build_total_unitary(scheme, xm))
         dpsi.append((up - um) / (2.0 * h))
     out = np.zeros((d, d))
     for a in range(d):
@@ -120,9 +117,7 @@ class SldOracleResult:
     residuals: np.ndarray
 
 
-def sld_oracle(
-    scheme: SchemeConfig, x, probe: np.ndarray, h: float = 1e-6, basis: SU2Basis = PAULI_BASIS
-) -> SldOracleResult:
+def sld_oracle(scheme: SchemeConfig, x, probe: np.ndarray, h: float = 1e-6) -> SldOracleResult:
     """SLD operators L = 2 (dU) U^dag by central differences.
 
     The probe may live on the bare qubit (2x2) or on qubit plus ancilla
@@ -139,7 +134,7 @@ def sld_oracle(
     def lift(u):
         return np.kron(u, _EYE2) if with_ancilla else u
 
-    u0 = lift(build_total_unitary(scheme, x, basis))
+    u0 = lift(build_total_unitary(scheme, x))
     rho_x = u0 @ probe @ u0.conj().T
     slds = []
     gens = []
@@ -148,12 +143,11 @@ def sld_oracle(
         xm = x.copy()
         xp[ell] += h
         xm[ell] -= h
-        du = (
-            lift(build_total_unitary(scheme, xp, basis))
-            - lift(build_total_unitary(scheme, xm, basis))
-        ) / (2.0 * h)
+        du = (lift(build_total_unitary(scheme, xp)) - lift(build_total_unitary(scheme, xm))) / (
+            2.0 * h
+        )
         slds.append(2.0 * du @ u0.conj().T)
-        gen = numeric_generator(scheme, x, ell, h, basis)
+        gen = numeric_generator(scheme, x, ell, h)
         gens.append(lift(gen))
     d = scheme.n_params
     residuals = np.zeros((d, d))

@@ -12,13 +12,13 @@ built from a prior estimate of the parameters, never from the true point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import algebra
-from .algebra import SU2Basis, PAULI_BASIS, as_vec3
+from .algebra import as_vec3
 from .errors import DegenerateVectorError
 
 MERGED = "merged"
@@ -63,11 +63,12 @@ class SchemeConfig:
     def _check_partials_at(self, x: np.ndarray, h: float = 1e-6, rtol: float = 1e-6):
         exact = np.asarray(self.partials(x), dtype=float).reshape(self.n_params, 3)
         for ell in range(self.n_params):
+            step = h * max(1.0, abs(float(x[ell])))  # relative, so large |x| still moves
             xp = x.copy()
             xm = x.copy()
-            xp[ell] += h
-            xm[ell] -= h
-            fd = (as_vec3(self.coefficients(xp)) - as_vec3(self.coefficients(xm))) / (2 * h)
+            xp[ell] += step
+            xm[ell] -= step
+            fd = (as_vec3(self.coefficients(xp)) - as_vec3(self.coefficients(xm))) / (2 * step)
             scale = max(1.0, float(np.linalg.norm(exact[ell])))
             if np.linalg.norm(fd - exact[ell]) > rtol * scale:
                 raise ValueError(
@@ -90,7 +91,7 @@ class SchemeConfig:
         return self.coefficients_at(x) + self.control
 
 
-def build_total_unitary(scheme: SchemeConfig, x, basis: SU2Basis = PAULI_BASIS) -> np.ndarray:
+def build_total_unitary(scheme: SchemeConfig, x) -> np.ndarray:
     """Total unitary of the scheme at parameter point ``x``.
 
     Merged mode returns exp(-i N t (X + X_c).J); product mode multiplies the
@@ -99,39 +100,42 @@ def build_total_unitary(scheme: SchemeConfig, x, basis: SU2Basis = PAULI_BASIS) 
     """
     coeff = scheme.coefficients_at(x)
     if scheme.mode == MERGED:
-        return algebra.su2_exp(coeff + scheme.control, scheme.total_time, basis)
-    segment = algebra.su2_exp(scheme.control, scheme.segment_time, basis) @ algebra.su2_exp(
-        coeff, scheme.segment_time, basis
+        return algebra.su2_exp(coeff + scheme.control, scheme.total_time)
+    segment = algebra.su2_exp(scheme.control, scheme.segment_time) @ algebra.su2_exp(
+        coeff, scheme.segment_time
     )
     return np.linalg.matrix_power(segment, scheme.segment_count)
 
 
-@dataclass(frozen=True, eq=False)
-class ControlDesign:
-    """A chosen control vector together with how it was derived."""
+def affine_scheme(
+    x0, gradients, control, segment_time: float, segment_count: int, mode: str
+) -> SchemeConfig:
+    """Scheme for the affine coefficient map X(x) = x0 + sum_l x_l gradients[l].
 
-    control_vector: np.ndarray
-    estimate_point: np.ndarray | None
-    kind: str  # "none" | "optimal_negation" | "custom"
-
-
-def design_control(scheme: SchemeConfig, x_tilde) -> ControlDesign:
-    """Optimal control for the scheme: negate the coefficients at the estimate.
-
-    Holding X_c = -X(x_tilde) cancels the per-segment generator at the
-    estimated point, which pushes every parameter's maximal information to
-    its quadratic-in-time ceiling.
+    The partials are the gradient rows themselves, so no finite-difference
+    check of them is needed.
     """
-    x_tilde = np.atleast_1d(np.asarray(x_tilde, dtype=float))
-    return ControlDesign(
-        control_vector=-scheme.coefficients_at(x_tilde),
-        estimate_point=x_tilde,
-        kind="optimal_negation",
+    x0 = as_vec3(x0)
+    grads = np.asarray(gradients, dtype=float).reshape(-1, 3)
+    return SchemeConfig(
+        coefficients=lambda xp: x0 + grads.T @ xp,
+        partials=lambda xp: grads,
+        n_params=grads.shape[0],
+        control=control,
+        segment_time=segment_time,
+        segment_count=segment_count,
+        mode=mode,
     )
 
 
-def apply_control(scheme: SchemeConfig, design: ControlDesign) -> SchemeConfig:
-    return replace(scheme, control=design.control_vector)
+def design_control(scheme: SchemeConfig, x_tilde) -> np.ndarray:
+    """Optimal control for the scheme: X_c = -X(x_tilde), the negated coefficients.
+
+    Holding this control cancels the per-segment generator at the estimated
+    point, which pushes every parameter's maximal information to its
+    quadratic-in-time ceiling.
+    """
+    return -scheme.coefficients_at(x_tilde)
 
 
 def characterize(x_coeff, d_coeffs: Sequence) -> list[float]:
@@ -144,62 +148,6 @@ def characterize(x_coeff, d_coeffs: Sequence) -> list[float]:
     if np.linalg.norm(x_coeff) == 0.0:
         raise DegenerateVectorError("characterize requires a nonzero coefficient vector")
     return [algebra.angle_between(x_coeff, d) for d in d_coeffs]
-
-
-@dataclass(frozen=True)
-class EffectivenessRecord:
-    """Per-parameter control effectiveness, classified by the angle alpha."""
-
-    alpha: float
-    beta: float
-    uncontrolled_max: float
-    controlled_max: float
-    gap: float
-    benefit: str  # "max_benefit" | "partial_benefit" | "no_benefit"
-
-
-_ANGLE_CLASS_TOL = 1e-9
-
-
-def classify_benefit(alpha: float) -> str:
-    if min(abs(alpha), abs(np.pi - alpha)) <= _ANGLE_CLASS_TOL:
-        return "no_benefit"
-    if abs(alpha - np.pi / 2) <= _ANGLE_CLASS_TOL:
-        return "max_benefit"
-    return "partial_benefit"
-
-
-def effectiveness_profile(scheme: SchemeConfig, x) -> list[EffectivenessRecord]:
-    """Classify every parameter of the scheme at the point ``x``."""
-    from .qfi import qfi_max, qfi_max_controlled  # deferred: qfi imports this module
-
-    x_coeff = scheme.coefficients_at(x)
-    s_coeff = scheme.effective_coefficients(x)
-    d_coeffs = scheme.partials_at(x)
-    total_time = scheme.total_time
-    records = []
-    for d in d_coeffs:
-        alpha = algebra.angle_between(x_coeff, d)
-        # at |S| = 0 the angle to S is undefined and immaterial: the
-        # controlled maximum hits the ceiling for every geometry
-        beta = (
-            algebra.angle_between(s_coeff, d)
-            if np.linalg.norm(s_coeff) > 0
-            else alpha
-        )
-        unc = qfi_max(x_coeff, d, total_time)
-        con = qfi_max_controlled(s_coeff, d, total_time)
-        records.append(
-            EffectivenessRecord(
-                alpha=alpha,
-                beta=beta,
-                uncontrolled_max=unc,
-                controlled_max=con,
-                gap=con - unc,
-                benefit=classify_benefit(alpha),
-            )
-        )
-    return records
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,37 +1,15 @@
-"""Central tolerance configuration.
+"""Numerical thresholds shared across the library.
 
-Every numerical threshold used by the library lives here so that CI runs and
-exploratory runs can share one knob.  The defaults are calibrated for double
-precision on dense 2x2 / 4x4 matrices.
+The values are calibrated for double precision on dense 2x2 / 4x4 matrices.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    # below this, a coefficient vector is treated as zero and the analytic
-    # limit formulas are used instead of the sin-normalized unit vectors
-    degenerate: float = 1e-12
-    # elementwise agreement demanded between the compact closed form and the
-    # nested cross-product series
-    series_agreement: float = 1e-12
-    # agreement between any analytic route and a central-difference oracle
-    finite_difference: float = 1e-6
-    # hermiticity / unitarity checks on constructed matrices
-    hermitian: float = 1e-12
-    unitary: float = 1e-10
-    # closed-form QFIM entries against the matrix-trace oracle
-    trace_oracle: float = 1e-11
-    # weak-commutation residual magnitudes considered zero, and the slack on
-    # "maximum attained" comparisons, for the attainability verdict
-    attainability: float = 1e-10
-    # |r| may exceed 1 by at most this before a state is rejected
-    bloch_norm_slack: float = 1e-12
-    # a Bloch vector counts as pure when ||r| - 1| is below this
-    purity: float = 1e-9
-
-
-DEFAULT = Tolerances()
+# below this, a coefficient vector is treated as zero and the analytic
+# limit formulas are used instead of the sin-normalized unit vectors
+DEGENERATE = 1e-12
+# weak-commutation residual magnitudes considered zero, and the slack on
+# "maximum attained" comparisons, for the attainability verdict
+ATTAINABILITY = 1e-10
+# |r| may exceed 1 by at most this before a state is rejected
+BLOCH_NORM_SLACK = 1e-12
+# a Bloch vector counts as pure when ||r| - 1| is below this
+PURITY = 1e-9

@@ -36,7 +36,7 @@ from .qfi import (
     qfim_pure,
     weak_comm_residual,
 )
-from .scheme import MERGED, PRODUCT, SchemeConfig, build_total_unitary
+from .scheme import MERGED, PRODUCT, affine_scheme, build_total_unitary
 
 
 @dataclass(frozen=True)
@@ -73,21 +73,6 @@ def _random_unit(rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _linear_scheme(
-    x0: np.ndarray, grads: np.ndarray, total_time: float, control: np.ndarray | None = None
-) -> SchemeConfig:
-    """Affine coefficient map X(x) = x0 + sum_l x_l g_l as a single merged segment."""
-    grads = np.atleast_2d(np.asarray(grads, dtype=float))
-    return SchemeConfig(
-        coefficients=lambda xp: x0 + grads.T @ xp,
-        partials=lambda xp: grads,
-        n_params=grads.shape[0],
-        control=np.zeros(3) if control is None else control,
-        segment_time=total_time,
-        segment_count=1,
-    )
-
-
 def generator_three_way(seed: int, samples: int) -> list[CheckResult]:
     """Closed form vs nested-cross series vs finite-difference oracle.
 
@@ -106,7 +91,7 @@ def generator_three_way(seed: int, samples: int) -> list[CheckResult]:
             total_time = rng.uniform(0.0, 5.0)
         label = f"X={_fmt_vec(x)} dX={_fmt_vec(d)} T={total_time:.6g}"
         closed = closed_form_generator(x, d, total_time).to_matrix()
-        scheme = _linear_scheme(x, d.reshape(1, 3), total_time)
+        scheme = affine_scheme(x, d, np.zeros(3), total_time, 1, MERGED)
         numeric = numeric_generator(scheme, [0.0], 0, h=1e-6)
         closed_numeric.update(np.abs(closed - numeric).max(), label)
         try:
@@ -184,7 +169,7 @@ def sld_identity_suite(seed: int, samples: int) -> list[CheckResult]:
         x = rng.uniform(-1.0, 1.0, d)
         control = rng.uniform(-2.0, 2.0, 3) if rng.random() < 0.5 else np.zeros(3)
         total_time = rng.uniform(0.1, 5.0)
-        scheme = _linear_scheme(x0, grads, total_time, control=control)
+        scheme = affine_scheme(x0, grads, control, total_time, 1, MERGED)
         if rng.random() < 0.5:
             r = rng.uniform(0.0, 1.0) * _random_unit(rng)
             probe = algebra.density(r)

@@ -24,7 +24,6 @@ from su2qfi import (
     numeric_generator,
     precision_curves,
     qfi_max,
-    qfi_max_controlled,
     qfim_controlled,
     qfim_no_control,
     series_generator,
@@ -165,7 +164,7 @@ def test_criterion_3_bound_and_limit():
         worst_colinear = max(worst_colinear, gap)
 
         s = 1e-8 * random_unit(rng)
-        limit_gap = abs(qfi_max_controlled(s, d, t) - ceiling)
+        limit_gap = abs(qfi_max(s, d, t) - ceiling)
         worst_limit = max(worst_limit, limit_gap)
     assert worst_colinear <= 1e-9
     assert worst_limit <= 1e-12

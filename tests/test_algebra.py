@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su2qfi import (
-    PAULI_BASIS,
     DegenerateVectorError,
     SeriesDepthError,
-    SU2Basis,
     UnphysicalStateError,
     angle_between,
     cross,
@@ -243,20 +241,10 @@ class TestDensity:
 
 class TestSU2Basis:
     def test_shipped_basis_validates(self):
-        PAULI_BASIS.validate()
-
-    def test_conjugated_basis_works(self):
-        # inject an alternative representation: a fixed unitary conjugation
-        w = su2_exp([1.0, 2.0, -0.5], 0.9)
-        gens = [w @ j @ w.conj().T for j in PAULI_BASIS.generators()]
-        basis = SU2Basis(*gens, c=0.5)
-        basis.validate()
-        v = RNG.normal(size=3) * 2
-        assert np.abs(su2_element(v, basis) - w @ su2_element(v) @ w.conj().T).max() < 1e-13
-        tau = 1.3
-        assert np.abs(su2_exp(v, tau, basis) - w @ su2_exp(v, tau) @ w.conj().T).max() < 1e-13
-
-    def test_broken_basis_rejected(self):
-        bad = SU2Basis(PAULI_BASIS.j1, PAULI_BASIS.j2, PAULI_BASIS.j1, c=0.5)
-        with pytest.raises(ValueError):
-            bad.validate()
+        # the sigma/2 triple obeys [j_m, j_k] = i eps_{mkl} j_l with spectrum +-1/2
+        gens = [su2_element(e) for e in np.eye(3)]
+        for m in range(3):
+            k, l = (m + 1) % 3, (m + 2) % 3
+            comm = gens[m] @ gens[k] - gens[k] @ gens[m]
+            assert np.abs(comm - 1j * gens[l]).max() < 1e-14
+            assert np.abs(np.linalg.eigvalsh(gens[m]) - [-0.5, 0.5]).max() < 1e-12

@@ -1,13 +1,19 @@
 """CLI tests: subcommands, config handling, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import su2qfi
 from su2qfi.cli import ConfigError, RunConfig, main
@@ -65,12 +71,71 @@ class TestRunConfig:
             ),
             ({"probe": "thermal"}, "unknown-probe"),
             ({"scenario": "cavity"}, "unknown-scenario"),
+            ([1, 2], "not-an-object"),
+            ({"t": "abc"}, "not-a-number"),
+            ({"B": None}, "not-a-number"),
+            ({"N": 2.5}, "non-integer-count"),
+            ({"n_values": [3, 2.5]}, "non-integer-count"),
+            ({"n_max": 2.5}, "non-integer-count"),
+            ({"alpha_count": True}, "non-integer-count"),
+            ({"n_values": []}, "empty-grid"),
+            ({"controlled": "false"}, "not-a-boolean"),
+            ({"x0": [0, 0, "a"]}, "not-a-number"),
+            ({"x0": [0, 0]}, "invalid-vector"),
+            ({"r": 1.0}, "invalid-vector"),
+            ({"control_vector": [1, 2, 3, 4]}, "invalid-vector"),
+            ({"x0": [0, 0, float("nan")]}, "non-finite"),
+            (
+                {"scenario": "generic", "gradients": [[1, 0, 0], [0, 1]], "x": [0, 0]},
+                "invalid-vector",
+            ),
+            ({"scenario": "generic", "gradients": [[1, 0, 0]], "x": ["a"]}, "not-a-number"),
+            ({"x_tilde": [1, 2]}, "parameter-point"),
+            (
+                {"scenario": "generic", "gradients": [[1, 0, 0]], "x": [0], "x_tilde": [0, 0]},
+                "parameter-point",
+            ),
         ],
     )
     def test_distinct_error_codes(self, data, code):
         with pytest.raises(ConfigError) as err:
             RunConfig.from_dict(data)
         assert err.value.code == code
+
+
+_NUMBERS = st.one_of(st.integers(-3, 12), st.floats())
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    _NUMBERS,
+    st.sampled_from(["generic", "pure", "custom", "product", "none"]),
+    st.dictionaries(st.text(max_size=2), _NUMBERS, max_size=2),
+)
+_VALUES = st.one_of(
+    _SCALARS, st.lists(_SCALARS, max_size=4), st.lists(st.lists(_NUMBERS, max_size=4), max_size=4)
+)
+_CONFIGS = st.one_of(
+    st.dictionaries(st.sampled_from([f.name for f in fields(RunConfig)]), _VALUES, max_size=5),
+    _VALUES,
+)
+
+
+class TestMalformedConfig:
+    @given(_CONFIGS, st.sampled_from(["report", "sweep-alpha", "curves"]))
+    @settings(max_examples=300, deadline=None)
+    def test_one_error_line_never_a_traceback(self, data, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["--config", path, "--out", os.path.join(tmp, "out"), command])
+        assert code in (0, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error[")
+            assert err.getvalue().count("\n") == 1
 
 
 class TestGridInputValidation:
@@ -86,6 +151,11 @@ class TestGridInputValidation:
             (("sweep-alpha", "--dx-norm", "inf"), "non-finite"),
             (("sweep-alpha", "--x-norm", "-1"), "negative-norm"),
             (("sweep-alpha", "--dx-norm", "-0.5"), "negative-norm"),
+            (("report", "--t", "1e160"), "overflow"),
+            (("report", "--B", "1e300"), "overflow"),
+            (("sweep-alpha", "--dx-norm", "1e200"), "overflow"),
+            (("report", "--x-tilde", "1", "2"), "parameter-point"),
+            (("report", "--mode", "product", "--N", "3", "--t", "0.5"), "product-mode-inexact"),
         ],
     )
     def test_rejected_with_one_error_line(self, capsys, argv, code):
@@ -158,6 +228,36 @@ class TestReport:
         # orthogonal geometry: maximum oscillates as sin^2(T)
         assert doc["qfi_max"][0] == pytest.approx(np.sin(5.0) ** 2, abs=1e-12)
         assert doc["parameter_names"] == ["x1"]
+
+    def test_generic_large_offset(self, capsys, tmp_path):
+        # affine_scheme trusts its gradients: no finite-difference check
+        # of them that rounding at |X| = 1e9 could fail
+        cfg_path = tmp_path / "generic.json"
+        cfg_path.write_text(
+            json.dumps(
+                {"scenario": "generic", "x0": [1e9, 0, 0], "gradients": [[1, 0, 0]], "x": [0.5]}
+            ),
+            encoding="utf-8",
+        )
+        code, out, _ = run_main(capsys, "--config", str(cfg_path), "report")
+        assert code == 0
+        assert np.all(np.isfinite(json.loads(out)["qfim"]))
+
+    def test_product_mode_without_control(self, capsys):
+        # without control the segment product is the merged exponential exactly
+        code, out, _ = run_main(
+            capsys, "report", "--mode", "product", "--N", "3", "--t", "0.5", "--control", "none"
+        )
+        assert code == 0
+        merged = json.loads(
+            run_main(capsys, "report", "--N", "3", "--t", "0.5", "--control", "none")[1]
+        )
+        assert json.loads(out)["qfim"] == merged["qfim"]
+        code, _, _ = run_main(
+            capsys, "report", "--mode", "product", "--control", "custom",
+            "--control-vector", "0", "0", "0",
+        )
+        assert code == 0
 
     def test_pole_serializes_infinite_bound(self, capsys):
         code, out, _ = run_main(capsys, "report", "--theta", "0")

@@ -144,6 +144,14 @@ class TestSeries:
         closed = closed_form_generator(x, d, 4.0).to_matrix()
         assert np.abs(series_generator(x, d, 4.0) - closed).max() < 1e-13
 
+    @pytest.mark.parametrize("a", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11])
+    def test_near_colinear_matches_closed_form(self, a):
+        # dX at angle a from X: unless the angle is resolved, the closed form
+        # takes its colinear branch and drops the terms of order sin(a)
+        d = np.array([np.sin(a), 0.0, np.cos(a)])
+        closed = closed_form_generator([0, 0, 2], d, 2.0).to_matrix()
+        assert np.abs(series_generator([0, 0, 2], d, 2.0) - closed).max() < 1e-12
+
     def test_zero_time_sums_to_zero(self):
         assert np.abs(series_generator([0, 0, 2], [1, 0, 0], 0.0)).max() == 0.0
 

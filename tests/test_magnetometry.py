@@ -18,7 +18,6 @@ from su2qfi import (
     off_diagonal_check,
     precision_curves,
     qfi_max,
-    qfi_max_controlled,
     qfim_controlled,
     qfim_no_control,
     weak_comm_example,
@@ -220,7 +219,7 @@ class TestQfims:
             for k, d in enumerate((db, dtheta, dphi)):
                 assert unc[k] == pytest.approx(qfi_max(x, d, t), abs=1e-12 * max(1, unc[k]))
                 assert con[k] == pytest.approx(
-                    qfi_max_controlled(np.zeros(3), d, t), abs=1e-12 * max(1, con[k])
+                    qfi_max(np.zeros(3), d, t), abs=1e-12 * max(1, con[k])
                 )
 
     def test_against_entangled_fd_oracle(self):

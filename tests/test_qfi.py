@@ -20,7 +20,6 @@ from su2qfi import (
     generators_no_control,
     magnetometry_scheme,
     qfi_max,
-    qfi_max_controlled,
     qfi_pure,
     qfim_pure,
     weak_comm_residual,
@@ -160,17 +159,12 @@ class TestQfiMax:
 class TestQfiMaxControlled:
     def test_cancelled_coefficients_reach_ceiling(self):
         d = np.array([1.0, 0, 0])
-        assert qfi_max_controlled([0, 0, 0], d, 5.0) == 25.0
-
-    def test_null_control_reduces_to_uncontrolled(self):
-        x = 2.0 * random_unit()
-        d = 1.5 * random_unit()
-        assert qfi_max_controlled(x, d, 4.0) == qfi_max(x, d, 4.0)
+        assert qfi_max([0, 0, 0], d, 5.0) == 25.0
 
     def test_taylor_tail_of_small_residual(self):
         d = random_unit()
         s = 1e-4 * random_unit()
-        assert abs(qfi_max_controlled(s, d, 5.0) - 25.0) < 1e-6
+        assert abs(qfi_max(s, d, 5.0) - 25.0) < 1e-6
 
 
 class TestWeakCommResidual:

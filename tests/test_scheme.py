@@ -1,5 +1,7 @@
 """Tests for scheme construction, total unitaries and control design."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,9 @@ from su2qfi import (
     DegenerateVectorError,
     FieldPoint,
     SchemeConfig,
-    apply_control,
     build_total_unitary,
     characterize,
     design_control,
-    effectiveness_profile,
     field_coefficients,
     gap_profile,
     magnetometry_scheme,
@@ -50,7 +50,7 @@ class TestSchemeConfig:
             linear_scheme([1, 0, 0], [0, 1, 0], mode="interleaved")
 
     def test_partials_validated_on_sample_grid(self):
-        good = linear_scheme([1, 0, 0], [0, 1, 0], validate=([0.0], [0.5]))
+        good = linear_scheme([1, 0, 0], [0, 1, 0], validate=([0.0], [0.5], [1e12]))
         assert good.n_params == 1
         with pytest.raises(ValueError):
             SchemeConfig(
@@ -113,28 +113,26 @@ class TestDesignControl:
     def test_negates_coefficients_at_the_estimate(self):
         point = FieldPoint(3.0, np.pi / 6, 0.0)
         scheme = magnetometry_scheme(point, 1.0, 5)
-        design = design_control(scheme, [3.0, np.pi / 6, 0.0])
-        assert design.kind == "optimal_negation"
-        assert np.allclose(design.control_vector, [-3.0, 0.0, -3.0 * np.sqrt(3)], atol=1e-12)
+        control = design_control(scheme, [3.0, np.pi / 6, 0.0])
+        assert np.allclose(control, [-3.0, 0.0, -3.0 * np.sqrt(3)], atol=1e-12)
 
     def test_zero_field_estimate_gives_zero_control(self):
         point = FieldPoint(3.0, np.pi / 6, 0.0)
         scheme = magnetometry_scheme(point, 1.0, 5)
-        design = design_control(scheme, [0.0, np.pi / 6, 0.0])
-        assert np.allclose(design.control_vector, [0, 0, 0])
+        control = design_control(scheme, [0.0, np.pi / 6, 0.0])
+        assert np.allclose(control, [0, 0, 0])
 
     def test_design_then_build_reaches_the_ceiling(self):
         point = FieldPoint(2.0, 1.1, 0.4)
         scheme = magnetometry_scheme(point, 1.0, 5)
-        controlled = apply_control(scheme, design_control(scheme, point.as_array()))
+        controlled = replace(scheme, control=design_control(scheme, point.as_array()))
         s = controlled.effective_coefficients(point.as_array())
         assert np.linalg.norm(s) < 1e-12
         # with |S| = 0 every parameter's maximum is T^2 |dX|^2
-        records = effectiveness_profile(controlled, point.as_array())
         partials = controlled.partials_at(point.as_array())
-        for rec, d in zip(records, partials):
+        for d in partials:
             ceiling = controlled.total_time**2 * np.linalg.norm(d) ** 2
-            assert rec.controlled_max == pytest.approx(ceiling, rel=1e-12)
+            assert qfi_max(s, d, controlled.total_time) == pytest.approx(ceiling, rel=1e-12)
 
 
 class TestCharacterize:
@@ -156,17 +154,6 @@ class TestCharacterize:
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateVectorError):
             characterize([0, 0, 0], [[1, 0, 0]])
-
-
-class TestEffectivenessProfile:
-    def test_classification(self):
-        x0 = np.array([2.0, 0.0, 0.0])
-        grads = np.array([[1.0, 0, 0], [0, 1.0, 0], [np.sqrt(0.5), np.sqrt(0.5), 0]])
-        scheme = linear_scheme(x0, grads, t=1.0, n=3)
-        records = effectiveness_profile(scheme, [0.0, 0.0, 0.0])
-        assert [r.benefit for r in records] == ["no_benefit", "max_benefit", "partial_benefit"]
-        for rec in records:
-            assert rec.gap >= -1e-12
 
 
 class TestGapProfile:
