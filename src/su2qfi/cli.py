@@ -10,8 +10,9 @@ Four subcommands:
 Configuration comes from a single flat JSON document (``--config``) with
 per-field flag overrides; ``--config``, ``--out``, ``--seed`` and
 ``--samples`` are the only global flags.  Exit codes: 0 success, 1
-verification failure, 2 invalid input.  All CSV numbers carry 17 significant
-digits; non-finite values are serialized as the literals inf/-inf/nan.
+verification failure, 2 invalid input, 3 an internal error.  All CSV
+numbers carry 17 significant digits; non-finite values are serialized as the
+literals inf/-inf/nan.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+import traceback
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 
@@ -380,7 +383,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     data = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:
+                # malformed JSON, bytes that are not UTF-8, or an integer past
+                # Python's int-string digit limit
+                raise ConfigError("invalid-json", f"{args.config}: {exc}") from None
     if isinstance(data, dict):  # from_dict rejects anything else
         data.update(_collect_overrides(args))
     return RunConfig.from_dict(data)
@@ -415,9 +423,16 @@ def main(argv: list[str] | None = None) -> int:
         # leave the float range
         print(f"error[overflow]: the result overflows double precision ({exc})", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a defect in su2qfi itself; 3 keeps it apart from bad input (2) and a
+        # failed verify (1)
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        print(f"error[internal]: {exc!r} at {where}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

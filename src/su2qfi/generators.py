@@ -97,7 +97,7 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> GeneratorDecom
     y_vec = (
         -total_time * d_par
         - (np.sin(z) / nx) * d_perp
-        + ((1.0 - np.cos(z)) / nx) * np.cross(x_hat, d_coeff)
+        + ((1.0 - np.cos(z)) / nx) * algebra.cross(x_hat, d_coeff)
     )
     magnitude = float(
         np.sqrt(
@@ -138,9 +138,10 @@ def series_generator(
     """Generator by direct summation of the nested cross-product series.
 
     Term n contributes (-T)^(n+1)/(n+1)! times the n-fold nested cross
-    product of X applied to dX, contracted with J.  The linear n = 0 term is
-    always summed; the tail is truncated once the term bound
-    (T|X|)^(n+1) |dX| / (n+1)! falls below ``tol`` or the nested cross
+    product of X applied to dX.  The terms are accumulated as one real
+    coefficient 3-vector, which is contracted with J once at the end.  The
+    linear n = 0 term is always summed; the tail is truncated once the term
+    bound (T|X|)^(n+1) |dX| / (n+1)! falls below ``tol`` or the nested cross
     vanishes (colinear geometry).  If the bound has not fallen below ``tol``
     within ``max_terms`` terms a ``SeriesDepthError`` is raised and the
     closed form should be used instead.
@@ -151,8 +152,8 @@ def series_generator(
     d_coeff = as_vec3(d_coeff)
     nx = float(np.linalg.norm(x_coeff))
     nd = float(np.linalg.norm(d_coeff))
-    total = np.zeros((2, 2), dtype=complex)
-    w = d_coeff.copy()
+    total = np.zeros(3)
+    w = d_coeff
     # term n carries coefficient (-T)^(n+1)/(n+1)! and bound (T|X|)^(n+1)/(n+1)!,
     # both updated multiplicatively to sidestep factorial overflow
     coeff = -total_time
@@ -160,16 +161,16 @@ def series_generator(
     n = 0
     while True:
         if n > 0 and bound < tol:
-            return total
+            return algebra.su2_element(total)
         if n >= max_terms:
             raise SeriesDepthError(
                 f"series not converged in {max_terms} terms (T|X| = {total_time * nx:.3g}); "
                 "use the closed form"
             )
-        total = total + coeff * algebra.su2_element(w)
-        w = np.cross(x_coeff, w)
-        if np.linalg.norm(w) == 0.0:
-            return total
+        total += coeff * w
+        w = algebra.cross(x_coeff, w)
+        if not w.any():
+            return algebra.su2_element(total)
         n += 1
         coeff *= -total_time / (n + 1)
         bound *= total_time * nx / (n + 1)

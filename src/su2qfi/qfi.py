@@ -100,7 +100,7 @@ def weak_comm_residual(gen_a: GeneratorDecomposition, gen_b: GeneratorDecomposit
     r = check_bloch(r)
     va = gen_a.coefficient_vector()
     vb = gen_b.coefficient_vector()
-    return 0.5j * float(np.dot(np.cross(va, vb), r))
+    return 0.5j * float(np.dot(algebra.cross(va, vb), r))
 
 
 def entangled_qfi(gen: GeneratorDecomposition) -> float:

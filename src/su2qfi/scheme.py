@@ -12,6 +12,7 @@ built from a prior estimate of the parameters, never from the true point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -51,8 +52,8 @@ class SchemeConfig:
         object.__setattr__(self, "control", as_vec3(self.control))
         if self.n_params < 1:
             raise ValueError("a scheme needs at least one parameter")
-        if self.segment_time <= 0:
-            raise ValueError("segment_time must be positive")
+        if not (math.isfinite(self.segment_time) and self.segment_time > 0):
+            raise ValueError("segment_time must be finite and positive")
         if self.segment_count < 1:
             raise ValueError("segment_count must be a positive integer")
         if self.mode not in (MERGED, PRODUCT):

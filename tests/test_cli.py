@@ -138,6 +138,37 @@ class TestMalformedConfig:
             assert err.getvalue().count("\n") == 1
 
 
+class TestConfigFileErrors:
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"N": ' + b"9" * 5000 + b"}",  # past the int-string digit limit
+            b'{"scenario": "\xff"}',  # not UTF-8
+            b'{"N": 3',  # malformed JSON
+        ],
+        ids=["huge-integer", "not-utf8", "truncated"],
+    )
+    def test_undecodable_file_is_invalid_json(self, capsys, tmp_path, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        exit_code, out, err = run_main(capsys, "--config", str(path), "report")
+        assert exit_code == 2
+        assert out == ""
+        assert err.startswith("error[invalid-json]: ")
+        assert err.count("\n") == 1
+
+    def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
+        def broken(cfg, out):
+            raise RuntimeError("injected\ndefect")
+
+        monkeypatch.setattr(su2qfi.cli, "cmd_report", broken)
+        exit_code, out, err = run_main(capsys, "report")
+        assert exit_code == 3
+        assert out == ""
+        assert err.startswith("error[internal]: RuntimeError(")
+        assert err.count("\n") == 1
+
+
 class TestGridInputValidation:
     @pytest.mark.parametrize(
         "argv,code",

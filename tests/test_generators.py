@@ -1,5 +1,6 @@
 """Tests for the three generator routes and their mutual agreement."""
 
+import re
 from math import factorial
 
 import numpy as np
@@ -11,6 +12,7 @@ from su2qfi import (
     ZeroDerivativeError,
     closed_form_generator,
     controlled_generator,
+    nested_cross,
     numeric_generator,
     series_generator,
     su2_element,
@@ -154,6 +156,46 @@ class TestSeries:
 
     def test_zero_time_sums_to_zero(self):
         assert np.abs(series_generator([0, 0, 2], [1, 0, 0], 0.0)).max() == 0.0
+
+    @pytest.mark.parametrize(
+        "x,d,t",
+        [
+            ([0.0, 0.0, 2.0], [1.0, 0.0, 0.0], 1.5),
+            ([0.3, -1.1, 0.7], [0.9, 0.4, -2.0], 2.0),
+            ([-1.7, 0.2, 0.5], [0.05, 1.3, 0.6], 0.4),
+            ([1e-9, 0.0, 0.0], [0.3, -1.2, 0.8], 4.0),
+        ],
+    )
+    def test_equals_explicit_sum_of_nested_crosses(self, x, d, t):
+        terms = [
+            (-t) ** (n + 1) / factorial(n + 1) * nested_cross(x, d, n)
+            for n in range(series_term_count(x, d, t))
+        ]
+        expected = su2_element(np.sum(terms, axis=0))
+        # the series updates its coefficients multiplicatively, so each term
+        # may differ from the factorial form by a few ulps
+        slack = 8 * np.finfo(float).eps * np.abs(terms).sum()
+        assert np.abs(series_generator(x, d, t) - expected).max() <= slack
+
+    @pytest.mark.parametrize(
+        "x,d,t",
+        [
+            ([0.0, 0.0, 2.0], [0.0, 0.0, -0.7], 25.0),
+            ([3.0, -4.0, 12.0], [-1.5, 2.0, -6.0], 50 / 13),
+        ],
+    )
+    def test_colinear_far_beyond_the_cap_returns_the_linear_term(self, x, d, t):
+        # T|X| = 50 needs far more than SERIES_TERM_CAP terms, but the nested
+        # cross vanishes exactly after the linear term
+        assert np.linalg.norm(x) * t == pytest.approx(50.0)
+        assert np.array_equal(series_generator(x, d, t), -t * su2_element(d))
+
+    def test_non_colinear_beyond_the_cap_refuses(self):
+        message = (
+            f"series not converged in {SERIES_TERM_CAP} terms (T|X| = 50); use the closed form"
+        )
+        with pytest.raises(SeriesDepthError, match=re.escape(message)):
+            series_generator([0, 0, 2], [1, 0, 0], 25.0)
 
     def test_matches_closed_form_over_random_samples(self):
         # |X| <= 2, T <= 5 keeps T|X| inside the series' accuracy domain

@@ -49,6 +49,11 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             linear_scheme([1, 0, 0], [0, 1, 0], mode="interleaved")
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_segment_time(self, t):
+        with pytest.raises(ValueError, match="segment_time must be finite and positive"):
+            linear_scheme([1, 0, 0], [0, 1, 0], t=t)
+
     def test_partials_validated_on_sample_grid(self):
         good = linear_scheme([1, 0, 0], [0, 1, 0], validate=([0.0], [0.5], [1e12]))
         assert good.n_params == 1
