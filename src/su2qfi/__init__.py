@@ -30,7 +30,6 @@ from .errors import (
 from .generators import (
     GeneratorDecomposition,
     closed_form_generator,
-    controlled_generator,
     numeric_generator,
     series_generator,
 )

@@ -13,6 +13,8 @@ matrix exponential and all closed forms below exact.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateVectorError, SeriesDepthError, UnphysicalStateError
@@ -110,8 +112,9 @@ def su2_exp(v, tau: float) -> np.ndarray:
 def check_bloch(r) -> np.ndarray:
     """``r`` as a 3-vector; ``UnphysicalStateError`` when |r| exceeds 1."""
     r = as_vec3(r)
-    if np.linalg.norm(r) > 1.0 + BLOCH_NORM_SLACK:
-        raise UnphysicalStateError(f"Bloch vector norm {np.linalg.norm(r)} exceeds 1")
+    length = math.hypot(*r.tolist())  # no overflow warning on huge components
+    if length > 1.0 + BLOCH_NORM_SLACK:
+        raise UnphysicalStateError(f"Bloch vector norm {length} exceeds 1")
     return r
 
 

@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import traceback
 from dataclasses import asdict, dataclass, fields, replace
@@ -345,8 +346,19 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
     return overrides
 
 
+# argparse's own negative-number test passes -0.5 but not -1e-05, -inf or -nan,
+# which it takes for unknown options; every su2qfi option starts with --
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="su2qfi",
         description="Quantum Fisher information for su(2) parametrization processes",
     )

@@ -112,22 +112,6 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> GeneratorDecom
     return GeneratorDecomposition(magnitude, direction, REGULAR)
 
 
-def controlled_generator(d_coeff, total_time: float) -> GeneratorDecomposition:
-    """Generator under optimal control: magnitude T |dX|, direction -dX.
-
-    This is the |X + X_c| -> 0 limit of ``closed_form_generator``: with the
-    per-segment coefficients cancelled, only the linear-in-time term of the
-    series survives.
-    """
-    d_coeff = as_vec3(d_coeff)
-    nd = float(np.linalg.norm(d_coeff))
-    if nd == 0.0:
-        raise ZeroDerivativeError("dX vanishes: the parameter does not enter the dynamics")
-    if total_time < 0:
-        raise ValueError("total_time must be nonnegative")
-    return GeneratorDecomposition(total_time * nd, -d_coeff / nd, ZERO_FIELD)
-
-
 def series_generator(
     x_coeff,
     d_coeff,

@@ -21,7 +21,7 @@ from .algebra import as_vec3, check_bloch
 from .errors import DimensionalityError, NormalizationError, UnphysicalStateError
 from .generators import GeneratorDecomposition, ZERO_FIELD, closed_form_generator
 from .scheme import SchemeConfig
-from .tolerances import ATTAINABILITY, DEGENERATE, PURITY
+from .tolerances import ATTAINABILITY, PURITY
 
 PURE_QUBIT = "pure_qubit"
 ENTANGLED_WITH_ANCILLA = "entangled_with_ancilla"
@@ -72,23 +72,17 @@ def qfi_max_from_angle(x_norm, dx_norm, alpha, total_time):
 def qfi_max(x_coeff, d_coeff, total_time: float) -> float:
     """Maximal QFI of a parameter for coefficients X and partial dX.
 
-    Returns T^2 |dX|^2 cos^2(a) + (4 |dX|^2 sin^2(a) / |X|^2) sin^2(T|X|/2);
-    the |X| -> 0 limit T^2 |dX|^2 is handled exactly.  With control, pass
+    Returns |Y|^2 from ``closed_form_generator`` (0 for a vanishing dX), that
+    is T^2 |dX|^2 cos^2(a) + (4 |dX|^2 sin^2(a) / |X|^2) sin^2(T|X|/2), with the
+    |X| -> 0 limit T^2 |dX|^2 handled exactly.  With control, pass
     S = X + X_c for X: as |S| -> 0 the maximum attains the ceiling
     T^2 |dX|^2 for every geometry.
     """
     if total_time < 0:
         raise ValueError("total_time must be nonnegative")
-    x_coeff = as_vec3(x_coeff)
-    d_coeff = as_vec3(d_coeff)
-    nx = float(np.linalg.norm(x_coeff))
-    nd = float(np.linalg.norm(d_coeff))
-    if nd == 0.0:
+    if np.linalg.norm(as_vec3(d_coeff)) == 0.0:
         return 0.0
-    if nx < DEGENERATE:
-        return total_time**2 * nd**2
-    alpha = algebra.angle_between(x_coeff, d_coeff)
-    return qfi_max_from_angle(nx, nd, alpha, total_time)
+    return closed_form_generator(x_coeff, d_coeff, total_time).magnitude ** 2
 
 
 def weak_comm_residual(gen_a: GeneratorDecomposition, gen_b: GeneratorDecomposition, r) -> complex:
@@ -116,7 +110,6 @@ def entangled_weak_comm(
     gen_a: GeneratorDecomposition,
     gen_b: GeneratorDecomposition,
     probe: np.ndarray,
-    norm_tol: float = 1e-9,
 ) -> complex:
     """Weak-commutation trace on an explicit two-qubit probe.
 
@@ -127,7 +120,7 @@ def entangled_weak_comm(
     probe = np.asarray(probe, dtype=complex).reshape(-1)
     if probe.shape != (4,):
         raise DimensionalityError("probe must be a 4-dimensional state vector")
-    if abs(np.linalg.norm(probe) - 1.0) > norm_tol:
+    if abs(np.linalg.norm(probe) - 1.0) > PURITY:
         raise NormalizationError(f"probe norm {np.linalg.norm(probe)} is not 1")
     eye = np.eye(2, dtype=complex)
     ha = np.kron(gen_a.to_matrix(), eye)
@@ -140,11 +133,12 @@ def entangled_weak_comm(
 class QfimReport:
     """Everything one run of the estimation analysis produces.
 
+    ``qfi_max`` holds |Y_l|^2, read off the generators the QFIM is built from;
     ``weak_comm_residuals`` holds the magnitudes |Tr[[H_a, H_b] rho]|;
     ``precision_bounds`` is the single-shot standard-deviation floor per
     parameter (infinite where the information vanishes); ``attainable``
     states whether all per-parameter maxima and all residual conditions are
-    met simultaneously.
+    met simultaneously, within a slack relative to the largest maximum.
     """
 
     qfim: np.ndarray
@@ -200,7 +194,7 @@ def _precision_bounds(qfim: np.ndarray) -> np.ndarray:
     inv = np.linalg.pinv(qfim)
     inv_diag = np.diag(inv)
     with np.errstate(divide="ignore"):
-        return np.where(inv_diag > 0.0, np.sqrt(inv_diag), np.inf)
+        return np.where(inv_diag > 0.0, np.sqrt(np.maximum(inv_diag, 0.0)), np.inf)
 
 
 def build_report(
@@ -212,12 +206,12 @@ def build_report(
 ) -> QfimReport:
     """Assemble the QFIM, maxima, residuals, bounds and attainability verdict.
 
-    A pure qubit probe needs a unit Bloch vector ``r``; its verdict requires
-    every residual below tolerance and every diagonal entry at its maximum.
-    The entangled probe needs no ``r``: its reduced state is I/2, every
-    residual vanishes identically (``entangled_weak_comm`` and the
-    ``entangled/weak-comm-zero`` verify suite check this) and the verdict is
-    attainable by construction.
+    Every per-parameter number is read off the closed-form generators Y_l,
+    built once; the maxima are |Y_l|^2.  A pure qubit probe needs a unit
+    Bloch vector ``r``.  The entangled probe needs none: its reduced state is
+    I/2, so it takes the same formulas with r = 0 and every residual vanishes
+    (``entangled_weak_comm`` checks this on 4x4 matrices).  The verdict's
+    slack is ATTAINABILITY * max(1, largest maximum).
 
     The closed forms evaluated here assume merged-exponential composition;
     for a product-mode scheme they describe the small-t limit, and the
@@ -228,12 +222,6 @@ def build_report(
             f"{scheme.n_params} parameters requested; an su(2) coefficient vector encodes at most 3"
         )
     gens = scheme_generators(scheme, x)
-    s_coeff = scheme.effective_coefficients(x)
-    partials = scheme.partials_at(x)
-    total_time = scheme.total_time
-    maxima = np.array([qfi_max(s_coeff, d, total_time) for d in partials])
-    d = scheme.n_params
-
     if probe_kind == PURE_QUBIT:
         if r is None:
             raise UnphysicalStateError("a pure qubit probe requires a Bloch vector r")
@@ -243,29 +231,29 @@ def build_report(
                 "pure-probe analysis requires |r| = 1; the variance formula is "
                 "not the QFI for mixed probes"
             )
-        qfim = qfim_pure(gens, r)
-        residuals = np.zeros((d, d))
-        for a in range(d):
-            for b in range(d):
-                if a != b:
-                    residuals[a, b] = abs(weak_comm_residual(gens[a], gens[b], r))
     elif probe_kind == ENTANGLED_WITH_ANCILLA:
-        qfim = qfim_pure(gens, np.zeros(3))
-        residuals = np.zeros((d, d))
+        r = np.zeros(3)
     else:
         raise ValueError(f"unknown probe kind {probe_kind!r}")
 
-    diag = np.diag(qfim)
+    maxima = np.array([g.magnitude**2 for g in gens])
+    qfim = qfim_pure(gens, r)
+    d = len(gens)
+    residuals = np.zeros((d, d))
+    for a in range(d):
+        for b in range(a + 1, d):
+            # e_b x e_a = -(e_a x e_b) exactly, so the pair shares one magnitude
+            residuals[a, b] = residuals[b, a] = abs(weak_comm_residual(gens[a], gens[b], r))
+
+    slack = ATTAINABILITY * max(1.0, float(maxima.max(initial=0.0)))
     attainable = bool(
-        residuals.max(initial=0.0) <= ATTAINABILITY
-        and np.all(diag >= maxima - ATTAINABILITY)
+        residuals.max(initial=0.0) <= slack and np.all(np.diag(qfim) >= maxima - slack)
     )
-    bounds = _precision_bounds(qfim)
     return QfimReport(
         qfim=qfim,
         qfi_max=maxima,
         weak_comm_residuals=residuals,
-        precision_bounds=bounds,
+        precision_bounds=_precision_bounds(qfim),
         attainable=attainable,
         probe_kind=probe_kind,
         parameter_names=tuple(parameter_names),

@@ -6,10 +6,11 @@ The values are calibrated for double precision on dense 2x2 / 4x4 matrices.
 # below this, a coefficient vector is treated as zero and the analytic
 # limit formulas are used instead of the sin-normalized unit vectors
 DEGENERATE = 1e-12
-# weak-commutation residual magnitudes considered zero, and the slack on
-# "maximum attained" comparisons, for the attainability verdict
+# relative slack: a quantity that scales like |Y|^2 (a weak-commutation residual,
+# an off-diagonal QFIM entry, the gap between a diagonal entry and its maximum)
+# counts as zero below this times max(1, largest maximum or diagonal entry)
 ATTAINABILITY = 1e-10
 # |r| may exceed 1 by at most this before a state is rejected
 BLOCH_NORM_SLACK = 1e-12
-# a Bloch vector counts as pure when ||r| - 1| is below this
+# a Bloch vector counts as pure, and a state vector as normalized, within this of norm 1
 PURITY = 1e-9

@@ -111,8 +111,8 @@ def generator_three_way(seed: int, samples: int) -> list[CheckResult]:
     ]
 
 
-def _random_decomposition(rng, min_mag: float = 0.0) -> GeneratorDecomposition:
-    return GeneratorDecomposition(rng.uniform(min_mag, 5.0), _random_unit(rng))
+def _random_decomposition(rng) -> GeneratorDecomposition:
+    return GeneratorDecomposition(rng.uniform(0.0, 5.0), _random_unit(rng))
 
 
 def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:

@@ -7,12 +7,13 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import su2qfi
@@ -197,6 +198,85 @@ class TestGridInputValidation:
         assert err.count("\n") == 1
 
 
+def run_flags(argv):
+    """Exit code and stderr of ``main(argv)``; a warning, which would print
+    stray stderr lines, is raised instead and ends as exit 3."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _flag_args(command, b, theta, phi, t, n, tail):
+    count = "--N" if command == "report" else "--n-max"
+    return [command, "--B", repr(b), "--theta", repr(theta), "--phi", repr(phi),
+            "--t", repr(t), count, str(n), *tail]
+
+
+def _tail(command, r):
+    """The flags after the count: for report the mode, control and probe,
+    product mode only where its closed form is exact (no control), and a
+    pure probe's Bloch vector drawn from ``r``."""
+    if command == "curves":
+        return st.tuples(st.sampled_from(["true", "false"]), st.sampled_from(["pure", "entangled"])
+                         ).map(lambda a: ["--controlled", a[0], "--probe", a[1]])
+    probe = st.one_of(st.just(["--probe", "entangled"]),
+                      r.map(lambda v: ["--probe", "pure", "--r", *map(repr, v)]))
+    modes = st.sampled_from([("merged", "none"), ("merged", "optimal"), ("product", "none")])
+    return st.tuples(modes, probe).map(lambda a: ["--mode", a[0][0], "--control", a[0][1], *a[1]])
+
+
+def _argv(b, theta, phi, t, n, r):
+    return st.sampled_from(["report", "curves"]).flatmap(
+        lambda command: st.tuples(st.just(command), b, theta, phi, t, n, _tail(command, r))
+    )
+
+
+_UNIT_R = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi)).map(
+    lambda a: [float(np.sin(a[0]) * np.cos(a[1])), float(np.sin(a[0]) * np.sin(a[1])),
+               float(np.cos(a[0]))]
+)
+
+
+class TestFlagFuzz:
+    @given(
+        _argv(st.floats(1e-3, 1e3), st.floats(0.0, np.pi),
+              st.floats(0.0, 2 * np.pi, exclude_max=True), st.floats(1e-3, 10.0),
+              st.integers(1, 1000), _UNIT_R)
+    )
+    @example(("report", 3.0, 0.0, 0.0, 1.0, 5, ["--probe", "pure", "--r", "0.6", "0.0", "0.8"]))
+    @example(("report", 3.0, np.pi, 0.0, 1.0, 5, ["--control", "none", "--probe", "pure",
+                                                  "--r", "0.6", "0.0", "0.8"]))
+    @example(("curves", 3.0, 0.0, 0.0, 1.0, 5, []))
+    @example(("curves", 3.0, np.pi, 0.0, 1.0, 5, []))
+    # a tiny negative component in exponent notation is a value, not an option
+    @example(("report", 3.0, 0.5, 0.0, 1.0, 5, ["--probe", "pure", "--r", "-6.123233995736766e-17",
+                                                "0.0", "1.0"]))
+    @settings(max_examples=300, deadline=None)
+    def test_in_domain_flags_exit_zero(self, argv):
+        assert run_flags(_flag_args(*argv)) == (0, "")
+
+    @given(
+        # counts stay small: curves allocates one row per segment count
+        _argv(st.floats(), st.floats(), st.floats(), st.floats(), st.integers(-3, 50),
+              st.lists(st.floats(), min_size=3, max_size=3))
+    )
+    @example(("report", 3.0, 0.5, 0.0, -1e-05, 5, ["--probe", "entangled"]))
+    @example(("report", 3.0, 0.5, 0.0, 1.0, 5, ["--probe", "pure", "--r", "1e+200", "0.0",
+                                                "-1e-05"]))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_floats_exit_zero_or_one_error_line(self, argv):
+        code, err = run_flags(_flag_args(*argv))
+        assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error[")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
+
+
 class TestReport:
     def test_default_report_values(self, capsys):
         code, out, _ = run_main(capsys, "report")
@@ -295,6 +375,20 @@ class TestReport:
         assert code == 0
         doc = json.loads(out)
         assert doc["precision_bounds"][2] == "inf"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--control", "none", "--probe", "pure", "--r", "0.6", "0", "0.8"),
+            ("--x-tilde", "3", "3.1", "0"),
+        ],
+        ids=["uncontrolled-pure", "misestimated-control"],
+    )
+    def test_south_pole_serializes_infinite_bound(self, capsys, argv):
+        # the pseudo-inverse diagonal can hold tiny negative rounding there
+        code, out, err = run_main(capsys, "report", "--theta", "3.141592653589793", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["precision_bounds"][2] == "inf"
 
     def test_control_designed_at_offset_estimate(self, capsys):
         # control negates the coefficients at x_tilde, not at the true point,

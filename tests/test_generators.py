@@ -11,7 +11,6 @@ from su2qfi import (
     StepSizeError,
     ZeroDerivativeError,
     closed_form_generator,
-    controlled_generator,
     nested_cross,
     numeric_generator,
     series_generator,
@@ -276,23 +275,23 @@ class TestNumericOracle:
 
 class TestControlledGenerator:
     def test_direct_values(self):
-        gen = controlled_generator([1, 0, 0], 5.0)
+        gen = closed_form_generator(np.zeros(3), [1, 0, 0], 5.0)
         assert gen.magnitude == pytest.approx(5.0, abs=1e-15)
         assert np.allclose(gen.direction, [-1, 0, 0])
 
     def test_zero_time(self):
-        assert controlled_generator([0, 1, 0], 0.0).magnitude == 0.0
+        assert closed_form_generator(np.zeros(3), [0, 1, 0], 0.0).magnitude == 0.0
 
     def test_zero_derivative_rejected(self):
         with pytest.raises(ZeroDerivativeError):
-            controlled_generator([0, 0, 0], 1.0)
+            closed_form_generator(np.zeros(3), [0, 0, 0], 1.0)
 
     def test_small_residual_coefficient_limit(self):
         # closed form at |S| = 1e-4 sits within 1e-6 of the controlled limit
         d = random_unit()
         s = 1e-4 * random_unit()
         closed = closed_form_generator(s, d, 5.0)
-        limit = controlled_generator(d, 5.0)
+        limit = closed_form_generator(np.zeros(3), d, 5.0)
         assert abs(closed.magnitude - limit.magnitude) < 1e-6
 
 

@@ -1,7 +1,12 @@
 """Tests for the QFI engine, its oracles and report assembly."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from su2qfi import (
     BELL_PHI_PLUS,
@@ -13,8 +18,11 @@ from su2qfi import (
     NormalizationError,
     SchemeConfig,
     UnphysicalStateError,
+    affine_scheme,
     build_report,
+    cross,
     density,
+    design_control,
     entangled_qfi,
     entangled_weak_comm,
     generators_no_control,
@@ -31,6 +39,7 @@ from su2qfi.oracles import (
     variance_qfi_oracle,
     weak_comm_trace_oracle,
 )
+from su2qfi.qfi import scheme_generators
 
 RNG = np.random.default_rng(404)
 
@@ -139,6 +148,13 @@ class TestQfiMax:
     def test_zero_field_limit(self):
         d = np.array([0.5, 0.5, 0])
         assert qfi_max([0, 0, 0], d, 3.0) == pytest.approx(9 * 0.5, rel=1e-15)
+
+    def test_vanishing_partial_carries_no_information(self):
+        assert qfi_max([0, 0, 2.0], [0, 0, 0], 5.0) == 0.0
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError):
+            qfi_max([0, 0, 2.0], [1.0, 0, 0], -1.0)
 
     def test_bound_over_random_inputs(self):
         for _ in range(1000):
@@ -343,3 +359,93 @@ class TestBuildReport:
         doc = report.to_dict()
         assert doc["attainable"] is True
         assert len(doc["qfim"]) == 3
+
+    @pytest.mark.parametrize(
+        "t,n,control",
+        [(1.0, 200, "optimal"), (5.0, 1000, "none")],
+        ids=["controlled-T200", "uncontrolled-T5000"],
+    )
+    def test_large_total_time_entangled_attainable(self, t, n, control):
+        # the diagonal and the maxima differ only by the rounding of |Y|^2,
+        # which exceeds an absolute 1e-10 at T^2 |dX|^2 ~ 1e6..1e8
+        point = FieldPoint(3.0, np.pi / 6, 0.0)
+        scheme = magnetometry_scheme(point, t, n, control=control)
+        report = build_report(scheme, point.as_array(), ENTANGLED_WITH_ANCILLA)
+        assert report.attainable is True
+
+    @pytest.mark.parametrize(
+        "x_tilde,probe_kind,r",
+        [(None, PURE_QUBIT, [0.6, 0.0, 0.8]), ([3.0, 3.1, 0.0], ENTANGLED_WITH_ANCILLA, None)],
+        ids=["uncontrolled-pure", "misestimated-control-entangled"],
+    )
+    def test_south_pole_bounds_raise_no_warning(self, x_tilde, probe_kind, r):
+        # the pseudo-inverse diagonal holds tiny negative rounding there
+        point = FieldPoint(3.0, np.pi, 0.0)
+        control = "none" if x_tilde is None else "optimal"
+        scheme = magnetometry_scheme(point, 1.0, 5, control=control, x_tilde=x_tilde)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = build_report(scheme, point.as_array(), probe_kind, r=r)
+        assert report.precision_bounds[2] == np.inf
+        assert np.all(np.isfinite(report.precision_bounds[:2]))
+
+
+_COMPONENT = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def affine_points(draw, max_params=3):
+    """A random affine scheme, T = N t up to 3e3, and its evaluation point."""
+    d = draw(st.integers(1, max_params))
+    vec3 = st.lists(_COMPONENT, min_size=3, max_size=3)
+    x0 = draw(vec3)
+    grads = draw(st.lists(vec3, min_size=d, max_size=d))
+    x = np.array(draw(st.lists(_COMPONENT, min_size=d, max_size=d)))
+    t = draw(st.floats(1e-3, 10.0))
+    n = draw(st.integers(1, 300))
+    scheme = affine_scheme(x0, grads, np.zeros(3), t, n, "merged")
+    if draw(st.booleans()):
+        scheme = replace(scheme, control=design_control(scheme, x))
+    return scheme, x
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+class TestAttainabilityVerdict:
+    @given(affine_points())
+    @settings(max_examples=300, deadline=None)
+    def test_entangled_always_attainable(self, sample):
+        scheme, x = sample
+        report = build_report(scheme, x, ENTANGLED_WITH_ANCILLA)
+        assert report.attainable is True
+        assert not report.weak_comm_residuals.any()
+        # the public maximum is the report's, bit for bit
+        s_coeff = scheme.effective_coefficients(x)
+        for ell, d_coeff in enumerate(scheme.partials_at(x)):
+            assert qfi_max(s_coeff, d_coeff, scheme.total_time) == report.qfi_max[ell]
+
+    @given(affine_points(max_params=1), st.floats(0.0, 2 * np.pi))
+    @settings(max_examples=300, deadline=None)
+    def test_orthogonal_pure_probe_attainable_for_one_parameter(self, sample, turn):
+        scheme, x = sample
+        (gen,) = scheme_generators(scheme, x)
+        assume(gen.magnitude > 0.0)
+        # a unit vector orthogonal to the generator axis, at angle ``turn``
+        # about it from a fixed reference
+        e = _unit(gen.direction)
+        ref = _unit(cross(e, [1.0, 0.0, 0.0] if abs(e[0]) < 0.9 else [0.0, 1.0, 0.0]))
+        r = _unit(np.cos(turn) * ref + np.sin(turn) * cross(e, ref))
+        report = build_report(scheme, x, PURE_QUBIT, r=r)
+        assert report.attainable is True
+
+    @given(affine_points())
+    @settings(max_examples=300, deadline=None)
+    def test_probe_aligned_with_a_generator_not_attainable(self, sample):
+        scheme, x = sample
+        gens = scheme_generators(scheme, x)
+        top = max(g.magnitude**2 for g in gens)
+        assume(gens[0].magnitude**2 > 1e-6 * max(1.0, top))
+        report = build_report(scheme, x, PURE_QUBIT, r=_unit(gens[0].direction))
+        assert report.attainable is False
