@@ -25,10 +25,8 @@ from .errors import (
     StepSizeError,
     Su2QfiError,
     UnphysicalStateError,
-    ZeroDerivativeError,
 )
 from .generators import (
-    GeneratorDecomposition,
     closed_form_generator,
     numeric_generator,
     series_generator,

@@ -54,6 +54,12 @@ def cross(a, b) -> np.ndarray:
     return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
 
 
+def cross_matrix(a) -> np.ndarray:
+    """The matrix [a]x with [a]x b = a x b, for acting on stacks of vectors."""
+    a1, a2, a3 = as_vec3(a).tolist()
+    return np.array([[0.0, -a3, a2], [a3, 0.0, -a1], [-a2, a1, 0.0]])
+
+
 def nested_cross(z, w, n: int, cap: int = 64) -> np.ndarray:
     """Apply ``z x .`` to ``w`` a total of ``n`` times.
 
@@ -110,11 +116,11 @@ def su2_exp(v, tau: float) -> np.ndarray:
 
 
 def check_bloch(r) -> np.ndarray:
-    """``r`` as a 3-vector; ``UnphysicalStateError`` when |r| exceeds 1."""
+    """``r`` as a 3-vector; ``UnphysicalStateError`` unless |r| <= 1 (NaN fails)."""
     r = as_vec3(r)
     length = math.hypot(*r.tolist())  # no overflow warning on huge components
-    if length > 1.0 + BLOCH_NORM_SLACK:
-        raise UnphysicalStateError(f"Bloch vector norm {length} exceeds 1")
+    if not length <= 1.0 + BLOCH_NORM_SLACK:
+        raise UnphysicalStateError(f"Bloch vector norm {length} is not at most 1")
     return r
 
 

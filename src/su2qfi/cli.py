@@ -356,6 +356,11 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
+    def error(self, message):
+        # one line like every other input error, not argparse's usage block;
+        # the message quotes the offending token, which may hold line breaks
+        self.exit(2, f"error[usage]: {self.prog}: {' '.join(message.split())}\n")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -413,6 +418,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             if args.samples < 1:
                 raise ConfigError("invalid-sample-count", "--samples must be at least 1")
+            if not args.tolerance_scale >= 0:
+                raise ConfigError(
+                    "invalid-tolerance-scale",
+                    f"--tolerance-scale must be nonnegative, got {args.tolerance_scale}",
+                )
             return cmd_verify(args.seed, args.samples, args.tolerance_scale, args.out)
         cfg = _load_config(args)
         # a value that leaves the float range raises instead of printing inf or nan

@@ -17,10 +17,6 @@ class UnphysicalStateError(Su2QfiError):
     """A Bloch vector or density matrix violates physicality constraints."""
 
 
-class ZeroDerivativeError(Su2QfiError):
-    """The coefficient vector does not depend on the requested parameter."""
-
-
 class StepSizeError(Su2QfiError):
     """A finite-difference step is outside the trustworthy range."""
 

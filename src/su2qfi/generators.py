@@ -2,114 +2,90 @@
 
 For a unitary U(x) the response of the dynamics to parameter x_ell is the
 Hermitian generator H_ell = i (d U^dag / d x_ell) U.  With merged-exponential
-composition and coefficient vector X, this generator is an su(2) element
-whose coefficient 3-vector resums in closed form; the same object is also
-the limit of a nested cross-product series, and can be measured blindly by
-central finite differences on the total unitary.  Keeping all three routes
-alive is the point: each one cross-checks the others.
+composition and coefficient vector X, this generator is the su(2) element
+Y.J, and the library represents it by its real coefficient 3-vector Y: the
+information quantities are all read off Y, and ``algebra.su2_element(Y)``
+gives the matrix.  Y resums in closed form; the same object is also the limit
+of a nested cross-product series, and can be measured blindly by central
+finite differences on the total unitary.  Keeping all three routes alive is
+the point: each one cross-checks the others.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from . import algebra
 from .algebra import as_vec3
-from .errors import SeriesDepthError, StepSizeError, ZeroDerivativeError
+from .errors import SeriesDepthError, StepSizeError
 from .scheme import SchemeConfig, build_total_unitary
-from .tolerances import DEGENERATE
-
-REGULAR = "regular"
-COLINEAR = "colinear"
-ZERO_FIELD = "zero_field"
 
 # Refusal cap for the nested cross-product series.  The alternating partial
 # sums grow like exp(T|X|) before cancelling, so in double precision the
-# series can honor its accuracy contract only up to T|X| ~ 10; 48 terms at
-# tol 1e-14 is exactly that domain.  Larger arguments must use the closed
-# form, which is what the SeriesDepthError signals.
+# series can honor its accuracy contract only up to T|X| ~ 10; at tol 1e-14,
+# 48 terms reach T|X| = 10.4 for T|dX| = 1 (9.9 for T|dX| = 10).  Larger
+# arguments must use the closed form, which is what the SeriesDepthError
+# signals.
 SERIES_TERM_CAP = 48
 
+# Taylor coefficients in z^2 of (1 - cos z)/z^2 and (z - sin z)/z^3; below
+# z = 1/4 the first dropped term is under 1e-21 of the sum
+_A_SERIES = tuple((-1) ** k / math.factorial(2 * k + 2) for k in range(7))
+_B_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7))
 
-@dataclass(frozen=True, eq=False)
-class GeneratorDecomposition:
-    """A generator H = magnitude * (direction.J) with a degeneracy flag.
 
-    ``direction`` is unit length whenever ``magnitude`` is nonzero.  The flag
-    records which analytic branch produced the value: ``regular`` for the
-    generic closed form, ``colinear`` when X and dX are (anti)parallel, and
-    ``zero_field`` when X itself vanishes.
+def _series_weights(z: float) -> tuple[float, float, float]:
+    """sin(z)/z, a(z) = (1 - cos z)/z^2 and b(z) = (z - sin z)/z^3 for z >= 0.
+
+    All three are entire functions of z.  Below z = 1/4 the libm forms of a
+    and b cancel (and read 0/0 at z = 0), so there they are summed from their
+    Taylor series, and sin(z)/z = 1 - z^2 b(z).
     """
+    if z < 0.25:
+        w = z * z
+        a = b = 0.0
+        for ca, cb in zip(reversed(_A_SERIES), reversed(_B_SERIES)):
+            a = a * w + ca
+            b = b * w + cb
+        return 1.0 - w * b, a, b
+    sin_z = math.sin(z)
+    return sin_z / z, 2.0 * (math.sin(0.5 * z) / z) ** 2, (z - sin_z) / z**3
 
-    magnitude: float
-    direction: np.ndarray
-    flag: str = REGULAR
 
-    def to_matrix(self) -> np.ndarray:
-        return self.magnitude * algebra.su2_element(self.direction)
+def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
+    """Coefficient vector Y of the generator for coefficients X, partial dX and time T.
 
-    def coefficient_vector(self) -> np.ndarray:
-        return self.magnitude * as_vec3(self.direction)
+    The nested cross-product series sums to
 
+        Y = -T dX + T^2 a(z) (X x dX) - T^3 b(z) X x (X x dX),   z = T|X|,
 
-def closed_form_generator(x_coeff, d_coeff, total_time: float) -> GeneratorDecomposition:
-    """Compact closed form of the generator for coefficients X, dX and time T.
+    with a(z) = (1 - cos z)/z^2 and b(z) = (z - sin z)/z^3.  Expanding
+    X x (X x dX) = X (X.dX) - |X|^2 dX and using z^2 b(z) = 1 - sin(z)/z, this
+    is evaluated as
 
-    The magnitude is
+        Y = -T (sin(z)/z) dX + T^2 a(z) (X x dX) - T^3 b(z) (X.dX) X,
 
-        sqrt( T^2 |dX|^2 cos^2(a) + (4 |dX|^2 sin^2(a) / |X|^2) sin^2(T|X|/2) )
-
-    with a the angle between X and dX.  The direction is the resummed series
-    vector
-
-        -T dX_par - (sin(T|X|)/|X|) dX_perp + ((1 - cos(T|X|))/|X|) (Xhat x dX)
-
-    normalized; writing it through the parallel/perpendicular split avoids
-    every 0/0 in the degenerate geometries.  When |X| or sin(a) is below the
-    degenerate threshold the exact limit -T dX is returned, flagged
-    accordingly.
+    which keeps full relative precision when |X|, T or the angle between X
+    and dX is small, and as z grows.  There is no special case: X = 0, T = 0
+    and X parallel to dX all take the same arithmetic, and dX = 0 gives Y = 0.
+    ``d_coeff`` is one 3-vector or a ``(d, 3)`` stack of partials, and Y has
+    its shape.  The maximal information is |Y|^2.
     """
-    x_coeff = as_vec3(x_coeff)
-    d_coeff = as_vec3(d_coeff)
-    nd = float(np.linalg.norm(d_coeff))
-    if nd == 0.0:
-        raise ZeroDerivativeError("dX vanishes: the parameter does not enter the dynamics")
     if total_time < 0:
         raise ValueError("total_time must be nonnegative")
-    d_hat = d_coeff / nd
-
-    nx = float(np.linalg.norm(x_coeff))
-    if nx < DEGENERATE:
-        return GeneratorDecomposition(total_time * nd, -d_hat, ZERO_FIELD)
-    alpha = algebra.angle_between(x_coeff, d_coeff)
-    sin_a = np.sin(alpha)
-    if sin_a < DEGENERATE:
-        return GeneratorDecomposition(total_time * nd, -d_hat, COLINEAR)
-    if total_time == 0.0:
-        return GeneratorDecomposition(0.0, -d_hat, REGULAR)
-
-    x_hat = x_coeff / nx
-    d_par = np.dot(x_hat, d_coeff) * x_hat
-    d_perp = d_coeff - d_par
-    z = total_time * nx
-    y_vec = (
-        -total_time * d_par
-        - (np.sin(z) / nx) * d_perp
-        + ((1.0 - np.cos(z)) / nx) * algebra.cross(x_hat, d_coeff)
+    x_coeff = as_vec3(x_coeff)
+    t = total_time
+    sinc, a, b = _series_weights(t * math.hypot(*x_coeff.tolist()))
+    # the linear map dX -> Y, applied row by row so a stack rounds like its rows
+    generator_map = (
+        -t * sinc * np.eye(3)
+        + t * t * a * algebra.cross_matrix(x_coeff)
+        - t**3 * b * np.outer(x_coeff, x_coeff)
     )
-    magnitude = float(
-        np.sqrt(
-            (total_time * nd * np.cos(alpha)) ** 2
-            + (4.0 * nd**2 * sin_a**2 / nx**2) * np.sin(z / 2.0) ** 2
-        )
-    )
-    ny = float(np.linalg.norm(y_vec))
-    direction = y_vec / ny if ny > 0.0 else -d_hat
-    if ny == 0.0:
-        magnitude = 0.0
-    return GeneratorDecomposition(magnitude, direction, REGULAR)
+    d_coeff = np.asarray(d_coeff, dtype=float)
+    return (d_coeff[..., None, :] * generator_map).sum(axis=-1)
 
 
 def series_generator(
@@ -125,7 +101,7 @@ def series_generator(
     product of X applied to dX.  The terms are accumulated as one real
     coefficient 3-vector, which is contracted with J once at the end.  The
     linear n = 0 term is always summed; the tail is truncated once the term
-    bound (T|X|)^(n+1) |dX| / (n+1)! falls below ``tol`` or the nested cross
+    bound T^(n+1) |X|^n |dX| / (n+1)! falls below ``tol`` or the nested cross
     vanishes (colinear geometry).  If the bound has not fallen below ``tol``
     within ``max_terms`` terms a ``SeriesDepthError`` is raised and the
     closed form should be used instead.
@@ -138,10 +114,10 @@ def series_generator(
     nd = float(np.linalg.norm(d_coeff))
     total = np.zeros(3)
     w = d_coeff
-    # term n carries coefficient (-T)^(n+1)/(n+1)! and bound (T|X|)^(n+1)/(n+1)!,
+    # term n carries coefficient (-T)^(n+1)/(n+1)! and bound T^(n+1)|X|^n|dX|/(n+1)!,
     # both updated multiplicatively to sidestep factorial overflow
     coeff = -total_time
-    bound = total_time * nx * nd
+    bound = total_time * nd
     n = 0
     while True:
         if n > 0 and bound < tol:
@@ -158,18 +134,6 @@ def series_generator(
         n += 1
         coeff *= -total_time / (n + 1)
         bound *= total_time * nx / (n + 1)
-
-
-def series_term_count(x_coeff, d_coeff, total_time: float, tol: float = 1e-14) -> int:
-    """Number of series terms the bound admits, including the linear term."""
-    nx = algebra.norm(x_coeff)
-    nd = algebra.norm(d_coeff)
-    count = 1
-    bound = (total_time * nx) ** 2 / 2.0 * nd
-    while bound >= tol:
-        count += 1
-        bound *= total_time * nx / (count + 1)
-    return count
 
 
 def numeric_generator(scheme: SchemeConfig, x, ell: int, h: float | None = None) -> np.ndarray:

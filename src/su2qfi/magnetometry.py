@@ -11,7 +11,8 @@ tangent.  B is the colinear parameter (angle 0 between X and its partial):
 control cannot improve it.  theta and phi sit at angle pi/2: with the
 negating control their information grows like T^2 instead of oscillating.
 
-All closed forms in this module are specializations of the generic
+A generator is its coefficient vector Y (H = Y.J), as everywhere in the
+package.  All closed forms in this module are specializations of the generic
 generator/QFI machinery and are cross-checked against it in the tests.
 """
 
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import algebra
 from .errors import UnphysicalStateError
-from .generators import COLINEAR, REGULAR, ZERO_FIELD, GeneratorDecomposition
 from .oracles import qfim_trace_oracle
 from .scheme import MERGED, SchemeConfig, design_control
 
@@ -125,44 +125,29 @@ def magnetometry_scheme(
     return replace(scheme, control=control, validation_points=())
 
 
-def _decompose(vec: np.ndarray, fallback: np.ndarray, flag: str) -> GeneratorDecomposition:
-    mag = float(np.linalg.norm(vec))
-    direction = vec / mag if mag > 0.0 else fallback
-    return GeneratorDecomposition(mag, direction, flag)
+def generators_no_control(p: FieldPoint, total_time: float) -> np.ndarray:
+    """Closed-form generators Y_B, Y_theta, Y_phi with no control applied, one row each.
 
-
-def generators_no_control(
-    p: FieldPoint, total_time: float
-) -> tuple[GeneratorDecomposition, GeneratorDecomposition, GeneratorDecomposition]:
-    """Closed-form generators for B, theta, phi with no control applied.
-
-    Magnitudes are (2T, 2|sin(BT)|, 2|sin(BT)| sin(theta)); the angular
-    directions rotate with BT in the plane spanned by the two tangents.
+    Their norms are (2T, 2|sin(BT)|, 2|sin(BT)| sin(theta)); the angular
+    generators rotate with BT in the plane spanned by the two tangents.
     """
     n0, n0_theta, _ = field_axes(p)
     m = _azimuth_unit(p)
     bt = p.B * total_time
     cbt, sbt = np.cos(bt), np.sin(bt)
     st = np.sin(p.theta)
-    vec_b = -2.0 * total_time * n0
-    vec_theta = 2.0 * sbt * (-cbt * n0_theta + sbt * m)
-    vec_phi = 2.0 * st * sbt * (-cbt * m - sbt * n0_theta)
-    gen_b = _decompose(vec_b, -n0, COLINEAR)
-    gen_theta = _decompose(vec_theta, -np.sign(cbt) * n0_theta if cbt != 0 else -n0_theta, REGULAR)
-    gen_phi = _decompose(vec_phi, -np.sign(cbt) * m if cbt != 0 else -m, REGULAR)
-    return gen_b, gen_theta, gen_phi
+    return np.array(
+        [
+            -2.0 * total_time * n0,
+            2.0 * sbt * (-cbt * n0_theta + sbt * m),
+            2.0 * st * sbt * (-cbt * m - sbt * n0_theta),
+        ]
+    )
 
 
-def generators_controlled(
-    p: FieldPoint, total_time: float
-) -> tuple[GeneratorDecomposition, GeneratorDecomposition, GeneratorDecomposition]:
+def generators_controlled(p: FieldPoint, total_time: float) -> np.ndarray:
     """Generators under the optimal negating control: -T dX for each parameter."""
-    n0, n0_theta, n0_phi = field_axes(p)
-    m = _azimuth_unit(p)
-    gen_b = _decompose(-2.0 * total_time * n0, -n0, ZERO_FIELD)
-    gen_theta = _decompose(-2.0 * total_time * p.B * n0_theta, -n0_theta, ZERO_FIELD)
-    gen_phi = _decompose(-2.0 * total_time * p.B * n0_phi, -m, ZERO_FIELD)
-    return gen_b, gen_theta, gen_phi
+    return -total_time * np.array(field_coefficients(p)[1:])
 
 
 def _qfim_diagonal(p: FieldPoint, total_time, controlled: bool) -> np.ndarray:
@@ -283,15 +268,12 @@ def precision_curves(
     return CurveTable(n, total_time, dev[0], dev[1], dev[2], attainable=probe == "entangled")
 
 
-def orthogonality_frame(
-    p: FieldPoint, total_time: float, controlled: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three axes a Bloch vector must be orthogonal to for zero covariances."""
-    if controlled:
-        n0, n0_theta, _ = field_axes(p)
-        return n0, n0_theta, _azimuth_unit(p)
-    gens = generators_no_control(p, total_time)
-    return tuple(g.direction for g in gens)
+def orthogonality_frame(p: FieldPoint, total_time: float, controlled: bool) -> np.ndarray:
+    """The generators Y_B, Y_theta, Y_phi: a Bloch vector orthogonal to every
+    nonzero one of them makes all covariances vanish."""
+    return (
+        generators_controlled(p, total_time) if controlled else generators_no_control(p, total_time)
+    )
 
 
 def off_diagonal_check(
@@ -310,16 +292,14 @@ def off_diagonal_check(
     enforces the orthogonality assumption directly.
     """
     r = algebra.check_bloch(r)
+    gens = orthogonality_frame(p, total_time, controlled)
     if project:
-        for axis in orthogonality_frame(p, total_time, controlled):
+        for axis in gens:
             nrm = np.linalg.norm(axis)
             if nrm > 0.0:
                 unit = axis / nrm
                 r = r - np.dot(unit, r) * unit
-    gens = (
-        generators_controlled(p, total_time) if controlled else generators_no_control(p, total_time)
-    )
-    mats = [g.to_matrix() for g in gens]
+    mats = [algebra.su2_element(g) for g in gens]
     rho = algebra.density(r)
     full = qfim_trace_oracle(mats, rho)
     return PairResiduals(

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from .errors import StepSizeError, UnphysicalStateError
-from .generators import GeneratorDecomposition, numeric_generator
+from .generators import numeric_generator
 from .qfi import BELL_PHI_PLUS
 from .scheme import SchemeConfig, build_total_unitary
 
@@ -54,9 +55,9 @@ def entangled_probe_state(u_tot: np.ndarray) -> np.ndarray:
     return np.kron(u_tot, _EYE2) @ BELL_PHI_PLUS
 
 
-def entangled_qfi_oracle(gen: GeneratorDecomposition) -> float:
-    """Entangled-probe QFI through the 4x4 variance trace."""
-    h4 = np.kron(gen.to_matrix(), _EYE2)
+def entangled_qfi_oracle(gen) -> float:
+    """Entangled-probe QFI of the generator Y through the 4x4 variance trace."""
+    h4 = np.kron(algebra.su2_element(gen), _EYE2)
     rho4 = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
     return variance_qfi_oracle(h4, rho4)
 

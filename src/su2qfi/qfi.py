@@ -1,13 +1,13 @@
-"""Quantum Fisher information from generator decompositions.
+"""Quantum Fisher information from generator coefficient vectors.
 
-For a pure qubit probe with Bloch vector r and generator H = |Y| e.J, the
-per-parameter information is |Y|^2 (1 - (e.r)^2) and the full matrix entry is
-|Y_a||Y_b| (e_a.e_b - (e_a.r)(e_b.r)).  The per-parameter maximum |Y|^2 is
-bounded by T^2 |dX|^2 and reaches that ceiling exactly in the controlled
-|X + X_c| -> 0 limit.  Attainability of all maxima at once is governed by the
-weak commutation residuals Tr[[H_a, H_b] rho]; a maximally entangled probe
-plus an idle ancilla makes every residual vanish and the ceiling
-unconditional.
+A generator is its real coefficient 3-vector Y, with H = Y.J.  For a pure
+qubit probe with Bloch vector r the per-parameter information is
+|Y|^2 - (Y.r)^2 and the full matrix entry is Y_a.Y_b - (Y_a.r)(Y_b.r).  The
+per-parameter maximum |Y|^2 is bounded by T^2 |dX|^2 and reaches that ceiling
+exactly in the controlled |X + X_c| -> 0 limit.  Attainability of all maxima
+at once is governed by the weak commutation residuals
+Tr[[H_a, H_b] rho] = (i/2) (Y_a x Y_b).r; a maximally entangled probe plus an
+idle ancilla makes every residual vanish and the ceiling unconditional.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import algebra
 from .algebra import as_vec3, check_bloch
 from .errors import DimensionalityError, NormalizationError, UnphysicalStateError
-from .generators import GeneratorDecomposition, ZERO_FIELD, closed_form_generator
+from .generators import closed_form_generator
 from .scheme import SchemeConfig
 from .tolerances import ATTAINABILITY, PURITY
 
@@ -30,29 +30,28 @@ ENTANGLED_WITH_ANCILLA = "entangled_with_ancilla"
 BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
-def qfi_pure(gen: GeneratorDecomposition, r) -> float:
-    """QFI of one parameter for a pure qubit probe: |Y|^2 (1 - (e.r)^2)."""
+def _squared_norms(gens: np.ndarray) -> np.ndarray:
+    """|Y|^2 over the last axis, rounded the same way for one vector or a stack."""
+    return (gens * gens).sum(axis=-1)
+
+
+def qfi_pure(gen, r) -> float:
+    """QFI of one parameter for a pure qubit probe: |Y|^2 - (Y.r)^2."""
     r = check_bloch(r)
-    proj = float(np.dot(gen.direction, r))
-    return gen.magnitude**2 * (1.0 - proj**2)
+    gen = as_vec3(gen)
+    return float(np.dot(gen, gen) - np.dot(gen, r) ** 2)
 
 
 def qfim_pure(gens, r) -> np.ndarray:
-    """QFI matrix for a pure qubit probe.
+    """QFI matrix for a pure qubit probe: Y Y^T - (Y r)(Y r)^T.
 
-    Entry (a, b) is |Y_a||Y_b| (e_a.e_b - (e_a.r)(e_b.r)); the diagonal
-    reduces to ``qfi_pure``.
+    ``gens`` stacks the generators Y_a as rows; the diagonal reduces to
+    ``qfi_pure``.
     """
     r = check_bloch(r)
-    vecs = [g.coefficient_vector() for g in gens]
-    d = len(vecs)
-    out = np.zeros((d, d))
-    projs = [float(np.dot(v, r)) for v in vecs]
-    for a in range(d):
-        for b in range(a, d):
-            val = float(np.dot(vecs[a], vecs[b])) - projs[a] * projs[b]
-            out[a, b] = out[b, a] = val
-    return out
+    gens = np.asarray(gens, dtype=float).reshape(-1, 3)
+    proj = gens @ r
+    return gens @ gens.T - np.outer(proj, proj)
 
 
 def qfi_max_from_angle(x_norm, dx_norm, alpha, total_time):
@@ -70,47 +69,49 @@ def qfi_max_from_angle(x_norm, dx_norm, alpha, total_time):
 
 
 def qfi_max(x_coeff, d_coeff, total_time: float) -> float:
-    """Maximal QFI of a parameter for coefficients X and partial dX.
+    """Maximal QFI of a parameter for coefficients X and partial dX: |Y|^2.
 
-    Returns |Y|^2 from ``closed_form_generator`` (0 for a vanishing dX), that
-    is T^2 |dX|^2 cos^2(a) + (4 |dX|^2 sin^2(a) / |X|^2) sin^2(T|X|/2), with the
-    |X| -> 0 limit T^2 |dX|^2 handled exactly.  With control, pass
-    S = X + X_c for X: as |S| -> 0 the maximum attains the ceiling
+    Y comes from ``closed_form_generator``, so this equals
+    T^2 |dX|^2 cos^2(a) + (4 |dX|^2 sin^2(a) / |X|^2) sin^2(T|X|/2), with the
+    |X| -> 0 limit T^2 |dX|^2 and a vanishing dX giving 0.  With control,
+    pass S = X + X_c for X: as |S| -> 0 the maximum attains the ceiling
     T^2 |dX|^2 for every geometry.
     """
-    if total_time < 0:
-        raise ValueError("total_time must be nonnegative")
-    if np.linalg.norm(as_vec3(d_coeff)) == 0.0:
-        return 0.0
-    return closed_form_generator(x_coeff, d_coeff, total_time).magnitude ** 2
+    return float(_squared_norms(closed_form_generator(x_coeff, as_vec3(d_coeff), total_time)))
 
 
-def weak_comm_residual(gen_a: GeneratorDecomposition, gen_b: GeneratorDecomposition, r) -> complex:
-    """Tr[[H_a, H_b] rho] for a qubit probe: (i/2) |Y_a||Y_b| (e_a x e_b).r.
+def weak_comm_matrix(gens, r) -> np.ndarray:
+    """Antisymmetric W with Tr[[H_a, H_b] rho] = i W_ab, for every pair of a stack.
 
-    Purely imaginary; zero exactly when the cross of the generator axes is
-    orthogonal to the Bloch vector.
+    W_ab = (Y_a x Y_b).r / 2 for a qubit probe with Bloch vector r.  With
+    G = Y [r]x Y^T, whose entry G_ab = -(Y_a x Y_b).r, W is (G^T - G)/4:
+    exactly antisymmetric, with a zero diagonal.
     """
     r = check_bloch(r)
-    va = gen_a.coefficient_vector()
-    vb = gen_b.coefficient_vector()
-    return 0.5j * float(np.dot(algebra.cross(va, vb), r))
+    gens = np.asarray(gens, dtype=float).reshape(-1, 3)
+    g = gens @ algebra.cross_matrix(r) @ gens.T
+    return 0.25 * (g.T - g)
 
 
-def entangled_qfi(gen: GeneratorDecomposition) -> float:
+def weak_comm_residual(gen_a, gen_b, r) -> complex:
+    """Tr[[H_a, H_b] rho] for a qubit probe: (i/2) (Y_a x Y_b).r.
+
+    Purely imaginary; zero exactly when the cross of the generators is
+    orthogonal to the Bloch vector.
+    """
+    return 1j * float(weak_comm_matrix([as_vec3(gen_a), as_vec3(gen_b)], r)[0, 1])
+
+
+def entangled_qfi(gen) -> float:
     """QFI with a maximally entangled probe and idle ancilla: |Y|^2, always.
 
-    The reduced probe state is I/2, so the direction e drops out entirely and
-    the maximum is attained unconditionally.
+    The reduced probe state is I/2, so the direction of Y drops out entirely
+    and the maximum is attained unconditionally.
     """
-    return gen.magnitude**2
+    return float(_squared_norms(as_vec3(gen)))
 
 
-def entangled_weak_comm(
-    gen_a: GeneratorDecomposition,
-    gen_b: GeneratorDecomposition,
-    probe: np.ndarray,
-) -> complex:
+def entangled_weak_comm(gen_a, gen_b, probe: np.ndarray) -> complex:
     """Weak-commutation trace on an explicit two-qubit probe.
 
     The generators act as H (x) I on the 4-dimensional probe.  For any probe
@@ -123,8 +124,8 @@ def entangled_weak_comm(
     if abs(np.linalg.norm(probe) - 1.0) > PURITY:
         raise NormalizationError(f"probe norm {np.linalg.norm(probe)} is not 1")
     eye = np.eye(2, dtype=complex)
-    ha = np.kron(gen_a.to_matrix(), eye)
-    hb = np.kron(gen_b.to_matrix(), eye)
+    ha = np.kron(algebra.su2_element(gen_a), eye)
+    hb = np.kron(algebra.su2_element(gen_b), eye)
     rho = np.outer(probe, probe.conj())
     return complex(np.trace((ha @ hb - hb @ ha) @ rho))
 
@@ -161,26 +162,16 @@ class QfimReport:
         }
 
 
-def _null_generator() -> GeneratorDecomposition:
-    return GeneratorDecomposition(0.0, np.zeros(3), ZERO_FIELD)
+def scheme_generators(scheme: SchemeConfig, x) -> np.ndarray:
+    """Closed-form generators Y_l of every parameter at ``x``, one row each.
 
-
-def scheme_generators(scheme: SchemeConfig, x) -> list[GeneratorDecomposition]:
-    """Closed-form generator of every parameter at the point ``x``.
-
-    The control enters through S = X + X_c.  Parameters whose partial
-    vanishes at ``x`` (for example the azimuth at a pole) get a null
-    generator: zero magnitude, zero information.
+    The control enters through S = X + X_c.  A partial that vanishes at
+    ``x`` (for example the azimuth at a pole) gives Y_l = 0: zero
+    information.
     """
-    s_coeff = scheme.effective_coefficients(x)
-    partials = scheme.partials_at(x)
-    gens = []
-    for d_coeff in partials:
-        if np.linalg.norm(d_coeff) == 0.0:
-            gens.append(_null_generator())
-        else:
-            gens.append(closed_form_generator(s_coeff, d_coeff, scheme.total_time))
-    return gens
+    return closed_form_generator(
+        scheme.effective_coefficients(x), scheme.partials_at(x), scheme.total_time
+    )
 
 
 def _precision_bounds(qfim: np.ndarray) -> np.ndarray:
@@ -226,7 +217,7 @@ def build_report(
         if r is None:
             raise UnphysicalStateError("a pure qubit probe requires a Bloch vector r")
         r = check_bloch(r)
-        if abs(np.linalg.norm(r) - 1.0) > PURITY:
+        if not abs(np.linalg.norm(r) - 1.0) <= PURITY:
             raise UnphysicalStateError(
                 "pure-probe analysis requires |r| = 1; the variance formula is "
                 "not the QFI for mixed probes"
@@ -236,14 +227,9 @@ def build_report(
     else:
         raise ValueError(f"unknown probe kind {probe_kind!r}")
 
-    maxima = np.array([g.magnitude**2 for g in gens])
+    maxima = _squared_norms(gens)
     qfim = qfim_pure(gens, r)
-    d = len(gens)
-    residuals = np.zeros((d, d))
-    for a in range(d):
-        for b in range(a + 1, d):
-            # e_b x e_a = -(e_a x e_b) exactly, so the pair shares one magnitude
-            residuals[a, b] = residuals[b, a] = abs(weak_comm_residual(gens[a], gens[b], r))
+    residuals = np.abs(weak_comm_matrix(gens, r))
 
     slack = ATTAINABILITY * max(1.0, float(maxima.max(initial=0.0)))
     attainable = bool(

@@ -3,9 +3,6 @@
 The values are calibrated for double precision on dense 2x2 / 4x4 matrices.
 """
 
-# below this, a coefficient vector is treated as zero and the analytic
-# limit formulas are used instead of the sin-normalized unit vectors
-DEGENERATE = 1e-12
 # relative slack: a quantity that scales like |Y|^2 (a weak-commutation residual,
 # an off-diagonal QFIM entry, the gap between a diagonal entry and its maximum)
 # counts as zero below this times max(1, largest maximum or diagonal entry)

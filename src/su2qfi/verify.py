@@ -14,12 +14,7 @@ import numpy as np
 
 from . import algebra
 from .errors import SeriesDepthError
-from .generators import (
-    GeneratorDecomposition,
-    closed_form_generator,
-    numeric_generator,
-    series_generator,
-)
+from .generators import closed_form_generator, numeric_generator, series_generator
 from .magnetometry import FieldPoint, magnetometry_scheme
 from .oracles import (
     entangled_qfi_oracle,
@@ -34,7 +29,7 @@ from .qfi import (
     entangled_weak_comm,
     qfi_pure,
     qfim_pure,
-    weak_comm_residual,
+    weak_comm_matrix,
 )
 from .scheme import MERGED, PRODUCT, affine_scheme, build_total_unitary
 
@@ -90,7 +85,7 @@ def generator_three_way(seed: int, samples: int) -> list[CheckResult]:
         while total_time == 0.0:  # the scheme needs t > 0; T = 0 is covered by unit tests
             total_time = rng.uniform(0.0, 5.0)
         label = f"X={_fmt_vec(x)} dX={_fmt_vec(d)} T={total_time:.6g}"
-        closed = closed_form_generator(x, d, total_time).to_matrix()
+        closed = algebra.su2_element(closed_form_generator(x, d, total_time))
         scheme = affine_scheme(x, d, np.zeros(3), total_time, 1, MERGED)
         numeric = numeric_generator(scheme, [0.0], 0, h=1e-6)
         closed_numeric.update(np.abs(closed - numeric).max(), label)
@@ -111,8 +106,8 @@ def generator_three_way(seed: int, samples: int) -> list[CheckResult]:
     ]
 
 
-def _random_decomposition(rng) -> GeneratorDecomposition:
-    return GeneratorDecomposition(rng.uniform(0.0, 5.0), _random_unit(rng))
+def _random_generator(rng) -> np.ndarray:
+    return rng.uniform(0.0, 5.0) * _random_unit(rng)
 
 
 def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:
@@ -122,18 +117,18 @@ def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:
     qfim_dev = _Worst()
     wc_dev = _Worst()
     for _ in range(samples):
-        gens = [_random_decomposition(rng) for _ in range(3)]
+        gens = np.array([_random_generator(rng) for _ in range(3)])
         r = _random_unit(rng)
         rho = algebra.density(r)
-        mats = [g.to_matrix() for g in gens]
-        label = f"|Y|={_fmt_vec([g.magnitude for g in gens])} r={_fmt_vec(r)}"
+        mats = [algebra.su2_element(g) for g in gens]
+        label = f"|Y|={_fmt_vec(np.linalg.norm(gens, axis=1))} r={_fmt_vec(r)}"
         qfi_dev.update(abs(qfi_pure(gens[0], r) - variance_qfi_oracle(mats[0], rho)), label)
         qfim_dev.update(np.abs(qfim_pure(gens, r) - qfim_trace_oracle(mats, rho)).max(), label)
+        closed = weak_comm_matrix(gens, r)
         for a in range(3):
             for b in range(a + 1, 3):
-                closed = weak_comm_residual(gens[a], gens[b], r)
                 oracle = weak_comm_trace_oracle(mats[a], mats[b], rho)
-                wc_dev.update(abs(closed - oracle), label)
+                wc_dev.update(abs(1j * closed[a, b] - oracle), label)
     return [
         CheckResult("qfim/qfi-vs-variance-oracle", qfi_dev.value, 1e-12, qfi_dev.label),
         CheckResult("qfim/qfim-vs-trace-oracle", qfim_dev.value, 1e-11, qfim_dev.label),
@@ -147,9 +142,9 @@ def entangled_probe_suite(seed: int, samples: int) -> list[CheckResult]:
     qfi_dev = _Worst()
     wc_dev = _Worst()
     for _ in range(samples):
-        gen_a = _random_decomposition(rng)
-        gen_b = _random_decomposition(rng)
-        label = f"|Ya|={gen_a.magnitude:.6g} |Yb|={gen_b.magnitude:.6g}"
+        gen_a = _random_generator(rng)
+        gen_b = _random_generator(rng)
+        label = f"|Ya|={np.linalg.norm(gen_a):.6g} |Yb|={np.linalg.norm(gen_b):.6g}"
         qfi_dev.update(abs(entangled_qfi(gen_a) - entangled_qfi_oracle(gen_a)), label)
         wc_dev.update(abs(entangled_weak_comm(gen_a, gen_b, BELL_PHI_PLUS)), label)
     return [

@@ -27,6 +27,7 @@ from su2qfi import (
     qfim_controlled,
     qfim_no_control,
     series_generator,
+    su2_element,
     weak_comm_example,
 )
 from su2qfi.cli import main
@@ -70,7 +71,7 @@ def test_criterion_1_generator_oracle_equivalence():
         x = rng.uniform(0.1, 5.0) * random_unit(rng)
         d = rng.uniform(0.1, 5.0) * random_unit(rng)
         t = rng.uniform(0.0, 5.0)
-        closed = closed_form_generator(x, d, t).to_matrix()
+        closed = su2_element(closed_form_generator(x, d, t))
         if t > 0.0:
             numeric = numeric_generator(linear_scheme(x, d, t), [0.0], 0, h=1e-6)
             worst_cn = max(worst_cn, np.abs(closed - numeric).max())
@@ -233,7 +234,7 @@ def test_criterion_5_weak_commutation():
             gens = generators_controlled(p, t) if controlled else generators_no_control(p, t)
             pairs = ((0, 1), (0, 2), (1, 2))
             for value, (a, b) in zip(closed, pairs):
-                oracle = weak_comm_trace_oracle(gens[a].to_matrix(), gens[b].to_matrix(), rho)
+                oracle = weak_comm_trace_oracle(su2_element(gens[a]), su2_element(gens[b]), rho)
                 worst_pure = max(worst_pure, abs(value - oracle))
     assert worst_pure <= 1e-12
     report(

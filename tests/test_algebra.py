@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su2qfi.algebra import cross_matrix
 from su2qfi import (
     DegenerateVectorError,
     SeriesDepthError,
@@ -86,6 +87,14 @@ class TestCross:
     @settings(max_examples=500)
     def test_bit_identical_to_numpy(self, a, b):
         assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+    @given(_VECTORS, _VECTORS)
+    @settings(max_examples=200)
+    def test_matrix_form_acts_as_the_cross_product(self, a, b):
+        # a BLAS product may fuse a multiply and an add, so it can differ by rounding
+        scale = np.linalg.norm(a) * np.linalg.norm(b)
+        assert np.abs(cross_matrix(a) @ b - cross(a, b)).max() <= 4 * np.finfo(float).eps * scale
+        assert np.array_equal(cross_matrix(a), -cross_matrix(a).T)
 
 
 class TestNestedCross:
@@ -249,6 +258,11 @@ class TestDensity:
     def test_rejects_overlong_bloch_vector(self):
         with pytest.raises(UnphysicalStateError):
             density([1.1, 0, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_bloch_vector(self, bad):
+        with pytest.raises(UnphysicalStateError):
+            density([0.0, bad, 0.0])
 
 
 class TestSU2Basis:

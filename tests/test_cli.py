@@ -200,12 +200,16 @@ class TestGridInputValidation:
 
 def run_flags(argv):
     """Exit code and stderr of ``main(argv)``; a warning, which would print
-    stray stderr lines, is raised instead and ends as exit 3."""
+    stray stderr lines, is raised instead and ends as exit 3.  An argparse
+    exit raises SystemExit out of ``main`` and gives its code."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, err.getvalue()
 
 
@@ -240,6 +244,35 @@ _UNIT_R = st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi)).map(
 )
 
 
+# every flag of every subcommand, plus tokens argparse must reject
+_SUBCOMMAND_FLAGS = {
+    "report": ["--scenario", "--B", "--theta", "--phi", "--t", "--N", "--mode", "--probe",
+               "--r", "--control", "--x-tilde", "--control-vector"],
+    "sweep-alpha": ["--n-values", "--alpha-count", "--t", "--x-norm", "--dx-norm"],
+    "curves": ["--B", "--theta", "--phi", "--t", "--n-max", "--controlled", "--probe"],
+    "verify": ["--tolerance-scale"],
+}
+_TOKEN = st.one_of(
+    st.floats().map(repr),
+    # counts stay small: curves and sweep-alpha allocate one row per count; no
+    # decimal digits in the text tokens for the same reason
+    st.integers(-3, 50).map(str),
+    st.sampled_from(["pure", "entangled", "none", "optimal", "custom", "merged", "product",
+                     "generic", "magnetometry", "true", "false", "--bogus", "-x", "--", "-",
+                     "-h", "report", "verify"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Nd")), max_size=6),
+)
+
+
+def _any_argv():
+    # --samples 2 keeps a verify run that parses cheap
+    return st.sampled_from(sorted(_SUBCOMMAND_FLAGS)).flatmap(
+        lambda command: st.lists(
+            st.one_of(st.sampled_from(_SUBCOMMAND_FLAGS[command]), _TOKEN), max_size=8
+        ).map(lambda tokens: ["--samples", "2", command, *tokens])
+    )
+
+
 class TestFlagFuzz:
     @given(
         _argv(st.floats(1e-3, 1e3), st.floats(0.0, np.pi),
@@ -270,6 +303,40 @@ class TestFlagFuzz:
     def test_arbitrary_floats_exit_zero_or_one_error_line(self, argv):
         code, err = run_flags(_flag_args(*argv))
         assert code in (0, 2)
+        if code == 2:
+            assert err.startswith("error[")
+            assert err.count("\n") == 1
+        else:
+            assert err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("report", "--N", "2.5"), ("report", "--bogus", "1"), ("curves", "--r", "1"),
+         ("sweep-alpha", "--n-values"), ("verify", "--tolerance-scale", "x"), ()],
+    )
+    def test_usage_error_is_one_line(self, argv):
+        code, err = run_flags(list(argv))
+        assert code == 2
+        assert err.startswith("error[usage]: su2qfi")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("scale", ["nan", "-1", "-inf"])
+    def test_invalid_tolerance_scale_rejected(self, scale):
+        code, err = run_flags(["--samples", "2", "verify", "--tolerance-scale", scale])
+        assert code == 2
+        assert err.startswith("error[invalid-tolerance-scale]: ")
+        assert err.count("\n") == 1
+
+    @given(_any_argv())
+    @example(["--samples", "2", "report", "--N", "2.5"])
+    @example(["--samples", "2", "report", "--theta", "a\nb"])
+    @example(["--samples", "2", "verify", "--tolerance-scale", "0.0"])
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_tokens_exit_cleanly(self, argv):
+        # exit 1 is reserved for a verify whose checks fail (a tolerance
+        # scale near 0 fails them on purpose)
+        code, err = run_flags(argv)
+        assert code in ((0, 1, 2) if argv[2] == "verify" else (0, 2))
         if code == 2:
             assert err.startswith("error[")
             assert err.count("\n") == 1

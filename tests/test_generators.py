@@ -9,14 +9,13 @@ import pytest
 from su2qfi import (
     SeriesDepthError,
     StepSizeError,
-    ZeroDerivativeError,
     closed_form_generator,
     nested_cross,
     numeric_generator,
     series_generator,
     su2_element,
 )
-from su2qfi.generators import COLINEAR, SERIES_TERM_CAP, ZERO_FIELD, series_term_count
+from su2qfi.generators import SERIES_TERM_CAP
 from su2qfi.scheme import MERGED, PRODUCT, SchemeConfig
 
 RNG = np.random.default_rng(202)
@@ -40,45 +39,65 @@ def linear_scheme(x0, grad, total_time, control=np.zeros(3), segments=1, mode=ME
     )
 
 
-def expected_term_count(z, nd, tol):
-    """Independent factorial-tail oracle for the series term count."""
-    count = 0
-    while z ** (count + 1) / factorial(count + 1) * nd >= tol:
+def expected_term_count(z, t_nd, tol):
+    """Independent factorial-tail oracle for the series term count.
+
+    Term n is bounded by T^(n+1) |X|^n |dX| / (n+1)! = T|dX| z^n / (n+1)!
+    with z = T|X|; the linear term is always summed, and the series stops at
+    the first later term whose bound is below ``tol``.
+    """
+    count = 1
+    while t_nd * z**count / factorial(count + 1) >= tol:
         count += 1
     return count
+
+
+def magnitude(gen):
+    return float(np.linalg.norm(gen))
+
+
+def axis(gen):
+    return gen / np.linalg.norm(gen)
 
 
 class TestClosedForm:
     def test_colinear_only_linear_term_survives(self):
         gen = closed_form_generator([0, 0, 2], [0, 0, 1], 5.0)
-        assert gen.magnitude == pytest.approx(5.0, abs=1e-15)
-        assert np.allclose(gen.direction, [0, 0, -1])
-        assert gen.flag == COLINEAR
+        assert magnitude(gen) == pytest.approx(5.0, abs=1e-15)
+        assert np.allclose(axis(gen), [0, 0, -1])
 
     def test_anticolinear_matches_series_sign(self):
         gen = closed_form_generator([0, 0, 2], [0, 0, -1], 5.0)
         series = series_generator([0, 0, 2], [0, 0, -1], 5.0)
-        assert np.abs(gen.to_matrix() - series).max() < 1e-14
-        assert np.allclose(gen.direction, [0, 0, 1])
+        assert np.abs(su2_element(gen) - series).max() < 1e-14
+        assert np.allclose(axis(gen), [0, 0, 1])
 
     def test_orthogonal_oscillating_magnitude(self):
         gen = closed_form_generator([0, 0, 2], [1, 0, 0], 5.0)
-        assert gen.magnitude == pytest.approx(abs(np.sin(5.0)), abs=1e-14)
+        assert magnitude(gen) == pytest.approx(abs(np.sin(5.0)), abs=1e-14)
 
     def test_zero_time(self):
         gen = closed_form_generator(RNG.normal(size=3), RNG.normal(size=3), 0.0)
-        assert gen.magnitude == 0.0
+        assert magnitude(gen) == 0.0
 
     def test_zero_field_branch(self):
         d = np.array([0.3, -1.2, 0.8])
         gen = closed_form_generator([0, 0, 0], d, 4.0)
-        assert gen.flag == ZERO_FIELD
-        assert gen.magnitude == pytest.approx(4.0 * np.linalg.norm(d), rel=1e-15)
-        assert np.allclose(gen.direction, -d / np.linalg.norm(d))
+        assert magnitude(gen) == pytest.approx(4.0 * np.linalg.norm(d), rel=1e-15)
+        assert np.allclose(axis(gen), -d / np.linalg.norm(d))
 
-    def test_zero_derivative_rejected(self):
-        with pytest.raises(ZeroDerivativeError):
-            closed_form_generator([1, 0, 0], [0, 0, 0], 1.0)
+    def test_zero_derivative_gives_zero_generator(self):
+        assert not closed_form_generator([1, 0, 0], [0, 0, 0], 1.0).any()
+
+    def test_stacked_partials_match_one_at_a_time(self):
+        # a (d, 3) stack is evaluated row by row, so it rounds like its rows
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            x = rng.uniform(0.0, 5.0) * random_unit(rng)
+            stack = rng.uniform(-2.0, 2.0, (3, 3))
+            t = rng.uniform(0.0, 5.0)
+            rows = [closed_form_generator(x, d, t) for d in stack]
+            assert np.array_equal(closed_form_generator(x, stack, t), rows)
 
     def test_direction_is_unit_and_matrix_traceless_hermitian(self):
         for _ in range(300):
@@ -87,9 +106,10 @@ class TestClosedForm:
                 RNG.uniform(0.1, 5) * random_unit(),
                 RNG.uniform(0, 5),
             )
-            if gen.magnitude > 0:
-                assert abs(np.linalg.norm(gen.direction) - 1.0) < 1e-12
-            mat = gen.to_matrix()
+            mat = su2_element(gen)
+            # a unit direction e has e.J with eigenvalues -1/2 and 1/2
+            spectrum = np.linalg.eigvalsh(mat)
+            assert np.abs(spectrum - np.array([-0.5, 0.5]) * magnitude(gen)).max() < 1e-12
             assert np.abs(mat - mat.conj().T).max() < 1e-12
             assert abs(np.trace(mat)) < 1e-12
 
@@ -99,7 +119,7 @@ class TestClosedForm:
             d = RNG.uniform(0.1, 5) * random_unit()
             t = RNG.uniform(0, 5)
             gen = closed_form_generator(RNG.uniform(0.1, 5) * random_unit(), d, t)
-            assert gen.magnitude**2 <= (t * np.linalg.norm(d)) ** 2 + 1e-12
+            assert magnitude(gen) ** 2 <= (t * np.linalg.norm(d)) ** 2 + 1e-12
 
 
 class TestSeries:
@@ -109,24 +129,16 @@ class TestSeries:
         series = series_generator(x, d, 3.0)
         assert np.abs(series - (-3.0) * su2_element(d)).max() == 0.0
 
-    def test_term_count_against_factorial_oracle(self):
-        # T|X| = 8 with unit |dX|
-        x = np.array([0, 0, 2.0])
-        d = np.array([1.0, 0, 0])
-        expected = expected_term_count(8.0, 1.0, 1e-14)
-        assert series_term_count(x, d, 4.0) == expected
-        assert expected <= SERIES_TERM_CAP
-
     def test_refuses_beyond_cap(self):
-        # T|X| = 10 needs more terms than the default cap admits
+        # T|X| = 10 with T|dX| = 10 needs more terms than the default cap admits
         x = np.array([0, 0, 2.0])
-        d = np.array([1.0, 0, 0])
-        assert expected_term_count(10.0, 1.0, 1e-14) > SERIES_TERM_CAP
+        d = np.array([2.0, 0, 0])
+        assert expected_term_count(10.0, 10.0, 1e-14) > SERIES_TERM_CAP
         with pytest.raises(SeriesDepthError):
             series_generator(x, d, 5.0)
         # a raised cap converges and still matches the closed form
         series = series_generator(x, d, 5.0, max_terms=128)
-        closed = closed_form_generator(x, d, 5.0).to_matrix()
+        closed = su2_element(closed_form_generator(x, d, 5.0))
         assert np.abs(series - closed).max() < 1e-11
 
     def test_invalid_tolerance(self):
@@ -142,15 +154,14 @@ class TestSeries:
     def test_tiny_field_matches_closed_form(self):
         d = np.array([0.3, -1.2, 0.8])
         x = np.array([1e-9, 0.0, 0.0])
-        closed = closed_form_generator(x, d, 4.0).to_matrix()
+        closed = su2_element(closed_form_generator(x, d, 4.0))
         assert np.abs(series_generator(x, d, 4.0) - closed).max() < 1e-13
 
     @pytest.mark.parametrize("a", [1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11])
     def test_near_colinear_matches_closed_form(self, a):
-        # dX at angle a from X: unless the angle is resolved, the closed form
-        # takes its colinear branch and drops the terms of order sin(a)
+        # dX at angle a from X: both routes must keep the terms of order sin(a)
         d = np.array([np.sin(a), 0.0, np.cos(a)])
-        closed = closed_form_generator([0, 0, 2], d, 2.0).to_matrix()
+        closed = su2_element(closed_form_generator([0, 0, 2], d, 2.0))
         assert np.abs(series_generator([0, 0, 2], d, 2.0) - closed).max() < 1e-12
 
     def test_zero_time_sums_to_zero(self):
@@ -163,18 +174,27 @@ class TestSeries:
             ([0.3, -1.1, 0.7], [0.9, 0.4, -2.0], 2.0),
             ([-1.7, 0.2, 0.5], [0.05, 1.3, 0.6], 0.4),
             ([1e-9, 0.0, 0.0], [0.3, -1.2, 0.8], 4.0),
+            # the small-field regime that control produces, S = X + X_c -> 0
+            *(([0.0, 0.0, 10.0**-k], [1.0, 0.0, 0.0], 1.0) for k in range(1, 13)),
         ],
     )
     def test_equals_explicit_sum_of_nested_crosses(self, x, d, t):
+        # 45 factorial terms: the last one is below 1e-30 on every row
         terms = [
-            (-t) ** (n + 1) / factorial(n + 1) * nested_cross(x, d, n)
-            for n in range(series_term_count(x, d, t))
+            (-t) ** (n + 1) / factorial(n + 1) * nested_cross(x, d, n) for n in range(45)
         ]
+        assert np.linalg.norm(terms[-1]) < 1e-30
+        series = series_generator(x, d, t)
+        # the terms the series admits: it updates its coefficients
+        # multiplicatively, so each may differ from the factorial form by a few ulps
+        z, t_nd = t * np.linalg.norm(x), t * np.linalg.norm(d)
+        admitted = terms[: expected_term_count(z, t_nd, 1e-14)]
+        slack = 8 * np.finfo(float).eps * np.abs(admitted).sum()
+        assert np.abs(series - su2_element(np.sum(admitted, axis=0))).max() <= slack
+        # both routes against the converged sum
         expected = su2_element(np.sum(terms, axis=0))
-        # the series updates its coefficients multiplicatively, so each term
-        # may differ from the factorial form by a few ulps
-        slack = 8 * np.finfo(float).eps * np.abs(terms).sum()
-        assert np.abs(series_generator(x, d, t) - expected).max() <= slack
+        assert np.abs(series - expected).max() <= 1e-12
+        assert np.abs(su2_element(closed_form_generator(x, d, t)) - expected).max() <= 1e-12
 
     @pytest.mark.parametrize(
         "x,d,t",
@@ -204,7 +224,7 @@ class TestSeries:
             d = RNG.uniform(0.1, 5.0) * random_unit()
             t = RNG.uniform(0.0, 5.0)
             series = series_generator(x, d, t, tol=1e-14)
-            closed = closed_form_generator(x, d, t).to_matrix()
+            closed = su2_element(closed_form_generator(x, d, t))
             worst = max(worst, np.abs(series - closed).max())
         assert worst < 1e-12
 
@@ -218,7 +238,7 @@ class TestNumericOracle:
             t = RNG.uniform(0.01, 5)
             scheme = linear_scheme(x0, d, t)
             num = numeric_generator(scheme, [0.0], 0, h=1e-6)
-            closed = closed_form_generator(x0, d, t).to_matrix()
+            closed = su2_element(closed_form_generator(x0, d, t))
             worst = max(worst, np.abs(num - closed).max())
         assert worst < 1e-6
 
@@ -276,15 +296,14 @@ class TestNumericOracle:
 class TestControlledGenerator:
     def test_direct_values(self):
         gen = closed_form_generator(np.zeros(3), [1, 0, 0], 5.0)
-        assert gen.magnitude == pytest.approx(5.0, abs=1e-15)
-        assert np.allclose(gen.direction, [-1, 0, 0])
+        assert magnitude(gen) == pytest.approx(5.0, abs=1e-15)
+        assert np.allclose(axis(gen), [-1, 0, 0])
 
     def test_zero_time(self):
-        assert closed_form_generator(np.zeros(3), [0, 1, 0], 0.0).magnitude == 0.0
+        assert magnitude(closed_form_generator(np.zeros(3), [0, 1, 0], 0.0)) == 0.0
 
-    def test_zero_derivative_rejected(self):
-        with pytest.raises(ZeroDerivativeError):
-            closed_form_generator(np.zeros(3), [0, 0, 0], 1.0)
+    def test_zero_derivative_gives_zero_generator(self):
+        assert not closed_form_generator(np.zeros(3), [0, 0, 0], 1.0).any()
 
     def test_small_residual_coefficient_limit(self):
         # closed form at |S| = 1e-4 sits within 1e-6 of the controlled limit
@@ -292,7 +311,7 @@ class TestControlledGenerator:
         s = 1e-4 * random_unit()
         closed = closed_form_generator(s, d, 5.0)
         limit = closed_form_generator(np.zeros(3), d, 5.0)
-        assert abs(closed.magnitude - limit.magnitude) < 1e-6
+        assert abs(magnitude(closed) - magnitude(limit)) < 1e-6
 
 
 class TestThreeWayAgreement:
@@ -303,7 +322,7 @@ class TestThreeWayAgreement:
             x = RNG.uniform(0.1, 5.0) * random_unit()
             d = RNG.uniform(0.1, 5.0) * random_unit()
             t = RNG.uniform(0.01, 5.0)
-            closed = closed_form_generator(x, d, t).to_matrix()
+            closed = su2_element(closed_form_generator(x, d, t))
             numeric = numeric_generator(linear_scheme(x, d, t), [0.0], 0, h=1e-6)
             worst_cn = max(worst_cn, np.abs(closed - numeric).max())
             try:

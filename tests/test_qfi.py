@@ -14,7 +14,6 @@ from su2qfi import (
     PURE_QUBIT,
     DimensionalityError,
     FieldPoint,
-    GeneratorDecomposition,
     NormalizationError,
     SchemeConfig,
     UnphysicalStateError,
@@ -30,8 +29,10 @@ from su2qfi import (
     qfi_max,
     qfi_pure,
     qfim_pure,
+    su2_element,
     weak_comm_residual,
 )
+from su2qfi.qfi import weak_comm_matrix
 from su2qfi.oracles import (
     entangled_qfi_oracle,
     qfim_trace_oracle,
@@ -50,7 +51,7 @@ def random_unit(rng=RNG):
 
 
 def random_gen(rng=RNG, min_mag=0.0):
-    return GeneratorDecomposition(rng.uniform(min_mag, 5.0), random_unit(rng))
+    return rng.uniform(min_mag, 5.0) * random_unit(rng)
 
 
 def linear_scheme(x0, grads, t=1.0, n=1, control=np.zeros(3)):
@@ -67,27 +68,27 @@ def linear_scheme(x0, grads, t=1.0, n=1, control=np.zeros(3)):
 
 class TestQfiPure:
     def test_orthogonal_probe_maximizes(self):
-        gen = GeneratorDecomposition(5.0, np.array([0.0, 0, 1]))
+        gen = np.array([0.0, 0, 5.0])
         assert qfi_pure(gen, [1, 0, 0]) == 25.0
 
     def test_aligned_probe_is_blind(self):
-        gen = GeneratorDecomposition(5.0, np.array([0.0, 0, 1]))
+        gen = np.array([0.0, 0, 5.0])
         assert qfi_pure(gen, [0, 0, 1]) == 0.0
 
     def test_partial_projection(self):
         r = np.array([0.6, 0.0, 0.8])  # e.r = 0.6
-        gen = GeneratorDecomposition(2.0, np.array([1.0, 0.0, 0.0]))
+        gen = np.array([2.0, 0.0, 0.0])
         value = qfi_pure(gen, r)
         assert value == pytest.approx(4 * (1 - 0.36), abs=1e-14)
         # variance oracle on explicit matrices
-        oracle = variance_qfi_oracle(gen.to_matrix(), density(r))
+        oracle = variance_qfi_oracle(su2_element(gen), density(r))
         assert value == pytest.approx(oracle, abs=1e-12)
 
     def test_matches_variance_oracle_randomly(self):
         for _ in range(1000):
             gen = random_gen()
             r = random_unit()
-            oracle = variance_qfi_oracle(gen.to_matrix(), density(r))
+            oracle = variance_qfi_oracle(su2_element(gen), density(r))
             assert abs(qfi_pure(gen, r) - oracle) < 1e-11
 
 
@@ -100,10 +101,7 @@ class TestQfimPure:
         assert mat[0, 0] == pytest.approx(qfi_pure(gen, r), rel=1e-14)
 
     def test_orthogonal_axes_diagonalize(self):
-        gens = [
-            GeneratorDecomposition(2.0, np.array([1.0, 0, 0])),
-            GeneratorDecomposition(3.0, np.array([0.0, 1, 0])),
-        ]
+        gens = [np.array([2.0, 0, 0]), np.array([0.0, 3.0, 0])]
         r = np.array([0.0, 0.0, 1.0])  # orthogonal to both axes
         mat = qfim_pure(gens, r)
         assert np.allclose(mat, np.diag([4.0, 9.0]))
@@ -114,7 +112,7 @@ class TestQfimPure:
             gens = [random_gen() for _ in range(3)]
             r = random_unit()
             closed = qfim_pure(gens, r)
-            oracle = qfim_trace_oracle([g.to_matrix() for g in gens], density(r))
+            oracle = qfim_trace_oracle([su2_element(g) for g in gens], density(r))
             worst = max(worst, np.abs(closed - oracle).max())
         assert worst < 1e-11
 
@@ -189,18 +187,32 @@ class TestWeakCommResidual:
 
     def test_parallel_axes_commute(self):
         e = random_unit()
-        a = GeneratorDecomposition(2.0, e)
-        b = GeneratorDecomposition(3.0, e)
+        a = 2.0 * e
+        b = 3.0 * e
         assert abs(weak_comm_residual(a, b, random_unit())) < 1e-15
 
     def test_pauli_reference_value(self):
-        a = GeneratorDecomposition(1.0, np.array([1.0, 0, 0]))
-        b = GeneratorDecomposition(1.0, np.array([0.0, 1, 0]))
+        a = np.array([1.0, 0, 0])
+        b = np.array([0.0, 1, 0])
         r = np.array([0.0, 0, 1])
         closed = weak_comm_residual(a, b, r)
         assert closed == pytest.approx(0.5j, abs=1e-15)
-        oracle = weak_comm_trace_oracle(a.to_matrix(), b.to_matrix(), density(r))
+        oracle = weak_comm_trace_oracle(su2_element(a), su2_element(b), density(r))
         assert closed == pytest.approx(oracle, abs=1e-13)
+
+    def test_matrix_is_antisymmetric_and_matches_the_trace_oracle(self):
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            gens = np.array([random_gen(rng) for _ in range(3)])
+            r = random_unit(rng) * rng.uniform(0, 1)
+            w = weak_comm_matrix(gens, r)
+            assert np.array_equal(w, -w.T)
+            for a in range(3):
+                for b in range(3):
+                    oracle = weak_comm_trace_oracle(
+                        su2_element(gens[a]), su2_element(gens[b]), density(r)
+                    )
+                    assert abs(1j * w[a, b] - oracle) < 1e-12
 
     def test_purely_imaginary_and_matches_oracle(self):
         for _ in range(300):
@@ -208,18 +220,19 @@ class TestWeakCommResidual:
             r = random_unit() * RNG.uniform(0, 1)
             closed = weak_comm_residual(a, b, r)
             assert abs(closed.real) < 1e-13
-            oracle = weak_comm_trace_oracle(a.to_matrix(), b.to_matrix(), density(r))
+            oracle = weak_comm_trace_oracle(su2_element(a), su2_element(b), density(r))
             assert abs(closed - oracle) < 1e-12
 
 
 class TestEntangledProbe:
     def test_direction_independent_value(self):
-        for e in ([1.0, 0, 0], random_unit(), [0.0, 0, 1]):
-            gen = GeneratorDecomposition(5.0, np.asarray(e))
-            assert entangled_qfi(gen) == 25.0
+        # 25 |e|^2 is 25 exactly on the axes; a random unit e rounds |e|^2
+        for e, rel in (([1.0, 0, 0], 0.0), (random_unit(), 1e-15), ([0.0, 0, 1], 0.0)):
+            gen = 5.0 * np.asarray(e)
+            assert entangled_qfi(gen) == pytest.approx(25.0, rel=rel, abs=0.0)
 
     def test_zero_magnitude(self):
-        assert entangled_qfi(GeneratorDecomposition(0.0, np.zeros(3))) == 0.0
+        assert entangled_qfi(np.zeros(3)) == 0.0
 
     def test_magnetometry_colatitude_value(self):
         point = FieldPoint(3.0, np.pi / 6, 0.0)
@@ -245,14 +258,13 @@ class TestEntangledProbe:
         for _ in range(100):
             a, b = random_gen(rng=RNG, min_mag=0.5), random_gen(rng=RNG, min_mag=0.5)
             val = entangled_weak_comm(a, b, probe)
-            cross_z = np.cross(a.direction, b.direction)[2]
-            expected = 0.5 * a.magnitude * b.magnitude * abs(cross_z)
+            expected = 0.5 * abs(np.cross(a, b)[2])
             assert abs(val) == pytest.approx(expected, abs=1e-12)
             # independent 4x4 trace
             eye = np.eye(2)
             oracle = weak_comm_trace_oracle(
-                np.kron(a.to_matrix(), eye),
-                np.kron(b.to_matrix(), eye),
+                np.kron(su2_element(a), eye),
+                np.kron(su2_element(b), eye),
                 np.outer(probe, probe.conj()),
             )
             assert val == pytest.approx(oracle, abs=1e-14)
@@ -349,6 +361,14 @@ class TestBuildReport:
         with pytest.raises(UnphysicalStateError):
             build_report(scheme, point.as_array(), PURE_QUBIT)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bloch_vector_rejected(self, bad):
+        # a NaN fails every comparison, so each check must fail closed
+        point = FieldPoint(3.0, np.pi / 6, 0.0)
+        scheme = magnetometry_scheme(point, 1.0, 5)
+        with pytest.raises(UnphysicalStateError):
+            build_report(scheme, point.as_array(), PURE_QUBIT, r=[bad, 0.0, 0.0])
+
     def test_report_invariants(self):
         point = FieldPoint(2.0, 0.9, 1.3)
         scheme = magnetometry_scheme(point, 0.5, 7, control="optimal")
@@ -431,10 +451,10 @@ class TestAttainabilityVerdict:
     def test_orthogonal_pure_probe_attainable_for_one_parameter(self, sample, turn):
         scheme, x = sample
         (gen,) = scheme_generators(scheme, x)
-        assume(gen.magnitude > 0.0)
+        assume(np.linalg.norm(gen) > 0.0)
         # a unit vector orthogonal to the generator axis, at angle ``turn``
         # about it from a fixed reference
-        e = _unit(gen.direction)
+        e = _unit(gen)
         ref = _unit(cross(e, [1.0, 0.0, 0.0] if abs(e[0]) < 0.9 else [0.0, 1.0, 0.0]))
         r = _unit(np.cos(turn) * ref + np.sin(turn) * cross(e, ref))
         report = build_report(scheme, x, PURE_QUBIT, r=r)
@@ -445,7 +465,7 @@ class TestAttainabilityVerdict:
     def test_probe_aligned_with_a_generator_not_attainable(self, sample):
         scheme, x = sample
         gens = scheme_generators(scheme, x)
-        top = max(g.magnitude**2 for g in gens)
-        assume(gens[0].magnitude**2 > 1e-6 * max(1.0, top))
-        report = build_report(scheme, x, PURE_QUBIT, r=_unit(gens[0].direction))
+        top = max(np.dot(g, g) for g in gens)
+        assume(np.dot(gens[0], gens[0]) > 1e-6 * max(1.0, top))
+        report = build_report(scheme, x, PURE_QUBIT, r=_unit(gens[0]))
         assert report.attainable is False
