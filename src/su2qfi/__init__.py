@@ -33,15 +33,8 @@ from .generators import (
 )
 from .magnetometry import (
     FieldPoint,
-    field_coefficients,
-    generators_controlled,
-    generators_no_control,
     magnetometry_scheme,
-    off_diagonal_check,
     precision_curves,
-    qfim_controlled,
-    qfim_no_control,
-    weak_comm_example,
 )
 from .oracles import (
     entangled_qfim_fd,

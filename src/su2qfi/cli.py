@@ -177,15 +177,7 @@ class RunConfig:
         return self
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["x0"] = list(out["x0"])
-        out["gradients"] = [list(g) for g in out["gradients"]]
-        out["x"] = list(out["x"])
-        out["r"] = list(out["r"])
-        out["x_tilde"] = list(out["x_tilde"])
-        out["control_vector"] = list(out["control_vector"])
-        out["n_values"] = list(out["n_values"])
-        return out
+        return _json_safe(asdict(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

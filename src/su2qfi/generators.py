@@ -77,7 +77,10 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
         raise ValueError("total_time must be nonnegative")
     x_coeff = as_vec3(x_coeff)
     t = total_time
-    sinc, a, b = _series_weights(t * math.hypot(*x_coeff.tolist()))
+    z = t * math.hypot(*x_coeff.tolist())
+    if math.isinf(z):
+        raise OverflowError(f"the phase T|X| of T = {t:g} overflows double precision")
+    sinc, a, b = _series_weights(z)
     # the linear map dX -> Y, applied row by row so a stack rounds like its rows
     generator_map = (
         -t * sinc * np.eye(3)

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import algebra
 from .errors import StepSizeError, UnphysicalStateError
-from .generators import numeric_generator
 from .qfi import BELL_PHI_PLUS
 from .scheme import SchemeConfig, build_total_unitary
 
@@ -123,8 +122,9 @@ def sld_oracle(scheme: SchemeConfig, x, probe: np.ndarray, h: float = 1e-6) -> S
 
     The probe may live on the bare qubit (2x2) or on qubit plus ancilla
     (4x4); in the latter case the dynamics acts as U (x) I.  Alongside the
-    SLDs, the finite-difference generators are computed and the
-    weak-commutation consistency residual is evaluated for every pair.
+    SLDs, the generators i (dU^dag) U, symmetrized, are read off the same
+    differences, and the weak-commutation consistency residual is evaluated
+    for every pair.
     """
     probe = _check_density(probe)
     if not 1e-12 <= h <= 1e-2:
@@ -135,7 +135,8 @@ def sld_oracle(scheme: SchemeConfig, x, probe: np.ndarray, h: float = 1e-6) -> S
     def lift(u):
         return np.kron(u, _EYE2) if with_ancilla else u
 
-    u0 = lift(build_total_unitary(scheme, x))
+    u = build_total_unitary(scheme, x)
+    u0 = lift(u)
     rho_x = u0 @ probe @ u0.conj().T
     slds = []
     gens = []
@@ -144,12 +145,10 @@ def sld_oracle(scheme: SchemeConfig, x, probe: np.ndarray, h: float = 1e-6) -> S
         xm = x.copy()
         xp[ell] += h
         xm[ell] -= h
-        du = (lift(build_total_unitary(scheme, xp)) - lift(build_total_unitary(scheme, xm))) / (
-            2.0 * h
-        )
-        slds.append(2.0 * du @ u0.conj().T)
-        gen = numeric_generator(scheme, x, ell, h)
-        gens.append(lift(gen))
+        du = (build_total_unitary(scheme, xp) - build_total_unitary(scheme, xm)) / (2.0 * h)
+        slds.append(2.0 * lift(du) @ u0.conj().T)
+        gen = 1j * du.conj().T @ u
+        gens.append(lift((gen + gen.conj().T) / 2.0))
     d = scheme.n_params
     residuals = np.zeros((d, d))
     for a in range(d):

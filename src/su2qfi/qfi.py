@@ -174,16 +174,22 @@ def scheme_generators(scheme: SchemeConfig, x) -> np.ndarray:
     )
 
 
-def _precision_bounds(qfim: np.ndarray) -> np.ndarray:
-    d = qfim.shape[0]
-    diag = np.diag(qfim).copy()
-    off = qfim - np.diag(diag)
-    scale = max(1.0, float(np.abs(diag).max())) if d else 1.0
-    if d == 1 or np.abs(off).max() <= ATTAINABILITY * scale:
+def _precision_bounds(qfim: np.ndarray, slack: float) -> np.ndarray:
+    """Single-shot standard-deviation floor per parameter.
+
+    1/sqrt of the diagonal when every off-diagonal entry is within ``slack``,
+    else sqrt of the pseudo-inverse's diagonal, which treats singular values
+    at or below ``slack`` as zero: a rank-deficient QFIM's null eigenvalue is
+    rounding noise on the scale of the largest maximum, not information.
+    """
+    diag = np.diag(qfim)
+    if np.abs(qfim - np.diag(diag)).max(initial=0.0) <= slack:
         with np.errstate(divide="ignore"):
             return np.where(diag > 0.0, 1.0 / np.sqrt(np.maximum(diag, 0.0)), np.inf)
-    inv = np.linalg.pinv(qfim)
-    inv_diag = np.diag(inv)
+    # np.linalg.pinv's arithmetic with an absolute cutoff
+    u, s, vt = np.linalg.svd(qfim, full_matrices=False)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > slack)
+    inv_diag = np.diag(vt.T @ (inv_s[:, None] * u.T))
     with np.errstate(divide="ignore"):
         return np.where(inv_diag > 0.0, np.sqrt(np.maximum(inv_diag, 0.0)), np.inf)
 
@@ -239,7 +245,7 @@ def build_report(
         qfim=qfim,
         qfi_max=maxima,
         weak_comm_residuals=residuals,
-        precision_bounds=_precision_bounds(qfim),
+        precision_bounds=_precision_bounds(qfim, slack),
         attainable=attainable,
         probe_kind=probe_kind,
         parameter_names=tuple(parameter_names),

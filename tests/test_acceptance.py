@@ -11,27 +11,25 @@ import pytest
 
 from su2qfi import (
     BELL_PHI_PLUS,
+    ENTANGLED_WITH_ANCILLA,
     FieldPoint,
     SchemeConfig,
     SeriesDepthError,
+    build_report,
     build_total_unitary,
     closed_form_generator,
     density,
     entangled_weak_comm,
-    generators_controlled,
-    generators_no_control,
     magnetometry_scheme,
     numeric_generator,
     precision_curves,
     qfi_max,
-    qfim_controlled,
-    qfim_no_control,
     series_generator,
     su2_element,
-    weak_comm_example,
 )
 from su2qfi.cli import main
 from su2qfi.oracles import entangled_qfim_fd, sld_oracle, weak_comm_trace_oracle
+from su2qfi.qfi import scheme_generators, weak_comm_matrix
 from su2qfi.scheme import MERGED, PRODUCT
 
 POINT = FieldPoint(3.0, np.pi / 6, 0.0)
@@ -52,6 +50,11 @@ def linear_scheme(x0, grads, total_time, control=np.zeros(3)):
         segment_time=total_time,
         segment_count=1,
     )
+
+
+def magnetometry_generators(p, total_time, controlled):
+    scheme = magnetometry_scheme(p, total_time, 1, control="optimal" if controlled else "none")
+    return scheme_generators(scheme, p.as_array())
 
 
 def report(criterion, detail):
@@ -113,14 +116,11 @@ def test_criterion_2_qfim_golden_values():
             [4 * total_time**2, 4 * np.sin(3 * total_time) ** 2, np.sin(3 * total_time) ** 2]
         )
         golden_c = np.diag([4 * total_time**2, 36 * total_time**2, 9 * total_time**2])
-        worst_closed = max(
-            worst_closed, np.abs(qfim_no_control(POINT, total_time) - golden_nc).max()
-        )
-        worst_closed = max(
-            worst_closed, np.abs(qfim_controlled(POINT, total_time) - golden_c).max()
-        )
         scheme_nc = magnetometry_scheme(POINT, 1.0, t_int)
         scheme_c = magnetometry_scheme(POINT, 1.0, t_int, control="optimal")
+        for scheme, golden in ((scheme_nc, golden_nc), (scheme_c, golden_c)):
+            qfim = build_report(scheme, POINT.as_array(), ENTANGLED_WITH_ANCILLA).qfim
+            worst_closed = max(worst_closed, np.abs(qfim - golden).max())
         worst_fd = max(
             worst_fd, np.abs(entangled_qfim_fd(scheme_nc, POINT.as_array()) - golden_nc).max()
         )
@@ -213,9 +213,7 @@ def test_criterion_5_weak_commutation():
     match the trace oracle within 1e-12 over 100 random draws."""
     worst_entangled = 0.0
     for controlled in (False, True):
-        gens = (
-            generators_controlled(POINT, 4.0) if controlled else generators_no_control(POINT, 4.0)
-        )
+        gens = magnetometry_generators(POINT, 4.0, controlled)
         for a in range(3):
             for b in range(a + 1, 3):
                 val = abs(entangled_weak_comm(gens[a], gens[b], BELL_PHI_PLUS))
@@ -230,10 +228,10 @@ def test_criterion_5_weak_commutation():
         r = rng.uniform(0.0, 1.0) * random_unit(rng)
         rho = density(r)
         for controlled in (False, True):
-            closed = weak_comm_example(p, t, r, controlled=controlled).as_tuple()
-            gens = generators_controlled(p, t) if controlled else generators_no_control(p, t)
-            pairs = ((0, 1), (0, 2), (1, 2))
-            for value, (a, b) in zip(closed, pairs):
+            gens = magnetometry_generators(p, t, controlled)
+            closed = 1j * weak_comm_matrix(gens, r)
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                value = closed[a, b]
                 oracle = weak_comm_trace_oracle(su2_element(gens[a]), su2_element(gens[b]), rho)
                 worst_pure = max(worst_pure, abs(value - oracle))
     assert worst_pure <= 1e-12

@@ -297,6 +297,9 @@ class TestFlagFuzz:
               st.lists(st.floats(), min_size=3, max_size=3))
     )
     @example(("report", 3.0, 0.5, 0.0, -1e-05, 5, ["--probe", "entangled"]))
+    # finite B and t whose phase T|X| overflows
+    @example(("report", 7.95011878240663e261, 0.0, 0.0, 1.1306077205038469e46, 1,
+              ["--mode", "merged", "--control", "none", "--probe", "entangled"]))
     @example(("report", 3.0, 0.5, 0.0, 1.0, 5, ["--probe", "pure", "--r", "1e+200", "0.0",
                                                 "-1e-05"]))
     @settings(max_examples=300, deadline=None)

@@ -61,6 +61,11 @@ def axis(gen):
 
 
 class TestClosedForm:
+    def test_overflowing_phase_raises_overflow_error(self):
+        # T|X| = inf has no sine; the CLI maps OverflowError to error[overflow]
+        with pytest.raises(OverflowError):
+            closed_form_generator([1.6e262, 0, 0], [0, 1, 0], 1.1e46)
+
     def test_colinear_only_linear_term_survives(self):
         gen = closed_form_generator([0, 0, 2], [0, 0, 1], 5.0)
         assert magnitude(gen) == pytest.approx(5.0, abs=1e-15)

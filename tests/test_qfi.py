@@ -24,8 +24,8 @@ from su2qfi import (
     design_control,
     entangled_qfi,
     entangled_weak_comm,
-    generators_no_control,
     magnetometry_scheme,
+    numeric_generator,
     qfi_max,
     qfi_pure,
     qfim_pure,
@@ -236,7 +236,7 @@ class TestEntangledProbe:
 
     def test_magnetometry_colatitude_value(self):
         point = FieldPoint(3.0, np.pi / 6, 0.0)
-        gen_theta = generators_no_control(point, 1.0)[1]
+        gen_theta = scheme_generators(magnetometry_scheme(point, 1.0, 1), point.as_array())[1]
         expected = 4 * np.sin(3.0) ** 2
         assert entangled_qfi(gen_theta) == pytest.approx(expected, abs=1e-13)
         assert entangled_qfi_oracle(gen_theta) == pytest.approx(expected, abs=1e-11)
@@ -308,6 +308,19 @@ class TestSldOracle:
         result = sld_oracle(scheme, x, density([0, 0, 1]))
         conjugated = result.u_tot.conj().T @ result.slds[0] @ result.u_tot
         assert np.abs(conjugated - 2j * result.generators[0]).max() < 1e-6
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_generators_equal_the_numeric_generator(self, dim):
+        # read off the SLD's own differences, they are the finite-difference oracle's
+        scheme = linear_scheme([0.4, -1.1, 0.9], RNG.uniform(-1, 1, (3, 3)), t=0.7, n=3)
+        x = RNG.uniform(-1, 1, 3)
+        probe = density([0, 0, 1]) if dim == 2 else np.eye(4) / 4
+        result = sld_oracle(scheme, x, probe, h=1e-6)
+        for ell, gen in enumerate(result.generators):
+            expected = numeric_generator(scheme, x, ell, h=1e-6)
+            if dim == 4:
+                expected = np.kron(expected, np.eye(2))
+            assert np.array_equal(gen, expected)
 
     def test_constant_scheme_gives_zero_slds(self):
         scheme = SchemeConfig(
@@ -408,6 +421,24 @@ class TestBuildReport:
             report = build_report(scheme, point.as_array(), probe_kind, r=r)
         assert report.precision_bounds[2] == np.inf
         assert np.all(np.isfinite(report.precision_bounds[:2]))
+
+    def test_pure_probe_bounds_ignore_the_rounding_noise_null_direction(self):
+        # three parameters on a pure qubit give a rank-2 QFIM whose null
+        # eigenvalue is rounding noise: a 1e-13 turn of r must not move the bounds
+        rng = np.random.default_rng(409)
+        for _ in range(200):
+            t, n = rng.uniform(0.05, 1.0), int(rng.integers(1, 41))
+            scheme = affine_scheme(
+                rng.uniform(-2, 2, 3), rng.uniform(-2, 2, (3, 3)), np.zeros(3), t, n, "merged"
+            )
+            x = rng.uniform(-1, 1, 3)
+            r = random_unit(rng)
+            turned = _unit(r + 1e-13 * random_unit(rng))
+            bounds = build_report(scheme, x, PURE_QUBIT, r=r).precision_bounds
+            assert np.all(np.isfinite(bounds))
+            np.testing.assert_allclose(
+                build_report(scheme, x, PURE_QUBIT, r=turned).precision_bounds, bounds, rtol=1e-6
+            )
 
 
 _COMPONENT = st.floats(-3.0, 3.0)

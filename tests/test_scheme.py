@@ -12,7 +12,6 @@ from su2qfi import (
     build_total_unitary,
     characterize,
     design_control,
-    field_coefficients,
     gap_profile,
     magnetometry_scheme,
     qfi_max,
@@ -143,7 +142,9 @@ class TestDesignControl:
 class TestCharacterize:
     def test_magnetometry_angles(self):
         point = FieldPoint(3.0, np.pi / 6, 0.0)
-        x, db, dtheta, dphi = field_coefficients(point)
+        scheme = magnetometry_scheme(point)
+        x = scheme.coefficients_at(point.as_array())
+        db, dtheta, dphi = scheme.partials_at(point.as_array())
         alphas = characterize(x, [db, dtheta, dphi])
         assert alphas[0] == pytest.approx(0.0, abs=1e-12)
         assert alphas[1] == pytest.approx(np.pi / 2, abs=1e-12)
