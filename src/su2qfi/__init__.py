@@ -22,7 +22,6 @@ from .errors import (
     DimensionalityError,
     NormalizationError,
     SeriesDepthError,
-    StepSizeError,
     Su2QfiError,
     UnphysicalStateError,
 )

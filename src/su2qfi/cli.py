@@ -209,7 +209,7 @@ def _build_scheme(cfg: RunConfig) -> tuple[SchemeConfig, np.ndarray, tuple]:
     if cfg.control == "custom":
         scheme = replace(scheme, control=cfg.control_vector)
     elif cfg.control == "optimal":
-        scheme = replace(scheme, control=design_control(scheme, cfg.x_tilde or x))
+        scheme = replace(scheme, control=design_control(scheme.coefficients, cfg.x_tilde or x))
     if cfg.mode == PRODUCT and np.any(scheme.control):
         # the closed forms describe exp(-i N t (X + X_c).J); without control
         # the segment product equals it exactly, with control it does not

@@ -17,10 +17,6 @@ class UnphysicalStateError(Su2QfiError):
     """A Bloch vector or density matrix violates physicality constraints."""
 
 
-class StepSizeError(Su2QfiError):
-    """A finite-difference step is outside the trustworthy range."""
-
-
 class NormalizationError(Su2QfiError):
     """A state vector is not normalized."""
 

@@ -14,20 +14,22 @@ the point: each one cross-checks the others.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from . import algebra
 from .algebra import as_vec3
-from .errors import SeriesDepthError, StepSizeError
-from .scheme import SchemeConfig, build_total_unitary
+from .errors import SeriesDepthError
+from .scheme import SchemeConfig, build_total_unitary, central_difference
 
-# Refusal cap for the nested cross-product series.  The alternating partial
-# sums grow like exp(T|X|) before cancelling, so in double precision the
-# series can honor its accuracy contract only up to T|X| ~ 10; at tol 1e-14,
-# 48 terms reach T|X| = 10.4 for T|dX| = 1 (9.9 for T|dX| = 10).  Larger
-# arguments must use the closed form, which is what the SeriesDepthError
-# signals.
+# Truncation tolerance and refusal cap for the nested cross-product series.
+# The alternating partial sums grow like exp(T|X|) before cancelling, so in
+# double precision the series can honor its accuracy contract only up to
+# T|X| ~ 10; at this tolerance, 48 terms reach T|X| = 10.4 for T|dX| = 1 (9.9
+# for T|dX| = 10).  Larger arguments must use the closed form, which is what
+# the SeriesDepthError signals.
+SERIES_TOL = 1e-14
 SERIES_TERM_CAP = 48
 
 # Taylor coefficients in z^2 of (1 - cos z)/z^2 and (z - sin z)/z^3; below
@@ -92,11 +94,7 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
 
 
 def series_generator(
-    x_coeff,
-    d_coeff,
-    total_time: float,
-    tol: float = 1e-14,
-    max_terms: int = SERIES_TERM_CAP,
+    x_coeff, d_coeff, total_time: float, max_terms: int = SERIES_TERM_CAP
 ) -> np.ndarray:
     """Generator by direct summation of the nested cross-product series.
 
@@ -104,13 +102,11 @@ def series_generator(
     product of X applied to dX.  The terms are accumulated as one real
     coefficient 3-vector, which is contracted with J once at the end.  The
     linear n = 0 term is always summed; the tail is truncated once the term
-    bound T^(n+1) |X|^n |dX| / (n+1)! falls below ``tol`` or the nested cross
-    vanishes (colinear geometry).  If the bound has not fallen below ``tol``
-    within ``max_terms`` terms a ``SeriesDepthError`` is raised and the
-    closed form should be used instead.
+    bound T^(n+1) |X|^n |dX| / (n+1)! falls below ``SERIES_TOL`` or the nested
+    cross vanishes (colinear geometry).  If the bound has not fallen below
+    ``SERIES_TOL`` within ``max_terms`` terms a ``SeriesDepthError`` is raised
+    and the closed form should be used instead.
     """
-    if tol <= 0:
-        raise ValueError("series tolerance must be positive")
     x_coeff = as_vec3(x_coeff)
     d_coeff = as_vec3(d_coeff)
     nx = float(np.linalg.norm(x_coeff))
@@ -123,7 +119,7 @@ def series_generator(
     bound = total_time * nd
     n = 0
     while True:
-        if n > 0 and bound < tol:
+        if n > 0 and bound < SERIES_TOL:
             return algebra.su2_element(total)
         if n >= max_terms:
             raise SeriesDepthError(
@@ -139,25 +135,17 @@ def series_generator(
         bound *= total_time * nx / (n + 1)
 
 
-def numeric_generator(scheme: SchemeConfig, x, ell: int, h: float | None = None) -> np.ndarray:
+def numeric_generator(scheme: SchemeConfig, x, ell: int) -> np.ndarray:
     """Finite-difference generator oracle: i (dU^dag) U, symmetrized.
 
-    Builds the total unitary at x +- h e_ell with the control vector held
-    fixed, central-differences it, and returns the Hermitian part of
-    i (dU^dag) U.  The default step is 1e-6 * max(1, |x_ell|).
+    Central-differences the total unitary along x_ell with the control vector
+    held fixed (``scheme.central_difference``, step 1e-6 * max(1, |x_ell|)),
+    and returns the Hermitian part of i (dU^dag) U.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not 0 <= ell < scheme.n_params:
         raise IndexError(f"parameter index {ell} out of range")
-    if h is None:
-        h = 1e-6 * max(1.0, abs(float(x[ell])))
-    if not 1e-12 <= h <= 1e-2:
-        raise StepSizeError(f"finite-difference step {h} outside [1e-12, 1e-2]")
-    xp = x.copy()
-    xm = x.copy()
-    xp[ell] += h
-    xm[ell] -= h
     u0 = build_total_unitary(scheme, x)
-    du = (build_total_unitary(scheme, xp) - build_total_unitary(scheme, xm)) / (2.0 * h)
+    du = central_difference(partial(build_total_unitary, scheme), x, ell)
     gen = 1j * du.conj().T @ u0
     return (gen + gen.conj().T) / 2.0

@@ -23,7 +23,7 @@ behind ``precision_curves``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,21 +88,22 @@ def magnetometry_scheme(
     ``control`` is ``"none"``, ``"optimal"`` (negate the coefficients at
     ``x_tilde``, default the field point itself), or an explicit 3-vector.
     """
-    scheme = SchemeConfig(
+    if isinstance(control, str):
+        if control == "optimal":
+            control = design_control(_coefficients, p.as_array() if x_tilde is None else x_tilde)
+        elif control == "none":
+            control = np.zeros(3)
+        else:
+            raise ValueError(f"unknown control kind {control!r}")
+    return SchemeConfig(
         coefficients=_coefficients,
         partials=_partials,
         n_params=3,
+        control=control,
         segment_time=segment_time,
         segment_count=segment_count,
         mode=mode,
     )
-    if isinstance(control, str):
-        if control == "none":
-            return scheme
-        if control != "optimal":
-            raise ValueError(f"unknown control kind {control!r}")
-        control = design_control(scheme, p.as_array() if x_tilde is None else x_tilde)
-    return replace(scheme, control=control)
 
 
 def _qfim_diagonal(p: FieldPoint, total_time, controlled: bool) -> np.ndarray:

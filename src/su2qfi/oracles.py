@@ -11,13 +11,15 @@ the closed forms they check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import algebra
-from .errors import StepSizeError, UnphysicalStateError
+from .errors import UnphysicalStateError
 from .qfi import BELL_PHI_PLUS
-from .scheme import SchemeConfig, build_total_unitary
+from .scheme import SchemeConfig, build_total_unitary, central_difference
+from .tolerances import PURITY
 
 _EYE2 = np.eye(2, dtype=complex)
 
@@ -61,27 +63,22 @@ def entangled_qfi_oracle(gen) -> float:
     return variance_qfi_oracle(h4, rho4)
 
 
-def entangled_qfim_fd(scheme: SchemeConfig, x, h: float = 1e-6) -> np.ndarray:
+def entangled_qfim_fd(scheme: SchemeConfig, x) -> np.ndarray:
     """Entangled-probe QFIM by finite differences of the evolved state.
 
     Entry (a, b) is 4 Re( <da psi|db psi> - <da psi|psi><psi|db psi> ) with
     |psi(x)> = (U_tot(x) (x) I) |Phi+> and the derivatives taken by central
-    differences, control held fixed.
+    differences (``scheme.central_difference``, step 1e-6 * max(1, |x_ell|)),
+    control held fixed.
     """
-    if not 1e-12 <= h <= 1e-2:
-        raise StepSizeError(f"finite-difference step {h} outside [1e-12, 1e-2]")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = scheme.n_params
-    psi0 = entangled_probe_state(build_total_unitary(scheme, x))
-    dpsi = []
-    for ell in range(d):
-        xp = x.copy()
-        xm = x.copy()
-        xp[ell] += h
-        xm[ell] -= h
-        up = entangled_probe_state(build_total_unitary(scheme, xp))
-        um = entangled_probe_state(build_total_unitary(scheme, xm))
-        dpsi.append((up - um) / (2.0 * h))
+
+    def state(xs):
+        return entangled_probe_state(build_total_unitary(scheme, xs))
+
+    psi0 = state(x)
+    dpsi = [central_difference(state, x, ell) for ell in range(d)]
     out = np.zeros((d, d))
     for a in range(d):
         for b in range(d):
@@ -94,9 +91,9 @@ def _check_density(probe: np.ndarray) -> np.ndarray:
     probe = np.asarray(probe, dtype=complex)
     if probe.ndim != 2 or probe.shape[0] != probe.shape[1] or probe.shape[0] not in (2, 4):
         raise UnphysicalStateError("probe must be a 2x2 or 4x4 density matrix")
-    if abs(np.trace(probe) - 1.0) > 1e-9:
+    if abs(np.trace(probe) - 1.0) > PURITY:
         raise UnphysicalStateError(f"probe trace {np.trace(probe)} is not 1")
-    if np.abs(probe - probe.conj().T).max() > 1e-9:
+    if np.abs(probe - probe.conj().T).max() > PURITY:
         raise UnphysicalStateError("probe is not Hermitian")
     return probe
 
@@ -117,18 +114,17 @@ class SldOracleResult:
     residuals: np.ndarray
 
 
-def sld_oracle(scheme: SchemeConfig, x, probe: np.ndarray, h: float = 1e-6) -> SldOracleResult:
+def sld_oracle(scheme: SchemeConfig, x, probe: np.ndarray) -> SldOracleResult:
     """SLD operators L = 2 (dU) U^dag by central differences.
 
-    The probe may live on the bare qubit (2x2) or on qubit plus ancilla
-    (4x4); in the latter case the dynamics acts as U (x) I.  Alongside the
-    SLDs, the generators i (dU^dag) U, symmetrized, are read off the same
-    differences, and the weak-commutation consistency residual is evaluated
-    for every pair.
+    The differences step x_ell by 1e-6 * max(1, |x_ell|)
+    (``scheme.central_difference``).  The probe may live on the bare qubit
+    (2x2) or on qubit plus ancilla (4x4); in the latter case the dynamics acts
+    as U (x) I.  Alongside the SLDs, the generators i (dU^dag) U, symmetrized,
+    are read off the same differences, and the weak-commutation consistency
+    residual is evaluated for every pair.
     """
     probe = _check_density(probe)
-    if not 1e-12 <= h <= 1e-2:
-        raise StepSizeError(f"finite-difference step {h} outside [1e-12, 1e-2]")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     with_ancilla = probe.shape[0] == 4
 
@@ -141,11 +137,7 @@ def sld_oracle(scheme: SchemeConfig, x, probe: np.ndarray, h: float = 1e-6) -> S
     slds = []
     gens = []
     for ell in range(scheme.n_params):
-        xp = x.copy()
-        xm = x.copy()
-        xp[ell] += h
-        xm[ell] -= h
-        du = (build_total_unitary(scheme, xp) - build_total_unitary(scheme, xm)) / (2.0 * h)
+        du = central_difference(partial(build_total_unitary, scheme), x, ell)
         slds.append(2.0 * lift(du) @ u0.conj().T)
         gen = 1j * du.conj().T @ u
         gens.append(lift((gen + gen.conj().T) / 2.0))

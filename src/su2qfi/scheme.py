@@ -36,7 +36,8 @@ class SchemeConfig:
     coefficient 3-vector X(x); ``partials`` returns the ``(d, 3)`` array of
     analytic partial derivatives of X.  When ``validation_points`` is
     nonempty the supplied partials are checked against central finite
-    differences of ``coefficients`` at construction.
+    differences of ``coefficients`` at construction (``central_difference``,
+    step 1e-6 * max(1, |x_ell|)).
     """
 
     coefficients: Callable[[np.ndarray], np.ndarray]
@@ -61,17 +62,12 @@ class SchemeConfig:
         for point in self.validation_points:
             self._check_partials_at(np.atleast_1d(np.asarray(point, dtype=float)))
 
-    def _check_partials_at(self, x: np.ndarray, h: float = 1e-6, rtol: float = 1e-6):
+    def _check_partials_at(self, x: np.ndarray):
         exact = np.asarray(self.partials(x), dtype=float).reshape(self.n_params, 3)
         for ell in range(self.n_params):
-            step = h * max(1.0, abs(float(x[ell])))  # relative, so large |x| still moves
-            xp = x.copy()
-            xm = x.copy()
-            xp[ell] += step
-            xm[ell] -= step
-            fd = (as_vec3(self.coefficients(xp)) - as_vec3(self.coefficients(xm))) / (2 * step)
+            fd = central_difference(self.coefficients_at, x, ell)
             scale = max(1.0, float(np.linalg.norm(exact[ell])))
-            if np.linalg.norm(fd - exact[ell]) > rtol * scale:
+            if np.linalg.norm(fd - exact[ell]) > 1e-6 * scale:
                 raise ValueError(
                     f"analytic partial {ell} disagrees with finite differences at {x}"
                 )
@@ -108,6 +104,23 @@ def build_total_unitary(scheme: SchemeConfig, x) -> np.ndarray:
     return np.linalg.matrix_power(segment, scheme.segment_count)
 
 
+def central_difference(
+    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, ell: int
+) -> np.ndarray:
+    """Central difference (f(x + h e_ell) - f(x - h e_ell)) / 2h of ``f`` along ``ell``.
+
+    This is the one step rule of every finite-difference check in the
+    package: h = 1e-6 * max(1, |x_ell|), absolute near zero and relative
+    beyond 1, so that x +- h stays distinct from x at any magnitude.
+    """
+    h = 1e-6 * max(1.0, abs(float(x[ell])))
+    xp = x.copy()
+    xm = x.copy()
+    xp[ell] += h
+    xm[ell] -= h
+    return (f(xp) - f(xm)) / (2.0 * h)
+
+
 def affine_scheme(
     x0, gradients, control, segment_time: float, segment_count: int, mode: str
 ) -> SchemeConfig:
@@ -129,14 +142,14 @@ def affine_scheme(
     )
 
 
-def design_control(scheme: SchemeConfig, x_tilde) -> np.ndarray:
-    """Optimal control for the scheme: X_c = -X(x_tilde), the negated coefficients.
+def design_control(coefficients: Callable[[np.ndarray], np.ndarray], x_tilde) -> np.ndarray:
+    """Optimal control for a coefficient map: X_c = -X(x_tilde), the negated coefficients.
 
     Holding this control cancels the per-segment generator at the estimated
     point, which pushes every parameter's maximal information to its
     quadratic-in-time ceiling.
     """
-    return -scheme.coefficients_at(x_tilde)
+    return -as_vec3(coefficients(np.atleast_1d(np.asarray(x_tilde, dtype=float))))
 
 
 def characterize(x_coeff, d_coeffs: Sequence) -> list[float]:

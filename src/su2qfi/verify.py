@@ -87,10 +87,10 @@ def generator_three_way(seed: int, samples: int) -> list[CheckResult]:
         label = f"X={_fmt_vec(x)} dX={_fmt_vec(d)} T={total_time:.6g}"
         closed = algebra.su2_element(closed_form_generator(x, d, total_time))
         scheme = affine_scheme(x, d, np.zeros(3), total_time, 1, MERGED)
-        numeric = numeric_generator(scheme, [0.0], 0, h=1e-6)
+        numeric = numeric_generator(scheme, [0.0], 0)
         closed_numeric.update(np.abs(closed - numeric).max(), label)
         try:
-            series = series_generator(x, d, total_time, tol=1e-14)
+            series = series_generator(x, d, total_time)
         except SeriesDepthError:
             continue
         closed_series.update(np.abs(closed - series).max(), label)
@@ -173,7 +173,7 @@ def sld_identity_suite(seed: int, samples: int) -> list[CheckResult]:
             psi /= np.linalg.norm(psi)
             probe = np.outer(psi, psi.conj())
         label = f"d={d} T={total_time:.6g} dim={probe.shape[0]}"
-        result = sld_oracle(scheme, x, probe, h=1e-6)
+        result = sld_oracle(scheme, x, probe)
         dev.update(result.residuals.max(), label)
     return [CheckResult("sld/commutation-identity", dev.value, 1e-6, dev.label)]
 

@@ -76,12 +76,12 @@ def test_criterion_1_generator_oracle_equivalence():
         t = rng.uniform(0.0, 5.0)
         closed = su2_element(closed_form_generator(x, d, t))
         if t > 0.0:
-            numeric = numeric_generator(linear_scheme(x, d, t), [0.0], 0, h=1e-6)
+            numeric = numeric_generator(linear_scheme(x, d, t), [0.0], 0)
             worst_cn = max(worst_cn, np.abs(closed - numeric).max())
         else:
             numeric = None
         try:
-            series = series_generator(x, d, t, tol=1e-14)
+            series = series_generator(x, d, t)
         except SeriesDepthError:
             # documented refusal: T|X| beyond the series domain, closed form rules
             continue
@@ -284,7 +284,7 @@ def test_criterion_7_sld_identity():
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi /= np.linalg.norm(psi)
             probe = np.outer(psi, psi.conj())
-        worst = max(worst, sld_oracle(scheme, x, probe, h=1e-6).residuals.max())
+        worst = max(worst, sld_oracle(scheme, x, probe).residuals.max())
     assert worst <= 1e-6
     report(7, f"max identity residual {worst:.3g} <= 1e-6 over 100 schemes/probes")
 

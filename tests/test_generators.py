@@ -8,7 +8,6 @@ import pytest
 
 from su2qfi import (
     SeriesDepthError,
-    StepSizeError,
     closed_form_generator,
     nested_cross,
     numeric_generator,
@@ -146,10 +145,6 @@ class TestSeries:
         closed = su2_element(closed_form_generator(x, d, 5.0))
         assert np.abs(series - closed).max() < 1e-11
 
-    def test_invalid_tolerance(self):
-        with pytest.raises(ValueError):
-            series_generator([1, 0, 0], [0, 1, 0], 1.0, tol=0.0)
-
     def test_zero_field_keeps_the_linear_term(self):
         # the term bound vanishes with |X|, but the n = 0 term must survive
         d = np.array([0.3, -1.2, 0.8])
@@ -228,7 +223,7 @@ class TestSeries:
             x = RNG.uniform(0.1, 2.0) * random_unit()
             d = RNG.uniform(0.1, 5.0) * random_unit()
             t = RNG.uniform(0.0, 5.0)
-            series = series_generator(x, d, t, tol=1e-14)
+            series = series_generator(x, d, t)
             closed = su2_element(closed_form_generator(x, d, t))
             worst = max(worst, np.abs(series - closed).max())
         assert worst < 1e-12
@@ -242,7 +237,7 @@ class TestNumericOracle:
             d = RNG.uniform(0.1, 5) * random_unit()
             t = RNG.uniform(0.01, 5)
             scheme = linear_scheme(x0, d, t)
-            num = numeric_generator(scheme, [0.0], 0, h=1e-6)
+            num = numeric_generator(scheme, [0.0], 0)
             closed = su2_element(closed_form_generator(x0, d, t))
             worst = max(worst, np.abs(num - closed).max())
         assert worst < 1e-6
@@ -253,7 +248,7 @@ class TestNumericOracle:
         d = np.array([0.4, 1.1, -0.3])
         t = 3.0
         scheme = linear_scheme(x0, d, t, control=-x0)
-        num = numeric_generator(scheme, [0.0], 0, h=1e-6)
+        num = numeric_generator(scheme, [0.0], 0)
         assert np.abs(num - (-t) * su2_element(d)).max() < 1e-6
 
     def test_constant_scheme_gives_zero(self):
@@ -263,15 +258,8 @@ class TestNumericOracle:
             n_params=1,
             segment_time=2.0,
         )
-        num = numeric_generator(scheme, [0.3], 0, h=1e-6)
+        num = numeric_generator(scheme, [0.3], 0)
         assert np.abs(num).max() < 1e-8
-
-    def test_step_size_validation(self):
-        scheme = linear_scheme([1, 0, 0], [0, 1, 0], 1.0)
-        with pytest.raises(StepSizeError):
-            numeric_generator(scheme, [0.0], 0, h=1e-13)
-        with pytest.raises(StepSizeError):
-            numeric_generator(scheme, [0.0], 0, h=0.1)
 
     def test_hermitian_output(self):
         scheme = linear_scheme([0.5, 0.5, 1.0], [1.0, 0, 0], 2.0)
@@ -290,8 +278,8 @@ class TestNumericOracle:
             merged = linear_scheme(x0, d, total_time, mode=MERGED, **kwargs)
             product = linear_scheme(x0, d, total_time, mode=PRODUCT, **kwargs)
             gap = np.abs(
-                numeric_generator(merged, [0.0], 0, h=1e-6)
-                - numeric_generator(product, [0.0], 0, h=1e-6)
+                numeric_generator(merged, [0.0], 0)
+                - numeric_generator(product, [0.0], 0)
             ).max()
             gaps.append(gap)
         ratios = [gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1)]
@@ -328,10 +316,10 @@ class TestThreeWayAgreement:
             d = RNG.uniform(0.1, 5.0) * random_unit()
             t = RNG.uniform(0.01, 5.0)
             closed = su2_element(closed_form_generator(x, d, t))
-            numeric = numeric_generator(linear_scheme(x, d, t), [0.0], 0, h=1e-6)
+            numeric = numeric_generator(linear_scheme(x, d, t), [0.0], 0)
             worst_cn = max(worst_cn, np.abs(closed - numeric).max())
             try:
-                series = series_generator(x, d, t, tol=1e-14)
+                series = series_generator(x, d, t)
             except SeriesDepthError:
                 continue
             evaluated += 1

@@ -256,7 +256,7 @@ class TestGenerators:
             )
             gens = scheme_generators(scheme, p.as_array())
             for ell in range(3):
-                num = numeric_generator(scheme, p.as_array(), ell, h=1e-6)
+                num = numeric_generator(scheme, p.as_array(), ell)
                 assert np.abs(num - su2_element(gens[ell])).max() < 1e-6
 
 

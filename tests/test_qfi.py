@@ -35,6 +35,7 @@ from su2qfi import (
 from su2qfi.qfi import weak_comm_matrix
 from su2qfi.oracles import (
     entangled_qfi_oracle,
+    entangled_qfim_fd,
     qfim_trace_oracle,
     sld_oracle,
     variance_qfi_oracle,
@@ -315,9 +316,9 @@ class TestSldOracle:
         scheme = linear_scheme([0.4, -1.1, 0.9], RNG.uniform(-1, 1, (3, 3)), t=0.7, n=3)
         x = RNG.uniform(-1, 1, 3)
         probe = density([0, 0, 1]) if dim == 2 else np.eye(4) / 4
-        result = sld_oracle(scheme, x, probe, h=1e-6)
+        result = sld_oracle(scheme, x, probe)
         for ell, gen in enumerate(result.generators):
-            expected = numeric_generator(scheme, x, ell, h=1e-6)
+            expected = numeric_generator(scheme, x, ell)
             if dim == 4:
                 expected = np.kron(expected, np.eye(2))
             assert np.array_equal(gen, expected)
@@ -336,6 +337,29 @@ class TestSldOracle:
         scheme = linear_scheme([1, 0, 0], [[0, 1, 0]])
         with pytest.raises(UnphysicalStateError):
             sld_oracle(scheme, [0.0], np.eye(2))  # trace 2
+
+
+class TestOraclesAtLargeCoordinates:
+    """The finite-difference oracles step x + h e_l with h relative to |x_l|.
+
+    The affine scheme X = (1, 0, 0) + x (0, 1/x, 0) has X = (1, 1, 0) and
+    dX = (0, 1/x, 0) at x, so an absolute step of 1e-6 is lost to rounding
+    once |x| is large.
+    """
+
+    @pytest.mark.parametrize("x", [1e5, 1e12])
+    def test_oracles_match_the_closed_form(self, x):
+        grads = [[0.0, 1.0 / x, 0.0]]
+        scheme = affine_scheme([1.0, 0.0, 0.0], grads, np.zeros(3), 0.7, 3, "merged")
+        point = np.array([x])
+        closed = su2_element(scheme_generators(scheme, point)[0])
+        scale = np.abs(closed).max()
+        numeric = numeric_generator(scheme, point, 0)
+        assert np.abs(numeric - closed).max() <= 1e-6 * scale
+        sld_gen = sld_oracle(scheme, point, density([0, 0, 1])).generators[0]
+        assert np.abs(sld_gen - closed).max() <= 1e-6 * scale
+        qfim = build_report(scheme, point, ENTANGLED_WITH_ANCILLA).qfim
+        assert np.abs(entangled_qfim_fd(scheme, point) - qfim).max() <= 1e-6 * np.abs(qfim).max()
 
 
 class TestBuildReport:
@@ -456,7 +480,7 @@ def affine_points(draw, max_params=3):
     n = draw(st.integers(1, 300))
     scheme = affine_scheme(x0, grads, np.zeros(3), t, n, "merged")
     if draw(st.booleans()):
-        scheme = replace(scheme, control=design_control(scheme, x))
+        scheme = replace(scheme, control=design_control(scheme.coefficients, x))
     return scheme, x
 
 

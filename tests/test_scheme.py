@@ -117,19 +117,19 @@ class TestDesignControl:
     def test_negates_coefficients_at_the_estimate(self):
         point = FieldPoint(3.0, np.pi / 6, 0.0)
         scheme = magnetometry_scheme(point, 1.0, 5)
-        control = design_control(scheme, [3.0, np.pi / 6, 0.0])
+        control = design_control(scheme.coefficients, [3.0, np.pi / 6, 0.0])
         assert np.allclose(control, [-3.0, 0.0, -3.0 * np.sqrt(3)], atol=1e-12)
 
     def test_zero_field_estimate_gives_zero_control(self):
         point = FieldPoint(3.0, np.pi / 6, 0.0)
         scheme = magnetometry_scheme(point, 1.0, 5)
-        control = design_control(scheme, [0.0, np.pi / 6, 0.0])
+        control = design_control(scheme.coefficients, [0.0, np.pi / 6, 0.0])
         assert np.allclose(control, [0, 0, 0])
 
     def test_design_then_build_reaches_the_ceiling(self):
         point = FieldPoint(2.0, 1.1, 0.4)
         scheme = magnetometry_scheme(point, 1.0, 5)
-        controlled = replace(scheme, control=design_control(scheme, point.as_array()))
+        controlled = replace(scheme, control=design_control(scheme.coefficients, point.as_array()))
         s = controlled.effective_coefficients(point.as_array())
         assert np.linalg.norm(s) < 1e-12
         # with |S| = 0 every parameter's maximum is T^2 |dX|^2
