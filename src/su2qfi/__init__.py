@@ -13,7 +13,6 @@ from .algebra import (
     cross,
     density,
     nested_cross,
-    purity,
     su2_element,
     su2_exp,
 )
@@ -48,12 +47,9 @@ from .qfi import (
     PURE_QUBIT,
     QfimReport,
     build_report,
-    entangled_qfi,
     entangled_weak_comm,
     qfi_max,
-    qfi_pure,
     qfim_pure,
-    weak_comm_residual,
 )
 from .scheme import (
     SchemeConfig,

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateVectorError, SeriesDepthError, UnphysicalStateError
+from .errors import DegenerateVectorError, UnphysicalStateError
 from .tolerances import BLOCH_NORM_SLACK
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -38,10 +38,6 @@ def as_vec3(v) -> np.ndarray:
     return arr
 
 
-def norm(v) -> float:
-    return float(np.linalg.norm(as_vec3(v)))
-
-
 def cross(a, b) -> np.ndarray:
     """Right-handed cross product a x b, written out by component.
 
@@ -60,17 +56,13 @@ def cross_matrix(a) -> np.ndarray:
     return np.array([[0.0, -a3, a2], [a3, 0.0, -a1], [-a2, a1, 0.0]])
 
 
-def nested_cross(z, w, n: int, cap: int = 64) -> np.ndarray:
-    """Apply ``z x .`` to ``w`` a total of ``n`` times.
+def nested_cross(z, w, n: int) -> np.ndarray:
+    """Apply ``z x .`` to ``w`` a total of ``n`` times; ``n = 0`` returns ``w``.
 
-    ``n = 0`` returns ``w`` unchanged.  Raises ``SeriesDepthError`` when
-    ``n`` exceeds ``cap``; the nesting depth is capped because callers use
-    this inside truncated series.
+    The term-by-term reference for the nested cross-product series.
     """
     if n < 0:
         raise ValueError("nesting count must be nonnegative")
-    if n > cap:
-        raise SeriesDepthError(f"nesting depth {n} exceeds cap {cap}")
     z = as_vec3(z)
     out = as_vec3(w).copy()
     for _ in range(n):
@@ -127,8 +119,3 @@ def check_bloch(r) -> np.ndarray:
 def density(r) -> np.ndarray:
     """Qubit density matrix I/2 + r.J for a Bloch vector r, |r| <= 1."""
     return IDENTITY_2 / 2 + su2_element(check_bloch(r))
-
-
-def purity(r) -> float:
-    """Tr[rho^2] of the Bloch state: (1 + |r|^2) / 2."""
-    return (1.0 + norm(r) ** 2) / 2.0

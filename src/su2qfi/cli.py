@@ -282,7 +282,7 @@ def cmd_sweep_alpha(cfg: RunConfig, out_path: str | None) -> int:
 
 def cmd_curves(cfg: RunConfig, out_path: str | None) -> int:
     point = FieldPoint(cfg.B, cfg.theta, cfg.phi)
-    table = precision_curves(point, cfg.t, cfg.n_max, cfg.controlled, cfg.probe)
+    table = precision_curves(point, cfg.t, cfg.n_max, cfg.controlled)
     columns = [table.n_segments, table.total_time, table.delta_b, table.delta_theta,
                table.delta_phi]
     _write_text(_csv(["N", "T", "dB", "dtheta", "dphi"], columns), out_path)

@@ -73,15 +73,18 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     and dX is small, and as z grows.  There is no special case: X = 0, T = 0
     and X parallel to dX all take the same arithmetic, and dX = 0 gives Y = 0.
     ``d_coeff`` is one 3-vector or a ``(d, 3)`` stack of partials, and Y has
-    its shape.  The maximal information is |Y|^2.
+    its shape.  The maximal information is |Y|^2.  A negative or NaN time and
+    a NaN phase z raise ``ValueError``; an infinite z raises ``OverflowError``.
     """
-    if total_time < 0:
-        raise ValueError("total_time must be nonnegative")
+    if not total_time >= 0:
+        raise ValueError(f"total_time must be nonnegative, got {total_time}")
     x_coeff = as_vec3(x_coeff)
     t = total_time
     z = t * math.hypot(*x_coeff.tolist())
     if math.isinf(z):
         raise OverflowError(f"the phase T|X| of T = {t:g} overflows double precision")
+    if math.isnan(z):
+        raise ValueError(f"the phase T|X| is NaN for X = {x_coeff} and T = {t:g}")
     sinc, a, b = _series_weights(z)
     # the linear map dX -> Y, applied row by row so a stack rounds like its rows
     generator_map = (
@@ -93,9 +96,7 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     return (d_coeff[..., None, :] * generator_map).sum(axis=-1)
 
 
-def series_generator(
-    x_coeff, d_coeff, total_time: float, max_terms: int = SERIES_TERM_CAP
-) -> np.ndarray:
+def series_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     """Generator by direct summation of the nested cross-product series.
 
     Term n contributes (-T)^(n+1)/(n+1)! times the n-fold nested cross
@@ -104,9 +105,12 @@ def series_generator(
     linear n = 0 term is always summed; the tail is truncated once the term
     bound T^(n+1) |X|^n |dX| / (n+1)! falls below ``SERIES_TOL`` or the nested
     cross vanishes (colinear geometry).  If the bound has not fallen below
-    ``SERIES_TOL`` within ``max_terms`` terms a ``SeriesDepthError`` is raised
-    and the closed form should be used instead.
+    ``SERIES_TOL`` within ``SERIES_TERM_CAP`` terms a ``SeriesDepthError`` is
+    raised and the closed form should be used instead.  A negative or NaN
+    time raises ``ValueError``, as in the closed form.
     """
+    if not total_time >= 0:
+        raise ValueError(f"total_time must be nonnegative, got {total_time}")
     x_coeff = as_vec3(x_coeff)
     d_coeff = as_vec3(d_coeff)
     nx = float(np.linalg.norm(x_coeff))
@@ -121,10 +125,10 @@ def series_generator(
     while True:
         if n > 0 and bound < SERIES_TOL:
             return algebra.su2_element(total)
-        if n >= max_terms:
+        if n >= SERIES_TERM_CAP:
             raise SeriesDepthError(
-                f"series not converged in {max_terms} terms (T|X| = {total_time * nx:.3g}); "
-                "use the closed form"
+                f"series not converged in {SERIES_TERM_CAP} terms "
+                f"(T|X| = {total_time * nx:.3g}); use the closed form"
             )
         total += coeff * w
         w = algebra.cross(x_coeff, w)

@@ -120,17 +120,13 @@ def _qfim_diagonal(p: FieldPoint, total_time, controlled: bool) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CurveTable:
-    """Precision-versus-time curves, one equal-length 1-D array per column.
-
-    ``attainable`` holds for the whole table: it depends only on the probe.
-    """
+    """Precision-versus-time curves, one equal-length 1-D array per column."""
 
     n_segments: np.ndarray
     total_time: np.ndarray
     delta_b: np.ndarray
     delta_theta: np.ndarray
     delta_phi: np.ndarray
-    attainable: bool
 
 
 def precision_curves(
@@ -138,22 +134,19 @@ def precision_curves(
     segment_time: float,
     n_max: int,
     controlled: bool,
-    probe: str = "entangled",
 ) -> CurveTable:
     """Best single-shot standard deviations against segment count.
 
     Deviations are 1/sqrt of the optimal QFIM diagonal; entries with zero
     information (oscillation nulls, azimuth at a pole) are reported as
-    infinite rather than raising.  Rows from the entangled probe are
-    simultaneously attainable; pure-qubit rows are not.
+    infinite rather than raising.  Each entry is attainable on its own with
+    either probe; only the entangled probe attains all three at once.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if probe not in ("pure", "entangled"):
-        raise ValueError(f"unknown probe kind {probe!r}")
     n = np.arange(1, n_max + 1)
     total_time = n * segment_time
     info = _qfim_diagonal(p, total_time, controlled)
     with np.errstate(divide="ignore"):
         dev = np.where(info > 0.0, 1.0 / np.sqrt(info), np.inf)
-    return CurveTable(n, total_time, dev[0], dev[1], dev[2], attainable=probe == "entangled")
+    return CurveTable(n, total_time, dev[0], dev[1], dev[2])

@@ -91,9 +91,9 @@ def _check_density(probe: np.ndarray) -> np.ndarray:
     probe = np.asarray(probe, dtype=complex)
     if probe.ndim != 2 or probe.shape[0] != probe.shape[1] or probe.shape[0] not in (2, 4):
         raise UnphysicalStateError("probe must be a 2x2 or 4x4 density matrix")
-    if abs(np.trace(probe) - 1.0) > PURITY:
+    if not abs(np.trace(probe) - 1.0) <= PURITY:
         raise UnphysicalStateError(f"probe trace {np.trace(probe)} is not 1")
-    if np.abs(probe - probe.conj().T).max() > PURITY:
+    if not np.abs(probe - probe.conj().T).max() <= PURITY:
         raise UnphysicalStateError("probe is not Hermitian")
     return probe
 
@@ -103,14 +103,14 @@ class SldOracleResult:
     """Finite-difference SLD operators plus the consistency residuals.
 
     ``residuals[a, b]`` is |Tr[[L_a, L_b] rho_x] + 4 Tr[[H_a, H_b] rho_in]|,
-    which vanishes identically: the SLDs conjugated back through the total
-    unitary are 2i times the generators.
+    with rho_x = U rho_in U^dag the evolved probe, and vanishes identically:
+    the SLDs conjugated back through the total unitary are 2i times the
+    generators.
     """
 
     slds: list
     generators: list
     u_tot: np.ndarray
-    rho_x: np.ndarray
     residuals: np.ndarray
 
 
@@ -148,4 +148,4 @@ def sld_oracle(scheme: SchemeConfig, x, probe: np.ndarray) -> SldOracleResult:
             lhs = weak_comm_trace_oracle(slds[a], slds[b], rho_x)
             rhs = -4.0 * weak_comm_trace_oracle(gens[a], gens[b], probe)
             residuals[a, b] = abs(lhs - rhs)
-    return SldOracleResult(slds=slds, generators=gens, u_tot=u0, rho_x=rho_x, residuals=residuals)
+    return SldOracleResult(slds=slds, generators=gens, u_tot=u0, residuals=residuals)

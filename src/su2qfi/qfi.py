@@ -35,18 +35,12 @@ def _squared_norms(gens: np.ndarray) -> np.ndarray:
     return (gens * gens).sum(axis=-1)
 
 
-def qfi_pure(gen, r) -> float:
-    """QFI of one parameter for a pure qubit probe: |Y|^2 - (Y.r)^2."""
-    r = check_bloch(r)
-    gen = as_vec3(gen)
-    return float(np.dot(gen, gen) - np.dot(gen, r) ** 2)
-
-
 def qfim_pure(gens, r) -> np.ndarray:
     """QFI matrix for a pure qubit probe: Y Y^T - (Y r)(Y r)^T.
 
-    ``gens`` stacks the generators Y_a as rows; the diagonal reduces to
-    ``qfi_pure``.
+    ``gens`` stacks the generators Y_a as rows; diagonal entry a is the
+    single-parameter information |Y_a|^2 - (Y_a.r)^2.  At r = 0, the reduced
+    state of a maximally entangled probe, it is the entangled-probe QFIM.
     """
     r = check_bloch(r)
     gens = np.asarray(gens, dtype=float).reshape(-1, 3)
@@ -93,24 +87,6 @@ def weak_comm_matrix(gens, r) -> np.ndarray:
     return 0.25 * (g.T - g)
 
 
-def weak_comm_residual(gen_a, gen_b, r) -> complex:
-    """Tr[[H_a, H_b] rho] for a qubit probe: (i/2) (Y_a x Y_b).r.
-
-    Purely imaginary; zero exactly when the cross of the generators is
-    orthogonal to the Bloch vector.
-    """
-    return 1j * float(weak_comm_matrix([as_vec3(gen_a), as_vec3(gen_b)], r)[0, 1])
-
-
-def entangled_qfi(gen) -> float:
-    """QFI with a maximally entangled probe and idle ancilla: |Y|^2, always.
-
-    The reduced probe state is I/2, so the direction of Y drops out entirely
-    and the maximum is attained unconditionally.
-    """
-    return float(_squared_norms(as_vec3(gen)))
-
-
 def entangled_weak_comm(gen_a, gen_b, probe: np.ndarray) -> complex:
     """Weak-commutation trace on an explicit two-qubit probe.
 
@@ -121,7 +97,7 @@ def entangled_weak_comm(gen_a, gen_b, probe: np.ndarray) -> complex:
     probe = np.asarray(probe, dtype=complex).reshape(-1)
     if probe.shape != (4,):
         raise DimensionalityError("probe must be a 4-dimensional state vector")
-    if abs(np.linalg.norm(probe) - 1.0) > PURITY:
+    if not abs(np.linalg.norm(probe) - 1.0) <= PURITY:
         raise NormalizationError(f"probe norm {np.linalg.norm(probe)} is not 1")
     eye = np.eye(2, dtype=complex)
     ha = np.kron(algebra.su2_element(gen_a), eye)

@@ -13,6 +13,7 @@ built from a prior estimate of the parameters, never from the true point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -55,8 +56,9 @@ class SchemeConfig:
             raise ValueError("a scheme needs at least one parameter")
         if not (math.isfinite(self.segment_time) and self.segment_time > 0):
             raise ValueError("segment_time must be finite and positive")
-        if self.segment_count < 1:
-            raise ValueError("segment_count must be a positive integer")
+        count = self.segment_count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"segment_count must be a positive integer, got {count!r}")
         if self.mode not in (MERGED, PRODUCT):
             raise ValueError(f"unknown composition mode {self.mode!r}")
         for point in self.validation_points:
@@ -176,22 +178,20 @@ class GapTable:
 
 
 def gap_profile(
-    n_values: Sequence[int] = (3, 5, 10),
-    alpha_grid: Sequence[float] | None = None,
+    n_values: Sequence[int],
+    alpha_grid: Sequence[float],
     t: float = 1.0,
     x_norm: float = 2.0,
     dx_norm: float = 1.0,
 ) -> GapTable:
     """Tabulate uncontrolled maxima against the controlled ceiling.
 
-    Rows are ordered segment-count-major, then by ascending alpha.  The
-    defaults match the landscape used throughout the tests: t = 1, |X| = 2,
-    |dX| = 1, N in {3, 5, 10}.
+    Rows are ordered segment-count-major, then by the order of
+    ``alpha_grid``.  The defaults match the landscape used throughout the
+    tests: t = 1, |X| = 2, |dX| = 1.
     """
     from .qfi import qfi_max_from_angle
 
-    if alpha_grid is None:
-        alpha_grid = np.linspace(0.0, np.pi, 65)
     n = np.asarray(n_values)
     alpha = np.asarray(alpha_grid, dtype=float)
     if n.size == 0 or alpha.size == 0:

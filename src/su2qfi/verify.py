@@ -23,14 +23,7 @@ from .oracles import (
     variance_qfi_oracle,
     weak_comm_trace_oracle,
 )
-from .qfi import (
-    BELL_PHI_PLUS,
-    entangled_qfi,
-    entangled_weak_comm,
-    qfi_pure,
-    qfim_pure,
-    weak_comm_matrix,
-)
+from .qfi import BELL_PHI_PLUS, entangled_weak_comm, qfim_pure, weak_comm_matrix
 from .scheme import MERGED, PRODUCT, affine_scheme, build_total_unitary
 
 
@@ -111,7 +104,7 @@ def _random_generator(rng) -> np.ndarray:
 
 
 def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:
-    """Closed-form information quantities vs the matrix-trace oracles."""
+    """The pure-probe QFIM and residuals ``build_report`` evaluates vs the trace oracles."""
     rng = np.random.default_rng([seed, 2])
     qfi_dev = _Worst()
     qfim_dev = _Worst()
@@ -122,8 +115,9 @@ def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:
         rho = algebra.density(r)
         mats = [algebra.su2_element(g) for g in gens]
         label = f"|Y|={_fmt_vec(np.linalg.norm(gens, axis=1))} r={_fmt_vec(r)}"
-        qfi_dev.update(abs(qfi_pure(gens[0], r) - variance_qfi_oracle(mats[0], rho)), label)
-        qfim_dev.update(np.abs(qfim_pure(gens, r) - qfim_trace_oracle(mats, rho)).max(), label)
+        qfim = qfim_pure(gens, r)
+        qfi_dev.update(abs(qfim[0, 0] - variance_qfi_oracle(mats[0], rho)), label)
+        qfim_dev.update(np.abs(qfim - qfim_trace_oracle(mats, rho)).max(), label)
         closed = weak_comm_matrix(gens, r)
         for a in range(3):
             for b in range(a + 1, 3):
@@ -137,7 +131,11 @@ def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:
 
 
 def entangled_probe_suite(seed: int, samples: int) -> list[CheckResult]:
-    """Entangled-probe information and unconditional weak commutation."""
+    """Entangled-probe information and unconditional weak commutation.
+
+    ``build_report`` evaluates the entangled probe as the pure-probe QFIM at
+    r = 0, the reduced state I/2; that is the quantity checked here.
+    """
     rng = np.random.default_rng([seed, 3])
     qfi_dev = _Worst()
     wc_dev = _Worst()
@@ -145,7 +143,8 @@ def entangled_probe_suite(seed: int, samples: int) -> list[CheckResult]:
         gen_a = _random_generator(rng)
         gen_b = _random_generator(rng)
         label = f"|Ya|={np.linalg.norm(gen_a):.6g} |Yb|={np.linalg.norm(gen_b):.6g}"
-        qfi_dev.update(abs(entangled_qfi(gen_a) - entangled_qfi_oracle(gen_a)), label)
+        qfi = qfim_pure(gen_a, np.zeros(3))[0, 0]
+        qfi_dev.update(abs(qfi - entangled_qfi_oracle(gen_a)), label)
         wc_dev.update(abs(entangled_weak_comm(gen_a, gen_b, BELL_PHI_PLUS)), label)
     return [
         CheckResult("entangled/qfi-vs-4x4-oracle", qfi_dev.value, 1e-11, qfi_dev.label),

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from su2qfi.algebra import cross_matrix
 from su2qfi import (
     DegenerateVectorError,
-    SeriesDepthError,
     UnphysicalStateError,
     angle_between,
     cross,
     density,
     nested_cross,
-    purity,
     su2_element,
     su2_exp,
 )
@@ -117,11 +115,6 @@ class TestNestedCross:
         z = RNG.normal(size=3)
         for n in (1, 2, 5):
             assert np.allclose(nested_cross(z, 2.5 * z, n), [0, 0, 0])
-
-    def test_depth_cap(self):
-        with pytest.raises(SeriesDepthError):
-            nested_cross([1, 0, 0], [0, 1, 0], 65)
-        nested_cross([1, 0, 0], [0, 1, 0], 65, cap=70)
 
 
 class TestAngleBetween:
@@ -243,7 +236,6 @@ class TestDensity:
 
     def test_purity_value(self):
         r = [0.6, 0, 0]
-        assert purity(r) == pytest.approx(0.68, abs=1e-15)
         rho = density(r)
         assert np.trace(rho @ rho).real == pytest.approx(0.68, abs=1e-14)
 

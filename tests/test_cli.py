@@ -564,6 +564,15 @@ class TestCurves:
         _, rows = parse_csv(out)
         assert all(r[4] == "inf" for r in rows)
 
+    @pytest.mark.parametrize("controlled", ["true", "false"])
+    def test_probe_does_not_change_the_table(self, capsys, controlled):
+        # each deviation is attainable on its own with either probe
+        argv = ("curves", "--controlled", controlled, "--probe")
+        code_p, out_p, _ = run_main(capsys, *argv, "pure")
+        code_e, out_e, _ = run_main(capsys, *argv, "entangled")
+        assert code_p == code_e == 0
+        assert out_p == out_e
+
 
 class TestVerify:
     def test_passes_and_exits_zero(self, capsys):

@@ -392,15 +392,9 @@ class TestPrecisionCurves:
         assert all(np.isinf(table.delta_phi[k]) for k in range(3))
         assert all(np.isfinite(table.delta_theta[k]) for k in range(3))
 
-    def test_probe_sets_attainable_flag(self):
-        assert precision_curves(POINT, 1.0, 3, True, "entangled").attainable is True
-        assert precision_curves(POINT, 1.0, 3, True, "pure").attainable is False
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             precision_curves(POINT, 1.0, 0, True)
-        with pytest.raises(ValueError):
-            precision_curves(POINT, 1.0, 3, True, probe="ghz")
 
 
 class TestOffDiagonal:

@@ -22,15 +22,12 @@ from su2qfi import (
     cross,
     density,
     design_control,
-    entangled_qfi,
     entangled_weak_comm,
     magnetometry_scheme,
     numeric_generator,
     qfi_max,
-    qfi_pure,
     qfim_pure,
     su2_element,
-    weak_comm_residual,
 )
 from su2qfi.qfi import weak_comm_matrix
 from su2qfi.oracles import (
@@ -70,16 +67,16 @@ def linear_scheme(x0, grads, t=1.0, n=1, control=np.zeros(3)):
 class TestQfiPure:
     def test_orthogonal_probe_maximizes(self):
         gen = np.array([0.0, 0, 5.0])
-        assert qfi_pure(gen, [1, 0, 0]) == 25.0
+        assert qfim_pure([gen], [1, 0, 0])[0, 0] == 25.0
 
     def test_aligned_probe_is_blind(self):
         gen = np.array([0.0, 0, 5.0])
-        assert qfi_pure(gen, [0, 0, 1]) == 0.0
+        assert qfim_pure([gen], [0, 0, 1])[0, 0] == 0.0
 
     def test_partial_projection(self):
         r = np.array([0.6, 0.0, 0.8])  # e.r = 0.6
         gen = np.array([2.0, 0.0, 0.0])
-        value = qfi_pure(gen, r)
+        value = qfim_pure([gen], r)[0, 0]
         assert value == pytest.approx(4 * (1 - 0.36), abs=1e-14)
         # variance oracle on explicit matrices
         oracle = variance_qfi_oracle(su2_element(gen), density(r))
@@ -90,17 +87,10 @@ class TestQfiPure:
             gen = random_gen()
             r = random_unit()
             oracle = variance_qfi_oracle(su2_element(gen), density(r))
-            assert abs(qfi_pure(gen, r) - oracle) < 1e-11
+            assert abs(qfim_pure([gen], r)[0, 0] - oracle) < 1e-11
 
 
 class TestQfimPure:
-    def test_single_parameter_consistency(self):
-        gen = random_gen()
-        r = random_unit()
-        mat = qfim_pure([gen], r)
-        assert mat.shape == (1, 1)
-        assert mat[0, 0] == pytest.approx(qfi_pure(gen, r), rel=1e-14)
-
     def test_orthogonal_axes_diagonalize(self):
         gens = [np.array([2.0, 0, 0]), np.array([0.0, 3.0, 0])]
         r = np.array([0.0, 0.0, 1.0])  # orthogonal to both axes
@@ -184,19 +174,19 @@ class TestQfiMaxControlled:
 
 class TestWeakCommResidual:
     def test_mixed_probe_origin(self):
-        assert weak_comm_residual(random_gen(), random_gen(), [0, 0, 0]) == 0.0
+        assert 1j * weak_comm_matrix([random_gen(), random_gen()], [0, 0, 0])[0, 1] == 0.0
 
     def test_parallel_axes_commute(self):
         e = random_unit()
         a = 2.0 * e
         b = 3.0 * e
-        assert abs(weak_comm_residual(a, b, random_unit())) < 1e-15
+        assert abs(1j * weak_comm_matrix([a, b], random_unit())[0, 1]) < 1e-15
 
     def test_pauli_reference_value(self):
         a = np.array([1.0, 0, 0])
         b = np.array([0.0, 1, 0])
         r = np.array([0.0, 0, 1])
-        closed = weak_comm_residual(a, b, r)
+        closed = 1j * weak_comm_matrix([a, b], r)[0, 1]
         assert closed == pytest.approx(0.5j, abs=1e-15)
         oracle = weak_comm_trace_oracle(su2_element(a), su2_element(b), density(r))
         assert closed == pytest.approx(oracle, abs=1e-13)
@@ -219,7 +209,7 @@ class TestWeakCommResidual:
         for _ in range(300):
             a, b = random_gen(), random_gen()
             r = random_unit() * RNG.uniform(0, 1)
-            closed = weak_comm_residual(a, b, r)
+            closed = 1j * weak_comm_matrix([a, b], r)[0, 1]
             assert abs(closed.real) < 1e-13
             oracle = weak_comm_trace_oracle(su2_element(a), su2_element(b), density(r))
             assert abs(closed - oracle) < 1e-12
@@ -230,22 +220,22 @@ class TestEntangledProbe:
         # 25 |e|^2 is 25 exactly on the axes; a random unit e rounds |e|^2
         for e, rel in (([1.0, 0, 0], 0.0), (random_unit(), 1e-15), ([0.0, 0, 1], 0.0)):
             gen = 5.0 * np.asarray(e)
-            assert entangled_qfi(gen) == pytest.approx(25.0, rel=rel, abs=0.0)
+            assert qfim_pure([gen], np.zeros(3))[0, 0] == pytest.approx(25.0, rel=rel, abs=0.0)
 
     def test_zero_magnitude(self):
-        assert entangled_qfi(np.zeros(3)) == 0.0
+        assert qfim_pure([np.zeros(3)], np.zeros(3))[0, 0] == 0.0
 
     def test_magnetometry_colatitude_value(self):
         point = FieldPoint(3.0, np.pi / 6, 0.0)
         gen_theta = scheme_generators(magnetometry_scheme(point, 1.0, 1), point.as_array())[1]
         expected = 4 * np.sin(3.0) ** 2
-        assert entangled_qfi(gen_theta) == pytest.approx(expected, abs=1e-13)
+        assert qfim_pure([gen_theta], np.zeros(3))[0, 0] == pytest.approx(expected, abs=1e-13)
         assert entangled_qfi_oracle(gen_theta) == pytest.approx(expected, abs=1e-11)
 
     def test_matches_4x4_oracle_randomly(self):
         for _ in range(500):
             gen = random_gen()
-            assert abs(entangled_qfi(gen) - entangled_qfi_oracle(gen)) < 1e-11
+            assert abs(qfim_pure([gen], np.zeros(3))[0, 0] - entangled_qfi_oracle(gen)) < 1e-11
 
     def test_weak_comm_vanishes_on_bell_probe(self):
         for _ in range(300):
@@ -278,6 +268,10 @@ class TestEntangledProbe:
     def test_unnormalized_probe_rejected(self):
         with pytest.raises(NormalizationError):
             entangled_weak_comm(random_gen(), random_gen(), np.array([1.0, 0, 0, 1.0]))
+
+    def test_nan_probe_rejected(self):
+        with pytest.raises(NormalizationError):
+            entangled_weak_comm(random_gen(), random_gen(), np.array([np.nan, 0, 0, 1.0]))
 
 
 class TestSldOracle:
@@ -337,6 +331,15 @@ class TestSldOracle:
         scheme = linear_scheme([1, 0, 0], [[0, 1, 0]])
         with pytest.raises(UnphysicalStateError):
             sld_oracle(scheme, [0.0], np.eye(2))  # trace 2
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_nan_density_rejected(self, entry):
+        # a NaN on the diagonal fails the trace check, off it the Hermiticity check
+        scheme = linear_scheme([1, 0, 0], [[0, 1, 0]])
+        probe = density([0, 0, 1])
+        probe[entry] = np.nan
+        with pytest.raises(UnphysicalStateError):
+            sld_oracle(scheme, [0.0], probe)
 
 
 class TestOraclesAtLargeCoordinates:

@@ -48,6 +48,15 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             linear_scheme([1, 0, 0], [0, 1, 0], mode="interleaved")
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    def test_rejects_non_integer_segment_count(self, n):
+        with pytest.raises(ValueError, match="segment_count must be a positive integer"):
+            linear_scheme([1, 0, 0], [0, 1, 0], n=n)
+
+    def test_accepts_numpy_integer_segment_count(self):
+        scheme = linear_scheme([1, 0, 0], [0, 1, 0], t=0.5, n=np.int64(3))
+        assert scheme.total_time == 1.5
+
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_segment_time(self, t):
         with pytest.raises(ValueError, match="segment_time must be finite and positive"):
