@@ -26,9 +26,6 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 
-# the shipped generator triple J = sigma/2
-_J1, _J2, _J3 = PAULI_X / 2, PAULI_Y / 2, PAULI_Z / 2
-
 
 def as_vec3(v) -> np.ndarray:
     """Coerce to a float 3-vector."""
@@ -36,6 +33,24 @@ def as_vec3(v) -> np.ndarray:
     if arr.shape != (3,):
         raise DegenerateVectorError(f"expected a 3-vector, got shape {arr.shape}")
     return arr
+
+
+# below this magnitude per component a sum of three squares cannot overflow
+_SQUARES_FIT = 2.0**510
+
+
+def euclidean_norm(v: np.ndarray) -> float:
+    """|v| of a float 3-vector, rounded exactly as ``np.linalg.norm`` rounds it.
+
+    That is the square root of the BLAS dot product, without the dispatch of
+    ``np.linalg.norm``.  A square that overflows gives inf without a warning;
+    silencing the warning costs a few microseconds, so it is paid only when a
+    component is large enough to overflow.
+    """
+    if max(map(abs, v.tolist())) < _SQUARES_FIT:
+        return math.sqrt(v.dot(v))
+    with np.errstate(over="ignore"):
+        return math.sqrt(v.dot(v))
 
 
 def cross(a, b) -> np.ndarray:
@@ -85,9 +100,14 @@ def angle_between(a, b) -> float:
 
 
 def su2_element(v) -> np.ndarray:
-    """The Hermitian traceless matrix v.J = v1 j1 + v2 j2 + v3 j3."""
-    v = as_vec3(v)
-    return v[0] * _J1 + v[1] * _J2 + v[2] * _J3
+    """The Hermitian traceless matrix v.J = v1 j1 + v2 j2 + v3 j3.
+
+    Built entry by entry from the halved components; halving is exact, so
+    this equals v.sigma/2 to the last bit.
+    """
+    v1, v2, v3 = as_vec3(v).tolist()
+    h1, h2, h3 = 0.5 * v1, 0.5 * v2, 0.5 * v3
+    return np.array([[h3, complex(h1, -h2)], [complex(h1, h2), -h3]])
 
 
 def su2_exp(v, tau: float) -> np.ndarray:
@@ -97,14 +117,30 @@ def su2_exp(v, tau: float) -> np.ndarray:
 
         cos(tau |v| / 2) I  -  2 i sin(tau |v| / 2) (vhat.J)
 
-    which is unitary to machine precision for any tau.
+    which is unitary to machine precision for any tau.  v = 0 gives I for any
+    tau.  Otherwise a NaN phase tau |v| / 2 (a NaN in v or tau) raises
+    ``ValueError``, and an infinite one (tau infinite, or |v|^2 beyond double
+    range, which is |v| above about 1.3e154) raises ``OverflowError``.
     """
     v = as_vec3(v)
-    nv = np.linalg.norm(v)
+    nv = euclidean_norm(v)
     if nv == 0.0:
         return IDENTITY_2.copy()
-    half = 0.5 * tau * nv
-    return np.cos(half) * IDENTITY_2 - 2j * np.sin(half) * su2_element(v / nv)
+    half = 0.5 * float(tau) * nv  # a Python float overflows to inf without a warning
+    if not math.isfinite(half):
+        if math.isinf(nv) or math.isinf(half):
+            raise OverflowError(f"the phase tau|v|/2 of tau = {tau:g} and v = {v} overflows")
+        raise ValueError(f"the phase tau|v|/2 is NaN for tau = {tau:g} and v = {v}")
+    c = math.cos(half)
+    s = math.sin(half)
+    v1, v2, v3 = v.tolist()
+    n1, n2, n3 = v1 / nv, v2 / nv, v3 / nv
+    return np.array(
+        [
+            [complex(c, -s * n3), complex(-s * n2, -s * n1)],
+            [complex(s * n2, -s * n1), complex(c, s * n3)],
+        ]
+    )
 
 
 def check_bloch(r) -> np.ndarray:
@@ -118,4 +154,18 @@ def check_bloch(r) -> np.ndarray:
 
 def density(r) -> np.ndarray:
     """Qubit density matrix I/2 + r.J for a Bloch vector r, |r| <= 1."""
-    return IDENTITY_2 / 2 + su2_element(check_bloch(r))
+    r1, r2, r3 = check_bloch(r).tolist()
+    h1, h2, h3 = 0.5 * r1, 0.5 * r2, 0.5 * r3
+    return np.array([[0.5 + h3, complex(h1, -h2)], [complex(h1, h2), 0.5 - h3]])
+
+
+def lift(u) -> np.ndarray:
+    """u (x) I_2: a 2x2 operator acting on a qubit with an idle ancilla.
+
+    The Kronecker product with the 2x2 identity, written as two strided
+    copies of u: one on the even rows and columns, one on the odd.
+    """
+    out = np.zeros((4, 4), dtype=complex)
+    out[0::2, 0::2] = u
+    out[1::2, 1::2] = u
+    return out

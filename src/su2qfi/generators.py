@@ -73,11 +73,15 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     and dX is small, and as z grows.  There is no special case: X = 0, T = 0
     and X parallel to dX all take the same arithmetic, and dX = 0 gives Y = 0.
     ``d_coeff`` is one 3-vector or a ``(d, 3)`` stack of partials, and Y has
-    its shape.  The maximal information is |Y|^2.  A negative or NaN time and
-    a NaN phase z raise ``ValueError``; an infinite z raises ``OverflowError``.
+    its shape.  The maximal information is |Y|^2.  A negative or NaN time, a
+    non-finite partial and a NaN phase z raise ``ValueError``; an infinite z
+    raises ``OverflowError``.
     """
     if not total_time >= 0:
         raise ValueError(f"total_time must be nonnegative, got {total_time}")
+    d_coeff = np.asarray(d_coeff, dtype=float)
+    if not np.isfinite(d_coeff).all():
+        raise ValueError(f"the partial dX = {d_coeff} is not finite")
     x_coeff = as_vec3(x_coeff)
     t = total_time
     z = t * math.hypot(*x_coeff.tolist())
@@ -92,7 +96,6 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
         + t * t * a * algebra.cross_matrix(x_coeff)
         - t**3 * b * np.outer(x_coeff, x_coeff)
     )
-    d_coeff = np.asarray(d_coeff, dtype=float)
     return (d_coeff[..., None, :] * generator_map).sum(axis=-1)
 
 
@@ -101,22 +104,28 @@ def series_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
 
     Term n contributes (-T)^(n+1)/(n+1)! times the n-fold nested cross
     product of X applied to dX.  The terms are accumulated as one real
-    coefficient 3-vector, which is contracted with J once at the end.  The
-    linear n = 0 term is always summed; the tail is truncated once the term
-    bound T^(n+1) |X|^n |dX| / (n+1)! falls below ``SERIES_TOL`` or the nested
-    cross vanishes (colinear geometry).  If the bound has not fallen below
-    ``SERIES_TOL`` within ``SERIES_TERM_CAP`` terms a ``SeriesDepthError`` is
-    raised and the closed form should be used instead.  A negative or NaN
-    time raises ``ValueError``, as in the closed form.
+    coefficient 3-vector, held as three floats, which is contracted with J
+    once at the end.  The linear n = 0 term is always summed; the tail is
+    truncated once the term bound T^(n+1) |X|^n |dX| / (n+1)! falls below
+    ``SERIES_TOL`` or the nested cross vanishes (colinear geometry).  If the
+    bound has not fallen below ``SERIES_TOL`` within ``SERIES_TERM_CAP`` terms
+    a ``SeriesDepthError`` is raised and the closed form should be used
+    instead.  A negative or NaN time and a non-finite X or dX raise
+    ``ValueError``, as in the closed form.
     """
     if not total_time >= 0:
         raise ValueError(f"total_time must be nonnegative, got {total_time}")
     x_coeff = as_vec3(x_coeff)
     d_coeff = as_vec3(d_coeff)
-    nx = float(np.linalg.norm(x_coeff))
-    nd = float(np.linalg.norm(d_coeff))
-    total = np.zeros(3)
-    w = d_coeff
+    x1, x2, x3 = x_coeff.tolist()
+    w1, w2, w3 = d_coeff.tolist()
+    if not all(map(math.isfinite, (x1, x2, x3))):
+        raise ValueError(f"the coefficients X = {x_coeff} are not finite")
+    if not all(map(math.isfinite, (w1, w2, w3))):
+        raise ValueError(f"the partial dX = {d_coeff} is not finite")
+    nx = algebra.euclidean_norm(x_coeff)
+    nd = algebra.euclidean_norm(d_coeff)
+    s1 = s2 = s3 = 0.0
     # term n carries coefficient (-T)^(n+1)/(n+1)! and bound T^(n+1)|X|^n|dX|/(n+1)!,
     # both updated multiplicatively to sidestep factorial overflow
     coeff = -total_time
@@ -124,16 +133,19 @@ def series_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     n = 0
     while True:
         if n > 0 and bound < SERIES_TOL:
-            return algebra.su2_element(total)
+            return algebra.su2_element((s1, s2, s3))
         if n >= SERIES_TERM_CAP:
             raise SeriesDepthError(
                 f"series not converged in {SERIES_TERM_CAP} terms "
                 f"(T|X| = {total_time * nx:.3g}); use the closed form"
             )
-        total += coeff * w
-        w = algebra.cross(x_coeff, w)
-        if not w.any():
-            return algebra.su2_element(total)
+        s1 += coeff * w1
+        s2 += coeff * w2
+        s3 += coeff * w3
+        # w <- X x w, written out as in algebra.cross
+        w1, w2, w3 = x2 * w3 - x3 * w2, x3 * w1 - x1 * w3, x1 * w2 - x2 * w1
+        if not (w1 or w2 or w3):
+            return algebra.su2_element((s1, s2, s3))
         n += 1
         coeff *= -total_time / (n + 1)
         bound *= total_time * nx / (n + 1)

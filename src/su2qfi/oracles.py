@@ -21,8 +21,6 @@ from .qfi import BELL_PHI_PLUS
 from .scheme import SchemeConfig, build_total_unitary, central_difference
 from .tolerances import PURITY
 
-_EYE2 = np.eye(2, dtype=complex)
-
 
 def variance_qfi_oracle(h_mat: np.ndarray, rho: np.ndarray) -> float:
     """4 (Tr[H^2 rho] - Tr[H rho]^2) on explicit matrices."""
@@ -34,16 +32,16 @@ def variance_qfi_oracle(h_mat: np.ndarray, rho: np.ndarray) -> float:
 def qfim_trace_oracle(h_mats, rho: np.ndarray) -> np.ndarray:
     """QFIM entries 4 ( Tr[{H_a, H_b} rho]/2 - Tr[H_a rho H_b rho] ).
 
-    Exact for a pure ``rho``; works in any dimension.
+    Exact for a pure ``rho``; works in any dimension.  The matrices are
+    stacked as (d, n, n) and every pair (a, b) is formed by one broadcast
+    product.
     """
-    d = len(h_mats)
-    out = np.zeros((d, d))
-    for a in range(d):
-        for b in range(d):
-            sym = 0.5 * np.trace((h_mats[a] @ h_mats[b] + h_mats[b] @ h_mats[a]) @ rho)
-            cross = np.trace(h_mats[a] @ rho @ h_mats[b] @ rho)
-            out[a, b] = 4.0 * (sym - cross).real
-    return out
+    h = np.asarray(h_mats)
+    pairs = h[:, None] @ h[None, :]  # H_a H_b at [a, b]
+    sym = 0.5 * np.trace((pairs + pairs.transpose(1, 0, 2, 3)) @ rho, axis1=-2, axis2=-1)
+    h_rho = h @ rho
+    cross = np.trace(h_rho[:, None] @ h_rho[None, :], axis1=-2, axis2=-1)
+    return 4.0 * (sym - cross).real
 
 
 def weak_comm_trace_oracle(h_a: np.ndarray, h_b: np.ndarray, rho: np.ndarray) -> complex:
@@ -53,12 +51,12 @@ def weak_comm_trace_oracle(h_a: np.ndarray, h_b: np.ndarray, rho: np.ndarray) ->
 
 def entangled_probe_state(u_tot: np.ndarray) -> np.ndarray:
     """(U (x) I) applied to the canonical maximally entangled probe."""
-    return np.kron(u_tot, _EYE2) @ BELL_PHI_PLUS
+    return algebra.lift(u_tot) @ BELL_PHI_PLUS
 
 
 def entangled_qfi_oracle(gen) -> float:
     """Entangled-probe QFI of the generator Y through the 4x4 variance trace."""
-    h4 = np.kron(algebra.su2_element(gen), _EYE2)
+    h4 = algebra.lift(algebra.su2_element(gen))
     rho4 = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
     return variance_qfi_oracle(h4, rho4)
 
@@ -129,7 +127,7 @@ def sld_oracle(scheme: SchemeConfig, x, probe: np.ndarray) -> SldOracleResult:
     with_ancilla = probe.shape[0] == 4
 
     def lift(u):
-        return np.kron(u, _EYE2) if with_ancilla else u
+        return algebra.lift(u) if with_ancilla else u
 
     u = build_total_unitary(scheme, x)
     u0 = lift(u)
@@ -142,10 +140,12 @@ def sld_oracle(scheme: SchemeConfig, x, probe: np.ndarray) -> SldOracleResult:
         gen = 1j * du.conj().T @ u
         gens.append(lift((gen + gen.conj().T) / 2.0))
     d = scheme.n_params
+    # entry (b, a) negates every operation of entry (a, b) exactly and the
+    # diagonal is exactly zero, so only a < b is evaluated
     residuals = np.zeros((d, d))
     for a in range(d):
-        for b in range(d):
+        for b in range(a + 1, d):
             lhs = weak_comm_trace_oracle(slds[a], slds[b], rho_x)
             rhs = -4.0 * weak_comm_trace_oracle(gens[a], gens[b], probe)
-            residuals[a, b] = abs(lhs - rhs)
+            residuals[a, b] = residuals[b, a] = abs(lhs - rhs)
     return SldOracleResult(slds=slds, generators=gens, u_tot=u0, residuals=residuals)

@@ -99,9 +99,8 @@ def entangled_weak_comm(gen_a, gen_b, probe: np.ndarray) -> complex:
         raise DimensionalityError("probe must be a 4-dimensional state vector")
     if not abs(np.linalg.norm(probe) - 1.0) <= PURITY:
         raise NormalizationError(f"probe norm {np.linalg.norm(probe)} is not 1")
-    eye = np.eye(2, dtype=complex)
-    ha = np.kron(algebra.su2_element(gen_a), eye)
-    hb = np.kron(algebra.su2_element(gen_b), eye)
+    ha = algebra.lift(algebra.su2_element(gen_a))
+    hb = algebra.lift(algebra.su2_element(gen_b))
     rho = np.outer(probe, probe.conj())
     return complex(np.trace((ha @ hb - hb @ ha) @ rho))
 

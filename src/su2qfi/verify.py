@@ -40,16 +40,20 @@ class CheckResult:
 
 
 class _Worst:
-    """Track the largest deviation and the input that produced it."""
+    """Track the largest deviation and the input that produced it.
+
+    The label is built as ``formatter(*args)`` only when a value is a new
+    worst, so the common case formats nothing.
+    """
 
     def __init__(self):
         self.value = 0.0
         self.label = "none"
 
-    def update(self, value: float, label: str):
+    def update(self, value: float, formatter, *args):
         if value > self.value:
             self.value = float(value)
-            self.label = label
+            self.label = formatter(*args)
 
 
 def _fmt_vec(v) -> str:
@@ -59,6 +63,10 @@ def _fmt_vec(v) -> str:
 def _random_unit(rng) -> np.ndarray:
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def _generator_label(x, d, total_time) -> str:
+    return f"X={_fmt_vec(x)} dX={_fmt_vec(d)} T={total_time:.6g}"
 
 
 def generator_three_way(seed: int, samples: int) -> list[CheckResult]:
@@ -77,17 +85,17 @@ def generator_three_way(seed: int, samples: int) -> list[CheckResult]:
         total_time = rng.uniform(0.0, 5.0)
         while total_time == 0.0:  # the scheme needs t > 0; T = 0 is covered by unit tests
             total_time = rng.uniform(0.0, 5.0)
-        label = f"X={_fmt_vec(x)} dX={_fmt_vec(d)} T={total_time:.6g}"
         closed = algebra.su2_element(closed_form_generator(x, d, total_time))
         scheme = affine_scheme(x, d, np.zeros(3), total_time, 1, MERGED)
         numeric = numeric_generator(scheme, [0.0], 0)
-        closed_numeric.update(np.abs(closed - numeric).max(), label)
+        label = (_generator_label, x, d, total_time)
+        closed_numeric.update(np.abs(closed - numeric).max(), *label)
         try:
             series = series_generator(x, d, total_time)
         except SeriesDepthError:
             continue
-        closed_series.update(np.abs(closed - series).max(), label)
-        series_numeric.update(np.abs(series - numeric).max(), label)
+        closed_series.update(np.abs(closed - series).max(), *label)
+        series_numeric.update(np.abs(series - numeric).max(), *label)
     return [
         CheckResult("generator/closed-vs-series", closed_series.value, 1e-12, closed_series.label),
         CheckResult(
@@ -103,6 +111,10 @@ def _random_generator(rng) -> np.ndarray:
     return rng.uniform(0.0, 5.0) * _random_unit(rng)
 
 
+def _qfim_label(gens, r) -> str:
+    return f"|Y|={_fmt_vec(np.linalg.norm(gens, axis=1))} r={_fmt_vec(r)}"
+
+
 def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:
     """The pure-probe QFIM and residuals ``build_report`` evaluates vs the trace oracles."""
     rng = np.random.default_rng([seed, 2])
@@ -114,20 +126,24 @@ def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:
         r = _random_unit(rng)
         rho = algebra.density(r)
         mats = [algebra.su2_element(g) for g in gens]
-        label = f"|Y|={_fmt_vec(np.linalg.norm(gens, axis=1))} r={_fmt_vec(r)}"
+        label = (_qfim_label, gens, r)
         qfim = qfim_pure(gens, r)
-        qfi_dev.update(abs(qfim[0, 0] - variance_qfi_oracle(mats[0], rho)), label)
-        qfim_dev.update(np.abs(qfim - qfim_trace_oracle(mats, rho)).max(), label)
+        qfi_dev.update(abs(qfim[0, 0] - variance_qfi_oracle(mats[0], rho)), *label)
+        qfim_dev.update(np.abs(qfim - qfim_trace_oracle(mats, rho)).max(), *label)
         closed = weak_comm_matrix(gens, r)
         for a in range(3):
             for b in range(a + 1, 3):
                 oracle = weak_comm_trace_oracle(mats[a], mats[b], rho)
-                wc_dev.update(abs(1j * closed[a, b] - oracle), label)
+                wc_dev.update(abs(1j * closed[a, b] - oracle), *label)
     return [
         CheckResult("qfim/qfi-vs-variance-oracle", qfi_dev.value, 1e-12, qfi_dev.label),
         CheckResult("qfim/qfim-vs-trace-oracle", qfim_dev.value, 1e-11, qfim_dev.label),
         CheckResult("qfim/weak-comm-vs-trace-oracle", wc_dev.value, 1e-12, wc_dev.label),
     ]
+
+
+def _entangled_label(gen_a, gen_b) -> str:
+    return f"|Ya|={np.linalg.norm(gen_a):.6g} |Yb|={np.linalg.norm(gen_b):.6g}"
 
 
 def entangled_probe_suite(seed: int, samples: int) -> list[CheckResult]:
@@ -142,10 +158,10 @@ def entangled_probe_suite(seed: int, samples: int) -> list[CheckResult]:
     for _ in range(samples):
         gen_a = _random_generator(rng)
         gen_b = _random_generator(rng)
-        label = f"|Ya|={np.linalg.norm(gen_a):.6g} |Yb|={np.linalg.norm(gen_b):.6g}"
+        label = (_entangled_label, gen_a, gen_b)
         qfi = qfim_pure(gen_a, np.zeros(3))[0, 0]
-        qfi_dev.update(abs(qfi - entangled_qfi_oracle(gen_a)), label)
-        wc_dev.update(abs(entangled_weak_comm(gen_a, gen_b, BELL_PHI_PLUS)), label)
+        qfi_dev.update(abs(qfi - entangled_qfi_oracle(gen_a)), *label)
+        wc_dev.update(abs(entangled_weak_comm(gen_a, gen_b, BELL_PHI_PLUS)), *label)
     return [
         CheckResult("entangled/qfi-vs-4x4-oracle", qfi_dev.value, 1e-11, qfi_dev.label),
         CheckResult("entangled/weak-comm-zero", wc_dev.value, 1e-12, wc_dev.label),
@@ -171,9 +187,10 @@ def sld_identity_suite(seed: int, samples: int) -> list[CheckResult]:
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi /= np.linalg.norm(psi)
             probe = np.outer(psi, psi.conj())
-        label = f"d={d} T={total_time:.6g} dim={probe.shape[0]}"
         result = sld_oracle(scheme, x, probe)
-        dev.update(result.residuals.max(), label)
+        dev.update(
+            result.residuals.max(), "d={} T={:.6g} dim={}".format, d, total_time, probe.shape[0]
+        )
     return [CheckResult("sld/commutation-identity", dev.value, 1e-6, dev.label)]
 
 
@@ -201,7 +218,7 @@ def trotter_gap_suite(seed: int, samples: int) -> list[CheckResult]:
     worst = _Worst()
     for i in range(len(distances) - 1):
         ratio = distances[i] / distances[i + 1]
-        worst.update(abs(ratio - 2.0), f"t={0.5 / 2**i:.6g} ratio={ratio:.6g}")
+        worst.update(abs(ratio - 2.0), "t={:.6g} ratio={:.6g}".format, 0.5 / 2**i, ratio)
     return [CheckResult("trotter/gap-halving-ratio", worst.value, 0.2, worst.label)]
 
 

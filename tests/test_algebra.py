@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su2qfi.algebra import cross_matrix
+from su2qfi.algebra import PAULI_X, PAULI_Y, PAULI_Z, cross_matrix, euclidean_norm, lift
 from su2qfi import (
     DegenerateVectorError,
     UnphysicalStateError,
@@ -174,10 +174,66 @@ class TestSu2Element:
             lhs = su2_element(a) @ su2_element(b) - su2_element(b) @ su2_element(a)
             assert np.abs(lhs - 1j * su2_element(np.cross(a, b))).max() < 1e-13
 
+    def test_equals_the_pauli_combination_exactly(self):
+        rng = np.random.default_rng(7)
+        for v in rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-8, 8, (200, 1)):
+            expected = (v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z) / 2
+            assert np.array_equal(su2_element(v), expected)
+
+
+class TestEuclideanNorm:
+    def test_rounds_exactly_as_numpy_norm(self):
+        rng = np.random.default_rng(5)
+        for v in rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-150, 150, (500, 1)):
+            assert euclidean_norm(v) == np.linalg.norm(v)
+
+    def test_overflowing_square_is_inf(self):
+        # pytest turns a RuntimeWarning into an error
+        assert euclidean_norm(np.array([1e200, 0.0, 0.0])) == np.inf
+        assert euclidean_norm(np.array([-1e160, 1e160, 1e160])) == np.inf
+
+
+class TestLift:
+    def test_equals_the_kronecker_product_with_the_identity(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            assert np.array_equal(lift(u), np.kron(u, np.eye(2)))
+
 
 class TestSu2Exp:
     def test_zero_vector_is_identity(self):
         assert np.array_equal(su2_exp([0, 0, 0], 3.0), np.eye(2))
+        # no phase to evaluate, so any tau is accepted
+        for tau in (np.inf, -np.inf, np.nan):
+            assert np.array_equal(su2_exp([0, 0, 0], tau), np.eye(2))
+
+    @pytest.mark.parametrize(
+        ("v", "tau", "error"),
+        [
+            ((np.nan, 0.0, 0.0), 1.0, ValueError),
+            ((1.0, 0.0, 0.0), np.nan, ValueError),
+            ((1.0, 0.0, 0.0), np.inf, OverflowError),
+            ((1e200, 0.0, 0.0), 1.0, OverflowError),  # |v|^2 overflows
+        ],
+        ids=["nan-v", "nan-tau", "inf-tau", "huge-v"],
+    )
+    def test_non_finite_phase_raises(self, v, tau, error):
+        with pytest.raises(error, match="phase"):
+            su2_exp(v, tau)
+
+    @pytest.mark.parametrize("magnitude", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+    def test_matches_the_half_angle_definition(self, magnitude):
+        # cos(h) I - 2i sin(h) vhat.J with h = tau |v| / 2, evaluated on arrays
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            v = magnitude * random_unit(rng)
+            tau = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0)
+            half = tau * np.linalg.norm(v) / 2
+            expected = np.cos(half) * np.eye(2) - 2j * np.sin(half) * su2_element(
+                v / np.linalg.norm(v)
+            )
+            assert np.abs(su2_exp(v, tau) - expected).max() <= 1e-15
 
     def test_inverse_pair(self):
         v = RNG.normal(size=3) * 3
@@ -246,6 +302,13 @@ class TestDensity:
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
             eig = np.linalg.eigvalsh(rho)
             assert eig.min() > -1e-14 and eig.max() < 1.0 + 1e-14
+
+    def test_equals_the_definition_exactly(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            r = random_unit(rng) * rng.uniform(0, 1)
+            expected = np.eye(2) / 2 + (r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2
+            assert np.array_equal(density(r), expected)
 
     def test_rejects_overlong_bloch_vector(self):
         with pytest.raises(UnphysicalStateError):

@@ -81,6 +81,27 @@ class TestBadInputsFailClosed:
         with pytest.raises(ValueError):
             qfi_max(SAMPLE_X, SAMPLE_D, float("nan"))
 
+    @pytest.mark.parametrize("route", [closed_form_generator, series_generator])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_partial_raises(self, route, bad):
+        with pytest.raises(ValueError, match="partial dX .* is not finite"):
+            route(SAMPLE_X, [bad, 0.0, 0.0], 1.0)
+
+    def test_non_finite_partial_in_a_stack_raises_in_the_closed_form(self):
+        stack = np.array([SAMPLE_D, [0.0, float("nan"), 0.0]])
+        with pytest.raises(ValueError, match="not finite"):
+            closed_form_generator(SAMPLE_X, stack, 1.0)
+
+    def test_nan_partial_raises_in_qfi_max(self):
+        with pytest.raises(ValueError, match="not finite"):
+            qfi_max([0.3, -1.1, 0.7], [float("nan"), 0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coefficients_raise_in_the_series(self, bad):
+        # not a SeriesDepthError after 48 terms: the cause is the input
+        with pytest.raises(ValueError, match="coefficients X .* are not finite"):
+            series_generator([0.3, bad, 0.7], SAMPLE_D, 1.0)
+
 
 class TestClosedForm:
     def test_overflowing_phase_raises_overflow_error(self):

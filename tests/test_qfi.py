@@ -115,6 +115,33 @@ class TestQfimPure:
             assert np.linalg.eigvalsh(mat).min() > -1e-10
 
 
+def _random_hermitian(rng, n):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (a + a.conj().T) / 2
+
+
+class TestQfimTraceOracle:
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_the_per_pair_trace_formula(self, d, n):
+        # the stacked oracle against the formula written out pair by pair
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            mats = [_random_hermitian(rng, n) for _ in range(d)]
+            psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+            psi /= np.linalg.norm(psi)
+            rho = np.outer(psi, psi.conj())
+            expected = np.zeros((d, d))
+            for a in range(d):
+                for b in range(d):
+                    sym = 0.5 * np.trace((mats[a] @ mats[b] + mats[b] @ mats[a]) @ rho)
+                    cross_term = np.trace(mats[a] @ rho @ mats[b] @ rho)
+                    expected[a, b] = 4.0 * (sym - cross_term).real
+            got = qfim_trace_oracle(mats, rho)
+            assert got.shape == (d, d)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 class TestQfiMax:
     def test_colinear_reaches_ceiling(self):
         x = np.array([0, 0, 2.0])
@@ -316,6 +343,28 @@ class TestSldOracle:
             if dim == 4:
                 expected = np.kron(expected, np.eye(2))
             assert np.array_equal(gen, expected)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_residuals_are_exactly_symmetric_with_a_zero_diagonal(self, dim):
+        # each mirrored entry equals its own explicit evaluation bit for bit
+        rng = np.random.default_rng(29)
+        scheme = linear_scheme(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, (3, 3)), t=1.3)
+        x = rng.uniform(-1, 1, 3)
+        probe = density([0.6, 0.0, 0.8]) if dim == 2 else np.eye(4) / 4
+        result = sld_oracle(scheme, x, probe)
+        res = result.residuals
+        assert res.shape == (3, 3)
+        assert np.array_equal(res, res.T)
+        assert np.all(np.diag(res) == 0.0)
+        u0 = result.u_tot
+        rho_x = u0 @ probe @ u0.conj().T
+        for a in range(3):
+            for b in range(3):
+                lhs = weak_comm_trace_oracle(result.slds[a], result.slds[b], rho_x)
+                rhs = -4.0 * weak_comm_trace_oracle(
+                    result.generators[a], result.generators[b], probe
+                )
+                assert res[a, b] == abs(lhs - rhs)
 
     def test_constant_scheme_gives_zero_slds(self):
         scheme = SchemeConfig(
