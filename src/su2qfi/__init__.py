@@ -19,7 +19,6 @@ from .algebra import (
 from .errors import (
     DegenerateVectorError,
     DimensionalityError,
-    NormalizationError,
     SeriesDepthError,
     Su2QfiError,
     UnphysicalStateError,

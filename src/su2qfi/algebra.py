@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateVectorError, UnphysicalStateError
-from .tolerances import BLOCH_NORM_SLACK
+from .tolerances import BLOCH_NORM_SLACK, PURITY
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -150,6 +150,19 @@ def check_bloch(r) -> np.ndarray:
     if not length <= 1.0 + BLOCH_NORM_SLACK:
         raise UnphysicalStateError(f"Bloch vector norm {length} is not at most 1")
     return r
+
+
+def check_density(probe) -> np.ndarray:
+    """``probe`` as a complex 2x2 or 4x4 matrix; ``UnphysicalStateError``
+    unless it has unit trace and is Hermitian, each within ``PURITY`` (NaN fails)."""
+    probe = np.asarray(probe, dtype=complex)
+    if probe.ndim != 2 or probe.shape[0] != probe.shape[1] or probe.shape[0] not in (2, 4):
+        raise UnphysicalStateError("probe must be a 2x2 or 4x4 density matrix")
+    if not abs(np.trace(probe) - 1.0) <= PURITY:
+        raise UnphysicalStateError(f"probe trace {np.trace(probe)} is not 1")
+    if not np.abs(probe - probe.conj().T).max() <= PURITY:
+        raise UnphysicalStateError("probe is not Hermitian")
+    return probe
 
 
 def density(r) -> np.ndarray:

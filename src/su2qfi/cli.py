@@ -83,6 +83,8 @@ def _sequence(name: str, value, item, length: int | None = None) -> tuple:
 
 
 _VEC3 = partial(_sequence, item=_number, length=3)
+_NUMBERS = partial(_sequence, item=_number)
+_COUNTS = partial(_sequence, item=_count)
 
 # type and shape of every field that is not a string, checked by from_dict;
 # every number must also be finite
@@ -90,10 +92,20 @@ _FIELD_TYPES = {
     **dict.fromkeys(("B", "theta", "phi", "t", "x_norm", "dx_norm"), _number),
     **dict.fromkeys(("N", "alpha_count", "n_max"), _count),
     **dict.fromkeys(("x0", "r", "control_vector"), _VEC3),
-    **dict.fromkeys(("x", "x_tilde"), partial(_sequence, item=_number)),
+    **dict.fromkeys(("x", "x_tilde"), _NUMBERS),
     "gradients": partial(_sequence, item=_VEC3),
-    "n_values": partial(_sequence, item=_count),
+    "n_values": _COUNTS,
     "controlled": _boolean,
+}
+
+# the argparse form of each field type that has a flag; an untyped field is a string
+_FLAG_FORMS = {
+    _number: dict(type=float),
+    _count: dict(type=int),
+    _VEC3: dict(type=float, nargs=3),
+    _NUMBERS: dict(type=float, nargs="+"),
+    _COUNTS: dict(type=int, nargs="+"),
+    _boolean: dict(type=str, choices=["true", "false"]),
 }
 
 
@@ -299,28 +311,9 @@ def cmd_verify(seed: int, samples: int, tolerance_scale: float, out_path: str | 
 
 
 def _add_override_flags(parser: argparse.ArgumentParser, names: list[str]):
-    flag_kinds = {
-        "scenario": dict(type=str),
-        "B": dict(type=float),
-        "theta": dict(type=float),
-        "phi": dict(type=float),
-        "t": dict(type=float),
-        "N": dict(type=int),
-        "mode": dict(type=str),
-        "probe": dict(type=str),
-        "r": dict(type=float, nargs=3),
-        "control": dict(type=str),
-        "x-tilde": dict(type=float, nargs="+"),
-        "control-vector": dict(type=float, nargs=3),
-        "n-values": dict(type=int, nargs="+"),
-        "alpha-count": dict(type=int),
-        "x-norm": dict(type=float),
-        "dx-norm": dict(type=float),
-        "n-max": dict(type=int),
-        "controlled": dict(type=str, choices=["true", "false"]),
-    }
     for name in names:
-        parser.add_argument(f"--{name}", default=None, **flag_kinds[name])
+        kind = _FIELD_TYPES.get(name.replace("-", "_"))
+        parser.add_argument(f"--{name}", default=None, **_FLAG_FORMS.get(kind, dict(type=str)))
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
@@ -408,6 +401,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
+            if args.seed < 0:
+                raise ConfigError("invalid-seed", f"--seed must be nonnegative, got {args.seed}")
             if args.samples < 1:
                 raise ConfigError("invalid-sample-count", "--samples must be at least 1")
             if not args.tolerance_scale >= 0:
@@ -439,6 +434,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error[out-of-memory]: the output does not fit in memory ({exc})", file=sys.stderr)
         return 2
     except Exception as exc:
         # a defect in su2qfi itself; 3 keeps it apart from bad input (2) and a

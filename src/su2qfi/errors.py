@@ -17,9 +17,5 @@ class UnphysicalStateError(Su2QfiError):
     """A Bloch vector or density matrix violates physicality constraints."""
 
 
-class NormalizationError(Su2QfiError):
-    """A state vector is not normalized."""
-
-
 class DimensionalityError(Su2QfiError):
     """More parameters were requested than the dynamics can encode."""

@@ -56,6 +56,20 @@ def _series_weights(z: float) -> tuple[float, float, float]:
     return sin_z / z, 2.0 * (math.sin(0.5 * z) / z) ** 2, (z - sin_z) / z**3
 
 
+def _checked_inputs(x_coeff, d_coeff, total_time) -> tuple[np.ndarray, np.ndarray]:
+    """X and dX as float arrays; ``ValueError`` for a non-finite one or a time
+    that is negative, NaN or infinite.  Both analytic routes check through it."""
+    if not 0.0 <= total_time < math.inf:
+        raise ValueError(f"total_time must be nonnegative and finite, got {total_time}")
+    x_coeff = as_vec3(x_coeff)
+    d_coeff = np.asarray(d_coeff, dtype=float)
+    if not all(map(math.isfinite, x_coeff.tolist())):
+        raise ValueError(f"the coefficients X = {x_coeff} are not finite")
+    if not np.isfinite(d_coeff).all():
+        raise ValueError(f"the partial dX = {d_coeff} is not finite")
+    return x_coeff, d_coeff
+
+
 def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     """Coefficient vector Y of the generator for coefficients X, partial dX and time T.
 
@@ -73,22 +87,16 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     and dX is small, and as z grows.  There is no special case: X = 0, T = 0
     and X parallel to dX all take the same arithmetic, and dX = 0 gives Y = 0.
     ``d_coeff`` is one 3-vector or a ``(d, 3)`` stack of partials, and Y has
-    its shape.  The maximal information is |Y|^2.  A negative or NaN time, a
-    non-finite partial and a NaN phase z raise ``ValueError``; an infinite z
-    raises ``OverflowError``.
+    its shape.  The maximal information is |Y|^2.  A negative, NaN or
+    infinite time and a non-finite X or dX raise ``ValueError``; finite
+    inputs whose phase z is not finite (T|X| past double range, or T = 0 with
+    |X| past it) raise ``OverflowError``.
     """
-    if not total_time >= 0:
-        raise ValueError(f"total_time must be nonnegative, got {total_time}")
-    d_coeff = np.asarray(d_coeff, dtype=float)
-    if not np.isfinite(d_coeff).all():
-        raise ValueError(f"the partial dX = {d_coeff} is not finite")
-    x_coeff = as_vec3(x_coeff)
+    x_coeff, d_coeff = _checked_inputs(x_coeff, d_coeff, total_time)
     t = total_time
     z = t * math.hypot(*x_coeff.tolist())
-    if math.isinf(z):
-        raise OverflowError(f"the phase T|X| of T = {t:g} overflows double precision")
-    if math.isnan(z):
-        raise ValueError(f"the phase T|X| is NaN for X = {x_coeff} and T = {t:g}")
+    if not math.isfinite(z):
+        raise OverflowError(f"the phase T|X| of X = {x_coeff} and T = {t:g} overflows")
     sinc, a, b = _series_weights(z)
     # the linear map dX -> Y, applied row by row so a stack rounds like its rows
     generator_map = (
@@ -110,19 +118,12 @@ def series_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     ``SERIES_TOL`` or the nested cross vanishes (colinear geometry).  If the
     bound has not fallen below ``SERIES_TOL`` within ``SERIES_TERM_CAP`` terms
     a ``SeriesDepthError`` is raised and the closed form should be used
-    instead.  A negative or NaN time and a non-finite X or dX raise
+    instead.  A negative, NaN or infinite time and a non-finite X or dX raise
     ``ValueError``, as in the closed form.
     """
-    if not total_time >= 0:
-        raise ValueError(f"total_time must be nonnegative, got {total_time}")
-    x_coeff = as_vec3(x_coeff)
-    d_coeff = as_vec3(d_coeff)
+    x_coeff, d_coeff = _checked_inputs(x_coeff, as_vec3(d_coeff), total_time)
     x1, x2, x3 = x_coeff.tolist()
     w1, w2, w3 = d_coeff.tolist()
-    if not all(map(math.isfinite, (x1, x2, x3))):
-        raise ValueError(f"the coefficients X = {x_coeff} are not finite")
-    if not all(map(math.isfinite, (w1, w2, w3))):
-        raise ValueError(f"the partial dX = {d_coeff} is not finite")
     nx = algebra.euclidean_norm(x_coeff)
     nd = algebra.euclidean_norm(d_coeff)
     s1 = s2 = s3 = 0.0

@@ -79,22 +79,22 @@ def magnetometry_scheme(
     p: FieldPoint,
     segment_time: float = 1.0,
     segment_count: int = 1,
-    control: str | np.ndarray = "none",
+    control: str = "none",
     x_tilde=None,
     mode: str = MERGED,
 ) -> SchemeConfig:
     """Sequential scheme for the (B, theta, phi) estimation problem.
 
-    ``control`` is ``"none"``, ``"optimal"`` (negate the coefficients at
-    ``x_tilde``, default the field point itself), or an explicit 3-vector.
+    ``control`` is ``"none"`` or ``"optimal"`` (negate the coefficients at
+    ``x_tilde``, default the field point itself).  A custom control vector v
+    is ``dataclasses.replace(scheme, control=v)``.
     """
-    if isinstance(control, str):
-        if control == "optimal":
-            control = design_control(_coefficients, p.as_array() if x_tilde is None else x_tilde)
-        elif control == "none":
-            control = np.zeros(3)
-        else:
-            raise ValueError(f"unknown control kind {control!r}")
+    if control == "optimal":
+        control = design_control(_coefficients, p.as_array() if x_tilde is None else x_tilde)
+    elif control == "none":
+        control = np.zeros(3)
+    else:
+        raise ValueError(f"unknown control kind {control!r}")
     return SchemeConfig(
         coefficients=_coefficients,
         partials=_partials,

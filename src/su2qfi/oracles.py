@@ -16,10 +16,8 @@ from functools import partial
 import numpy as np
 
 from . import algebra
-from .errors import UnphysicalStateError
 from .qfi import BELL_PHI_PLUS
 from .scheme import SchemeConfig, build_total_unitary, central_difference
-from .tolerances import PURITY
 
 
 def variance_qfi_oracle(h_mat: np.ndarray, rho: np.ndarray) -> float:
@@ -44,9 +42,9 @@ def qfim_trace_oracle(h_mats, rho: np.ndarray) -> np.ndarray:
     return 4.0 * (sym - cross).real
 
 
-def weak_comm_trace_oracle(h_a: np.ndarray, h_b: np.ndarray, rho: np.ndarray) -> complex:
-    """Tr[[H_a, H_b] rho] on explicit matrices."""
-    return complex(np.trace((h_a @ h_b - h_b @ h_a) @ rho))
+def weak_comm_trace_oracle(h_a: np.ndarray, h_b: np.ndarray, rho: np.ndarray):
+    """Tr[[H_a, H_b] rho] on explicit matrices, broadcast over stacks of H_a and H_b."""
+    return np.trace((h_a @ h_b - h_b @ h_a) @ rho, axis1=-2, axis2=-1)
 
 
 def entangled_probe_state(u_tot: np.ndarray) -> np.ndarray:
@@ -85,17 +83,6 @@ def entangled_qfim_fd(scheme: SchemeConfig, x) -> np.ndarray:
     return out
 
 
-def _check_density(probe: np.ndarray) -> np.ndarray:
-    probe = np.asarray(probe, dtype=complex)
-    if probe.ndim != 2 or probe.shape[0] != probe.shape[1] or probe.shape[0] not in (2, 4):
-        raise UnphysicalStateError("probe must be a 2x2 or 4x4 density matrix")
-    if not abs(np.trace(probe) - 1.0) <= PURITY:
-        raise UnphysicalStateError(f"probe trace {np.trace(probe)} is not 1")
-    if not np.abs(probe - probe.conj().T).max() <= PURITY:
-        raise UnphysicalStateError("probe is not Hermitian")
-    return probe
-
-
 @dataclass(frozen=True, eq=False)
 class SldOracleResult:
     """Finite-difference SLD operators plus the consistency residuals.
@@ -122,7 +109,7 @@ def sld_oracle(scheme: SchemeConfig, x, probe: np.ndarray) -> SldOracleResult:
     are read off the same differences, and the weak-commutation consistency
     residual is evaluated for every pair.
     """
-    probe = _check_density(probe)
+    probe = algebra.check_density(probe)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     with_ancilla = probe.shape[0] == 4
 

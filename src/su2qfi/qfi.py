@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import as_vec3, check_bloch
-from .errors import DimensionalityError, NormalizationError, UnphysicalStateError
+from .algebra import as_vec3, check_bloch, check_density
+from .errors import DimensionalityError, UnphysicalStateError
 from .generators import closed_form_generator
 from .scheme import SchemeConfig
 from .tolerances import ATTAINABILITY, PURITY
@@ -54,12 +54,11 @@ def qfi_max_from_angle(x_norm, dx_norm, alpha, total_time):
     Evaluated as T^2 |dX|^2 [cos^2(a) + sin^2(a) sinc^2(T|X|/2)], which is
     exact for |X| > 0 and continuous at |X| = 0 where it reaches the ceiling
     T^2 |dX|^2.  The arguments broadcast against each other: array arguments
-    give an array, scalar arguments a float.
+    give an array, scalar arguments an ``np.float64``.
     """
     z_half = total_time * x_norm / 2.0
     sinc = np.sinc(z_half / np.pi)  # sin(z_half)/z_half, exactly 1 at 0
-    value = total_time**2 * dx_norm**2 * (np.cos(alpha) ** 2 + np.sin(alpha) ** 2 * sinc**2)
-    return value if isinstance(value, np.ndarray) and value.ndim else float(value)
+    return total_time**2 * dx_norm**2 * (np.cos(alpha) ** 2 + np.sin(alpha) ** 2 * sinc**2)
 
 
 def qfi_max(x_coeff, d_coeff, total_time: float) -> float:
@@ -93,15 +92,14 @@ def entangled_weak_comm(gen_a, gen_b, probe: np.ndarray) -> complex:
     The generators act as H (x) I on the 4-dimensional probe.  For any probe
     whose reduced state is I/2 (maximal entanglement) the result is zero for
     every generator pair; product probes generically give a nonzero value.
+    A probe that is not a normalized 4-vector raises ``UnphysicalStateError``.
     """
     probe = np.asarray(probe, dtype=complex).reshape(-1)
     if probe.shape != (4,):
-        raise DimensionalityError("probe must be a 4-dimensional state vector")
-    if not abs(np.linalg.norm(probe) - 1.0) <= PURITY:
-        raise NormalizationError(f"probe norm {np.linalg.norm(probe)} is not 1")
+        raise UnphysicalStateError("probe must be a 4-dimensional state vector")
+    rho = check_density(np.outer(probe, probe.conj()))
     ha = algebra.lift(algebra.su2_element(gen_a))
     hb = algebra.lift(algebra.su2_element(gen_b))
-    rho = np.outer(probe, probe.conj())
     return complex(np.trace((ha @ hb - hb @ ha) @ rho))
 
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import algebra
 from .algebra import as_vec3
-from .errors import DegenerateVectorError
 
 MERGED = "merged"
 PRODUCT = "product"
@@ -160,9 +159,6 @@ def characterize(x_coeff, d_coeffs: Sequence) -> list[float]:
     pi/2 means the control benefit is maximal, 0 or pi means the control
     cannot improve that parameter at all.
     """
-    x_coeff = as_vec3(x_coeff)
-    if np.linalg.norm(x_coeff) == 0.0:
-        raise DegenerateVectorError("characterize requires a nonzero coefficient vector")
     return [algebra.angle_between(x_coeff, d) for d in d_coeffs]
 
 

@@ -9,6 +9,6 @@ The values are calibrated for double precision on dense 2x2 / 4x4 matrices.
 ATTAINABILITY = 1e-10
 # |r| may exceed 1 by at most this before a state is rejected
 BLOCH_NORM_SLACK = 1e-12
-# a Bloch vector counts as pure, and a state vector as normalized, within this of norm 1;
+# a Bloch vector counts as pure within this of norm 1;
 # a density matrix may miss unit trace, and Hermiticity, by as much
 PURITY = 1e-9

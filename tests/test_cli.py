@@ -188,6 +188,9 @@ class TestGridInputValidation:
             (("sweep-alpha", "--dx-norm", "1e200"), "overflow"),
             (("report", "--x-tilde", "1", "2"), "parameter-point"),
             (("report", "--mode", "product", "--N", "3", "--t", "0.5"), "product-mode-inexact"),
+            # sizes numpy refuses up front, without allocating anything
+            (("curves", "--n-max", "100000000000"), "out-of-memory"),
+            (("sweep-alpha", "--alpha-count", "100000000000"), "out-of-memory"),
         ],
     )
     def test_rejected_with_one_error_line(self, capsys, argv, code):
@@ -598,6 +601,13 @@ class TestVerify:
         code, _, err = run_main(capsys, "--samples", "0", "verify")
         assert code == 2
         assert "invalid-sample-count" in err
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_main(capsys, "--seed", "-1", "verify")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[invalid-seed]: ")
+        assert err.count("\n") == 1
 
 
 def run_module(*argv):

@@ -64,24 +64,33 @@ SAMPLE_X = np.array([0.3, -1.1, 0.7])
 SAMPLE_D = np.array([0.9, 0.4, -2.0])
 
 
+ROUTES = [closed_form_generator, series_generator]
+
+
 class TestBadInputsFailClosed:
-    """Both analytic routes refuse a time or phase they cannot sum, instead of returning NaN."""
+    """Both analytic routes refuse a non-finite input or a time they cannot sum
+    with ``ValueError``, instead of returning NaN."""
 
-    @pytest.mark.parametrize("route", [closed_form_generator, series_generator])
-    @pytest.mark.parametrize("t", [-1.0, float("nan")])
+    # an infinite time is refused too: the series would sum it into a NaN matrix
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
     def test_negative_or_nan_time_raises(self, route, t):
-        with pytest.raises(ValueError, match="total_time must be nonnegative"):
+        with pytest.raises(ValueError, match="total_time must be nonnegative and finite"):
             route(SAMPLE_X, SAMPLE_D, t)
-
-    def test_nan_coefficients_raise_in_the_closed_form(self):
-        with pytest.raises(ValueError, match="NaN"):
-            closed_form_generator([float("nan"), 0.0, 0.0], SAMPLE_D, 1.0)
 
     def test_nan_time_raises_in_qfi_max(self):
         with pytest.raises(ValueError):
             qfi_max(SAMPLE_X, SAMPLE_D, float("nan"))
 
-    @pytest.mark.parametrize("route", [closed_form_generator, series_generator])
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coefficients_raise(self, route, bad):
+        # the cause is the input: not an OverflowError of the phase, nor a
+        # SeriesDepthError after 48 terms
+        with pytest.raises(ValueError, match="coefficients X .* are not finite"):
+            route([0.3, bad, 0.7], SAMPLE_D, 1.0)
+
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_partial_raises(self, route, bad):
         with pytest.raises(ValueError, match="partial dX .* is not finite"):
@@ -96,18 +105,17 @@ class TestBadInputsFailClosed:
         with pytest.raises(ValueError, match="not finite"):
             qfi_max([0.3, -1.1, 0.7], [float("nan"), 0.0, 0.0], 1.0)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_non_finite_coefficients_raise_in_the_series(self, bad):
-        # not a SeriesDepthError after 48 terms: the cause is the input
-        with pytest.raises(ValueError, match="coefficients X .* are not finite"):
-            series_generator([0.3, bad, 0.7], SAMPLE_D, 1.0)
-
 
 class TestClosedForm:
     def test_overflowing_phase_raises_overflow_error(self):
         # T|X| = inf has no sine; the CLI maps OverflowError to error[overflow]
         with pytest.raises(OverflowError):
             closed_form_generator([1.6e262, 0, 0], [0, 1, 0], 1.1e46)
+
+    def test_overflowing_norm_at_zero_time_raises_overflow_error(self):
+        # finite X whose |X| overflows: z = 0 * inf is NaN, not a phase of 0
+        with pytest.raises(OverflowError):
+            closed_form_generator([1.7e308, 1.7e308, 0], SAMPLE_D, 0.0)
 
     def test_colinear_only_linear_term_survives(self):
         gen = closed_form_generator([0, 0, 2], [0, 0, 1], 5.0)

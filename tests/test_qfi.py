@@ -14,7 +14,6 @@ from su2qfi import (
     PURE_QUBIT,
     DimensionalityError,
     FieldPoint,
-    NormalizationError,
     SchemeConfig,
     UnphysicalStateError,
     affine_scheme,
@@ -293,12 +292,16 @@ class TestEntangledProbe:
         assert entangled_weak_comm(gen, gen, probe) == 0.0
 
     def test_unnormalized_probe_rejected(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(UnphysicalStateError):
             entangled_weak_comm(random_gen(), random_gen(), np.array([1.0, 0, 0, 1.0]))
 
     def test_nan_probe_rejected(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(UnphysicalStateError):
             entangled_weak_comm(random_gen(), random_gen(), np.array([np.nan, 0, 0, 1.0]))
+
+    def test_two_vector_probe_rejected(self):
+        with pytest.raises(UnphysicalStateError, match="4-dimensional"):
+            entangled_weak_comm(random_gen(), random_gen(), np.array([1.0, 0.0]))
 
 
 class TestSldOracle:
