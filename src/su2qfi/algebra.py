@@ -154,7 +154,8 @@ def check_bloch(r) -> np.ndarray:
 
 def check_density(probe) -> np.ndarray:
     """``probe`` as a complex 2x2 or 4x4 matrix; ``UnphysicalStateError``
-    unless it has unit trace and is Hermitian, each within ``PURITY`` (NaN fails)."""
+    unless it has unit trace, is Hermitian and has no eigenvalue below
+    ``-PURITY``, the first two each within ``PURITY`` (NaN fails)."""
     probe = np.asarray(probe, dtype=complex)
     if probe.ndim != 2 or probe.shape[0] != probe.shape[1] or probe.shape[0] not in (2, 4):
         raise UnphysicalStateError("probe must be a 2x2 or 4x4 density matrix")
@@ -162,6 +163,9 @@ def check_density(probe) -> np.ndarray:
         raise UnphysicalStateError(f"probe trace {np.trace(probe)} is not 1")
     if not np.abs(probe - probe.conj().T).max() <= PURITY:
         raise UnphysicalStateError("probe is not Hermitian")
+    smallest = np.linalg.eigvalsh(probe)[0]
+    if not smallest >= -PURITY:
+        raise UnphysicalStateError(f"probe has the negative eigenvalue {smallest}")
     return probe
 
 
@@ -176,9 +180,10 @@ def lift(u) -> np.ndarray:
     """u (x) I_2: a 2x2 operator acting on a qubit with an idle ancilla.
 
     The Kronecker product with the 2x2 identity, written as two strided
-    copies of u: one on the even rows and columns, one on the odd.
+    copies of u: one on the even rows and columns, one on the odd.  A stack
+    of 2x2 matrices, shape ``(..., 2, 2)``, is lifted matrix by matrix.
     """
-    out = np.zeros((4, 4), dtype=complex)
-    out[0::2, 0::2] = u
-    out[1::2, 1::2] = u
+    out = np.zeros(np.shape(u)[:-2] + (4, 4), dtype=complex)
+    out[..., 0::2, 0::2] = u
+    out[..., 1::2, 1::2] = u
     return out

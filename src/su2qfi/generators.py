@@ -14,14 +14,13 @@ the point: each one cross-checks the others.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
 from . import algebra
 from .algebra import as_vec3
 from .errors import SeriesDepthError
-from .scheme import SchemeConfig, build_total_unitary, central_difference
+from .scheme import SchemeConfig, unitary_derivatives
 
 # Truncation tolerance and refusal cap for the nested cross-product series.
 # The alternating partial sums grow like exp(T|X|) before cancelling, so in
@@ -56,9 +55,10 @@ def _series_weights(z: float) -> tuple[float, float, float]:
     return sin_z / z, 2.0 * (math.sin(0.5 * z) / z) ** 2, (z - sin_z) / z**3
 
 
-def _checked_inputs(x_coeff, d_coeff, total_time) -> tuple[np.ndarray, np.ndarray]:
-    """X and dX as float arrays; ``ValueError`` for a non-finite one or a time
-    that is negative, NaN or infinite.  Both analytic routes check through it."""
+def _checked_inputs(x_coeff, d_coeff, total_time) -> tuple[np.ndarray, np.ndarray, float]:
+    """X and dX as float arrays and the phase z = T|X|, for both analytic routes.
+    ``ValueError`` for a negative, NaN or infinite T or a non-finite X or dX;
+    ``OverflowError`` for finite inputs whose phase is not finite."""
     if not 0.0 <= total_time < math.inf:
         raise ValueError(f"total_time must be nonnegative and finite, got {total_time}")
     x_coeff = as_vec3(x_coeff)
@@ -67,7 +67,10 @@ def _checked_inputs(x_coeff, d_coeff, total_time) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"the coefficients X = {x_coeff} are not finite")
     if not np.isfinite(d_coeff).all():
         raise ValueError(f"the partial dX = {d_coeff} is not finite")
-    return x_coeff, d_coeff
+    z = total_time * math.hypot(*x_coeff.tolist())
+    if not math.isfinite(z):
+        raise OverflowError(f"the phase T|X| of X = {x_coeff} and T = {total_time:g} overflows")
+    return x_coeff, d_coeff, z
 
 
 def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
@@ -92,11 +95,8 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     inputs whose phase z is not finite (T|X| past double range, or T = 0 with
     |X| past it) raise ``OverflowError``.
     """
-    x_coeff, d_coeff = _checked_inputs(x_coeff, d_coeff, total_time)
+    x_coeff, d_coeff, z = _checked_inputs(x_coeff, d_coeff, total_time)
     t = total_time
-    z = t * math.hypot(*x_coeff.tolist())
-    if not math.isfinite(z):
-        raise OverflowError(f"the phase T|X| of X = {x_coeff} and T = {t:g} overflows")
     sinc, a, b = _series_weights(z)
     # the linear map dX -> Y, applied row by row so a stack rounds like its rows
     generator_map = (
@@ -118,10 +118,9 @@ def series_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     ``SERIES_TOL`` or the nested cross vanishes (colinear geometry).  If the
     bound has not fallen below ``SERIES_TOL`` within ``SERIES_TERM_CAP`` terms
     a ``SeriesDepthError`` is raised and the closed form should be used
-    instead.  A negative, NaN or infinite time and a non-finite X or dX raise
-    ``ValueError``, as in the closed form.
+    instead.  Bad inputs raise the closed form's ``ValueError`` or ``OverflowError``.
     """
-    x_coeff, d_coeff = _checked_inputs(x_coeff, as_vec3(d_coeff), total_time)
+    x_coeff, d_coeff, _ = _checked_inputs(x_coeff, as_vec3(d_coeff), total_time)
     x1, x2, x3 = x_coeff.tolist()
     w1, w2, w3 = d_coeff.tolist()
     nx = algebra.euclidean_norm(x_coeff)
@@ -152,17 +151,19 @@ def series_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
         bound *= total_time * nx / (n + 1)
 
 
+def generators_from_derivatives(u: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """Hermitian part of i (dU^dag) U for each derivative dU of the unitary ``u``
+    stacked in ``du``: the one form of the generator finite differences measure."""
+    gen = 1j * du.conj().swapaxes(-1, -2) @ u
+    return (gen + gen.conj().swapaxes(-1, -2)) / 2.0
+
+
 def numeric_generator(scheme: SchemeConfig, x, ell: int) -> np.ndarray:
     """Finite-difference generator oracle: i (dU^dag) U, symmetrized.
 
-    Central-differences the total unitary along x_ell with the control vector
-    held fixed (``scheme.central_difference``, step 1e-6 * max(1, |x_ell|)),
+    Reads dU along x_ell, control held fixed, from ``scheme.unitary_derivatives``
     and returns the Hermitian part of i (dU^dag) U.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     if not 0 <= ell < scheme.n_params:
         raise IndexError(f"parameter index {ell} out of range")
-    u0 = build_total_unitary(scheme, x)
-    du = central_difference(partial(build_total_unitary, scheme), x, ell)
-    gen = 1j * du.conj().T @ u0
-    return (gen + gen.conj().T) / 2.0
+    return generators_from_derivatives(*unitary_derivatives(scheme, x))[ell]

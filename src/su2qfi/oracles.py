@@ -2,22 +2,22 @@
 
 Every closed form in this package is cross-checked against a dumb, explicit
 matrix computation: variance/covariance traces for the information
-quantities, central finite differences on the total unitary for generators
-and SLD operators, and a 4-dimensional state-vector derivative for the
-entangled-probe information.  The oracles deliberately share no algebra with
-the closed forms they check.
+quantities, and central finite differences of the total unitary
+(``scheme.unitary_derivatives``) for the SLD operators and the
+entangled-probe QFIM.  The oracles deliberately share no algebra with the
+closed forms they check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import algebra
+from .generators import generators_from_derivatives
 from .qfi import BELL_PHI_PLUS
-from .scheme import SchemeConfig, build_total_unitary, central_difference
+from .scheme import SchemeConfig, unitary_derivatives
 
 
 def variance_qfi_oracle(h_mat: np.ndarray, rho: np.ndarray) -> float:
@@ -47,11 +47,6 @@ def weak_comm_trace_oracle(h_a: np.ndarray, h_b: np.ndarray, rho: np.ndarray):
     return np.trace((h_a @ h_b - h_b @ h_a) @ rho, axis1=-2, axis2=-1)
 
 
-def entangled_probe_state(u_tot: np.ndarray) -> np.ndarray:
-    """(U (x) I) applied to the canonical maximally entangled probe."""
-    return algebra.lift(u_tot) @ BELL_PHI_PLUS
-
-
 def entangled_qfi_oracle(gen) -> float:
     """Entangled-probe QFI of the generator Y through the 4x4 variance trace."""
     h4 = algebra.lift(algebra.su2_element(gen))
@@ -63,24 +58,15 @@ def entangled_qfim_fd(scheme: SchemeConfig, x) -> np.ndarray:
     """Entangled-probe QFIM by finite differences of the evolved state.
 
     Entry (a, b) is 4 Re( <da psi|db psi> - <da psi|psi><psi|db psi> ) with
-    |psi(x)> = (U_tot(x) (x) I) |Phi+> and the derivatives taken by central
-    differences (``scheme.central_difference``, step 1e-6 * max(1, |x_ell|)),
-    control held fixed.
+    |psi(x)> = (U_tot(x) (x) I) |Phi+>, so |da psi> = (dU_a (x) I) |Phi+> with dU_a
+    from ``scheme.unitary_derivatives``; all pairs come from one Gram matrix.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    d = scheme.n_params
-
-    def state(xs):
-        return entangled_probe_state(build_total_unitary(scheme, xs))
-
-    psi0 = state(x)
-    dpsi = [central_difference(state, x, ell) for ell in range(d)]
-    out = np.zeros((d, d))
-    for a in range(d):
-        for b in range(d):
-            val = np.vdot(dpsi[a], dpsi[b]) - np.vdot(dpsi[a], psi0) * np.vdot(psi0, dpsi[b])
-            out[a, b] = 4.0 * val.real
-    return out
+    u, du = unitary_derivatives(scheme, x)
+    psi = algebra.lift(u) @ BELL_PHI_PLUS
+    dpsi = algebra.lift(du) @ BELL_PHI_PLUS
+    overlaps = dpsi.conj() @ psi  # <da psi|psi>
+    gram = dpsi.conj() @ dpsi.T
+    return 4.0 * (gram - np.outer(overlaps, overlaps.conj())).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +79,8 @@ class SldOracleResult:
     generators.
     """
 
-    slds: list
-    generators: list
+    slds: np.ndarray
+    generators: np.ndarray
     u_tot: np.ndarray
     residuals: np.ndarray
 
@@ -102,30 +88,19 @@ class SldOracleResult:
 def sld_oracle(scheme: SchemeConfig, x, probe: np.ndarray) -> SldOracleResult:
     """SLD operators L = 2 (dU) U^dag by central differences.
 
-    The differences step x_ell by 1e-6 * max(1, |x_ell|)
-    (``scheme.central_difference``).  The probe may live on the bare qubit
-    (2x2) or on qubit plus ancilla (4x4); in the latter case the dynamics acts
-    as U (x) I.  Alongside the SLDs, the generators i (dU^dag) U, symmetrized,
-    are read off the same differences, and the weak-commutation consistency
-    residual is evaluated for every pair.
+    U and dU come from ``scheme.unitary_derivatives``.  The probe may live on
+    the bare qubit (2x2) or on qubit plus ancilla (4x4), where the dynamics
+    acts as U (x) I.  The generators i (dU^dag) U, symmetrized, are read off
+    the same differences, and the weak-commutation consistency residual is
+    evaluated for every pair.
     """
     probe = algebra.check_density(probe)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    with_ancilla = probe.shape[0] == 4
-
-    def lift(u):
-        return algebra.lift(u) if with_ancilla else u
-
-    u = build_total_unitary(scheme, x)
-    u0 = lift(u)
-    rho_x = u0 @ probe @ u0.conj().T
-    slds = []
-    gens = []
-    for ell in range(scheme.n_params):
-        du = central_difference(partial(build_total_unitary, scheme), x, ell)
-        slds.append(2.0 * lift(du) @ u0.conj().T)
-        gen = 1j * du.conj().T @ u
-        gens.append(lift((gen + gen.conj().T) / 2.0))
+    u, du = unitary_derivatives(scheme, x)
+    gens = generators_from_derivatives(u, du)
+    if probe.shape[0] == 4:
+        u, du, gens = algebra.lift(u), algebra.lift(du), algebra.lift(gens)
+    rho_x = u @ probe @ u.conj().T
+    slds = 2.0 * du @ u.conj().T
     d = scheme.n_params
     # entry (b, a) negates every operation of entry (a, b) exactly and the
     # diagonal is exactly zero, so only a < b is evaluated
@@ -135,4 +110,4 @@ def sld_oracle(scheme: SchemeConfig, x, probe: np.ndarray) -> SldOracleResult:
             lhs = weak_comm_trace_oracle(slds[a], slds[b], rho_x)
             rhs = -4.0 * weak_comm_trace_oracle(gens[a], gens[b], probe)
             residuals[a, b] = residuals[b, a] = abs(lhs - rhs)
-    return SldOracleResult(slds=slds, generators=gens, u_tot=u0, residuals=residuals)
+    return SldOracleResult(slds=slds, generators=gens, u_tot=u, residuals=residuals)

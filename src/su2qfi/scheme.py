@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,6 +59,8 @@ class SchemeConfig:
         count = self.segment_count
         if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
             raise ValueError(f"segment_count must be a positive integer, got {count!r}")
+        if not math.isfinite(float(count) * self.segment_time):
+            raise OverflowError(f"the total time {count} * {self.segment_time:g} overflows")
         if self.mode not in (MERGED, PRODUCT):
             raise ValueError(f"unknown composition mode {self.mode!r}")
         for point in self.validation_points:
@@ -120,6 +123,15 @@ def central_difference(
     xp[ell] += h
     xm[ell] -= h
     return (f(xp) - f(xm)) / (2.0 * h)
+
+
+def unitary_derivatives(scheme: SchemeConfig, x) -> tuple[np.ndarray, np.ndarray]:
+    """U(x) and the ``(d, 2, 2)`` stack of its central differences along every x_ell,
+    control held fixed: the one place the total unitary is differentiated.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    u = partial(build_total_unitary, scheme)
+    return u(x), np.array([central_difference(u, x, ell) for ell in range(scheme.n_params)])
 
 
 def affine_scheme(

@@ -200,6 +200,15 @@ class TestLift:
             u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             assert np.array_equal(lift(u), np.kron(u, np.eye(2)))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_lifts_a_stack_matrix_by_matrix(self, d):
+        rng = np.random.default_rng(12)
+        stack = rng.normal(size=(d, 2, 2)) + 1j * rng.normal(size=(d, 2, 2))
+        lifted = lift(stack)
+        assert lifted.shape == (d, 4, 4)
+        for m, m4 in zip(stack, lifted):
+            assert np.array_equal(m4, np.kron(m, np.eye(2)))
+
 
 class TestSu2Exp:
     def test_zero_vector_is_identity(self):

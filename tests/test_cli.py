@@ -191,6 +191,8 @@ class TestGridInputValidation:
             # sizes numpy refuses up front, without allocating anything
             (("curves", "--n-max", "100000000000"), "out-of-memory"),
             (("sweep-alpha", "--alpha-count", "100000000000"), "out-of-memory"),
+            # finite t and N whose total time N t overflows
+            (("report", "--t", "1e308", "--N", "10"), "overflow"),
         ],
     )
     def test_rejected_with_one_error_line(self, capsys, argv, code):

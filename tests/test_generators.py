@@ -96,6 +96,13 @@ class TestBadInputsFailClosed:
         with pytest.raises(ValueError, match="partial dX .* is not finite"):
             route(SAMPLE_X, [bad, 0.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_overflowing_norm_raises_overflow_error(self, route, t):
+        # finite X whose |X| overflows: z = T|X| is NaN at T = 0 and inf at T = 1
+        with pytest.raises(OverflowError, match="phase T\\|X\\|"):
+            route([1.7e308, 1.7e308, 0.0], SAMPLE_D, t)
+
     def test_non_finite_partial_in_a_stack_raises_in_the_closed_form(self):
         stack = np.array([SAMPLE_D, [0.0, float("nan"), 0.0]])
         with pytest.raises(ValueError, match="not finite"):

@@ -37,7 +37,9 @@ from su2qfi.oracles import (
     variance_qfi_oracle,
     weak_comm_trace_oracle,
 )
+from su2qfi.algebra import lift
 from su2qfi.qfi import scheme_generators
+from su2qfi.scheme import build_total_unitary, central_difference
 
 RNG = np.random.default_rng(404)
 
@@ -384,6 +386,13 @@ class TestSldOracle:
         with pytest.raises(UnphysicalStateError):
             sld_oracle(scheme, [0.0], np.eye(2))  # trace 2
 
+    @pytest.mark.parametrize("diagonal", [(1.5, -0.5), (1.5, -0.5, 0.0, 0.0)])
+    def test_negative_eigenvalue_rejected(self, diagonal):
+        # unit trace and Hermitian, but not a state: the qubit one is r = (0, 0, 2)
+        scheme = linear_scheme([1, 0, 0], [[0, 1, 0]])
+        with pytest.raises(UnphysicalStateError, match="negative eigenvalue"):
+            sld_oracle(scheme, [0.0], np.diag(diagonal))
+
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
     def test_nan_density_rejected(self, entry):
         # a NaN on the diagonal fails the trace check, off it the Hermiticity check
@@ -392,6 +401,47 @@ class TestSldOracle:
         probe[entry] = np.nan
         with pytest.raises(UnphysicalStateError):
             sld_oracle(scheme, [0.0], probe)
+
+
+def four_state_entangled_qfim_fd(scheme, x):
+    """The entangled-probe QFIM from central differences of the 4-state
+    |psi(x)> = (U(x) (x) I)|Phi+> itself, one entry (a, b) at a time."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    d = scheme.n_params
+
+    def state(xs):
+        return lift(build_total_unitary(scheme, xs)) @ BELL_PHI_PLUS
+
+    psi0 = state(x)
+    dpsi = [central_difference(state, x, ell) for ell in range(d)]
+    out = np.zeros((d, d))
+    for a in range(d):
+        for b in range(d):
+            val = np.vdot(dpsi[a], dpsi[b]) - np.vdot(dpsi[a], psi0) * np.vdot(psi0, dpsi[b])
+            out[a, b] = 4.0 * val.real
+    return out
+
+
+class TestEntangledQfimFd:
+    @pytest.mark.parametrize("mode", ["merged", "product"])
+    def test_matches_the_four_state_differences(self, mode):
+        rng = np.random.default_rng(31)
+        for _ in range(150):
+            d = int(rng.integers(1, 4))
+            scheme = affine_scheme(
+                rng.uniform(-2, 2, 3),
+                rng.uniform(-2, 2, (d, 3)),
+                rng.uniform(-2, 2, 3) if rng.random() < 0.5 else np.zeros(3),
+                rng.uniform(0.05, 1.5),
+                int(rng.integers(1, 6)),
+                mode,
+            )
+            x = rng.uniform(-1, 1, d)
+            expected = four_state_entangled_qfim_fd(scheme, x)
+            got = entangled_qfim_fd(scheme, x)
+            assert got.shape == (d, d)
+            scale = max(1.0, np.abs(expected).max())
+            assert np.abs(got - expected).max() <= 1e-8 * scale
 
 
 class TestOraclesAtLargeCoordinates:

@@ -62,6 +62,12 @@ class TestSchemeConfig:
         with pytest.raises(ValueError, match="segment_time must be finite and positive"):
             linear_scheme([1, 0, 0], [0, 1, 0], t=t)
 
+    @pytest.mark.parametrize("n", [10, np.int64(10)])
+    def test_rejects_overflowing_total_time(self, n):
+        # each factor is finite, their product is not
+        with pytest.raises(OverflowError, match="total time"):
+            linear_scheme([1, 0, 0], [0, 1, 0], t=1e308, n=n)
+
     def test_partials_validated_on_sample_grid(self):
         good = linear_scheme([1, 0, 0], [0, 1, 0], validate=([0.0], [0.5], [1e12]))
         assert good.n_params == 1
