@@ -25,7 +25,7 @@ import re
 import sys
 import traceback
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -98,6 +98,11 @@ _FIELD_TYPES = {
     "controlled": _boolean,
 }
 
+# largest count a float64 holds exactly; past it numpy's arange and linspace
+# overflow and an n_values entry loses its value in the float grid, while a
+# smaller grid too large to allocate raises MemoryError
+_MAX_GRID_SIZE = 2**53
+
 # the argparse form of each field type that has a flag; an untyped field is a string
 _FLAG_FORMS = {
     _number: dict(type=float),
@@ -159,6 +164,10 @@ class RunConfig:
             raise ConfigError("invalid-segment-count", "every entry of n_values must be >= 1")
         if not self.n_values or self.alpha_count < 1:
             raise ConfigError("empty-grid", "n_values and alpha_count must be nonempty grids")
+        for name, size in (("n_max", self.n_max), ("alpha_count", self.alpha_count),
+                           ("n_values", max(self.n_values))):
+            if size > _MAX_GRID_SIZE:
+                raise ConfigError("grid-too-large", f"{name} must not exceed 2**53, got {size}")
         if self.probe not in ("pure", "entangled"):
             raise ConfigError("unknown-probe", f"unknown probe {self.probe!r}")
         if self.control not in ("none", "optimal", "custom"):
@@ -347,7 +356,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error[usage]: {self.prog}: {' '.join(message.split())}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The su2qfi argument parser, built once per process and shared by
+    every ``main`` call.
+
+    Sharing is safe only while the parser stays stateless: ``parse_args``
+    fills a fresh Namespace on every call, so no flag may carry a mutable
+    default or an action that writes into the parser.
+    """
     parser = _Parser(
         prog="su2qfi",
         description="Quantum Fisher information for su(2) parametrization processes",

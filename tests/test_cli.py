@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import su2qfi
-from su2qfi.cli import ConfigError, RunConfig, main
+from su2qfi.cli import ConfigError, RunConfig, build_parser, main
 
 
 def run_main(capsys, *argv):
@@ -193,6 +193,11 @@ class TestGridInputValidation:
             (("sweep-alpha", "--alpha-count", "100000000000"), "out-of-memory"),
             # finite t and N whose total time N t overflows
             (("report", "--t", "1e308", "--N", "10"), "overflow"),
+            # sizes past 2**53, where arange and linspace overflow or lose the count
+            (("curves", "--n-max", "9223372036854775807"), "grid-too-large"),
+            (("curves", "--n-max", "4611686018427387904"), "grid-too-large"),
+            (("sweep-alpha", "--alpha-count", "9223372036854775808"), "grid-too-large"),
+            (("sweep-alpha", "--n-values", "100000000000000000000000"), "grid-too-large"),
         ],
     )
     def test_rejected_with_one_error_line(self, capsys, argv, code):
@@ -201,6 +206,38 @@ class TestGridInputValidation:
         assert out == ""
         assert err.startswith(f"error[{code}]: ")
         assert err.count("\n") == 1
+
+
+class TestParserReuse:
+    """``main`` shares one parser per process; no call may leak into the next."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            (("curves", "--B", "2", "--n-max", "5"), ("curves", "--n-max", "5")),
+            (("sweep-alpha", "--n-values", "7"), ("sweep-alpha",)),
+        ],
+    )
+    def test_flags_do_not_leak_into_the_next_call(self, capsys, first, second):
+        build_parser.cache_clear()
+        alone = run_main(capsys, *second)
+        assert (alone[0], alone[2]) == (0, "")
+        build_parser.cache_clear()
+        assert run_main(capsys, *first)[1] != alone[1]
+        assert run_main(capsys, *second) == alone
+
+    def test_valid_call_after_help_and_usage_error(self, capsys):
+        for argv, code in ((["curves", "--help"], 0), (["curves", "--bogus"], 2)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        assert capsys.readouterr().err.startswith("error[usage]: ")
+        code, out, err = run_main(capsys, "curves", "--n-max", "5")
+        assert (code, err) == (0, "")
+        assert out.startswith("N,T,dB,dtheta,dphi\n")
 
 
 def run_flags(argv):
