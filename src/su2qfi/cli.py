@@ -290,6 +290,7 @@ def cmd_report(cfg: RunConfig, out_path: str | None) -> int:
     _write_text(json.dumps(_json_safe(document), indent=2) + "\n", out_path)
     return 0
 
+
 def cmd_sweep_alpha(cfg: RunConfig, out_path: str | None) -> int:
     alphas = np.linspace(0.0, np.pi, cfg.alpha_count)
     table = gap_profile(cfg.n_values, alphas, cfg.t, cfg.x_norm, cfg.dx_norm)

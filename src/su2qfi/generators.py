@@ -100,9 +100,9 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     sinc, a, b = _series_weights(z)
     # the linear map dX -> Y, applied row by row so a stack rounds like its rows
     generator_map = (
-        -t * sinc * np.eye(3)
+        -t * sinc * algebra.IDENTITY_3
         + t * t * a * algebra.cross_matrix(x_coeff)
-        - t**3 * b * np.outer(x_coeff, x_coeff)
+        - t**3 * b * (x_coeff[:, None] * x_coeff)
     )
     return (d_coeff[..., None, :] * generator_map).sum(axis=-1)
 

@@ -53,26 +53,24 @@ class FieldPoint:
         return np.array([self.B, self.theta, self.phi])
 
 
-# the axes from bare angles: the coefficient maps take a raw (B, theta, phi)
-# array, which finite differences may step outside the ranges FieldPoint enforces
-def _axes(theta, phi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    n0 = np.array([st * cp, st * sp, ct])
-    n0_theta = np.array([ct * cp, ct * sp, -st])
-    n0_phi = np.array([-st * sp, st * cp, 0.0])
-    return n0, n0_theta, n0_phi
+def _axis(st, ct, sp, cp) -> np.ndarray:
+    """The field axis n0 from the sines and cosines of theta and phi."""
+    return np.array([st * cp, st * sp, ct])
 
 
+# the coefficient maps take a raw (B, theta, phi) array, which finite
+# differences may step outside the ranges FieldPoint enforces
 def _coefficients(x: np.ndarray) -> np.ndarray:
     b, theta, phi = x
-    return 2.0 * b * _axes(theta, phi)[0]
+    return 2.0 * b * _axis(np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi))
 
 
 def _partials(x: np.ndarray) -> np.ndarray:
     b, theta, phi = x
-    n0, n0_theta, n0_phi = _axes(theta, phi)
-    return np.vstack([2.0 * n0, 2.0 * b * n0_theta, 2.0 * b * n0_phi])
+    st, ct, sp, cp = trig = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    n0_theta = np.array([ct * cp, ct * sp, -st])
+    n0_phi = np.array([-st * sp, st * cp, 0.0])
+    return np.array([2.0 * _axis(*trig), 2.0 * b * n0_theta, 2.0 * b * n0_phi])
 
 
 def magnetometry_scheme(

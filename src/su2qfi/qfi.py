@@ -12,6 +12,7 @@ idle ancilla makes every residual vanish and the ceiling unconditional.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ def qfim_pure(gens, r) -> np.ndarray:
     r = check_bloch(r)
     gens = np.asarray(gens, dtype=float).reshape(-1, 3)
     proj = gens @ r
-    return gens @ gens.T - np.outer(proj, proj)
+    return gens @ gens.T - proj[:, None] * proj[None, :]
 
 
 def qfi_max_from_angle(x_norm, dx_norm, alpha, total_time):
@@ -148,23 +149,22 @@ def scheme_generators(scheme: SchemeConfig, x) -> np.ndarray:
 
 
 def _precision_bounds(qfim: np.ndarray, slack: float) -> np.ndarray:
-    """Single-shot standard-deviation floor per parameter.
+    """Single-shot standard-deviation floor per parameter of a finite QFIM.
 
     1/sqrt of the diagonal when every off-diagonal entry is within ``slack``,
     else sqrt of the pseudo-inverse's diagonal, which treats singular values
     at or below ``slack`` as zero: a rank-deficient QFIM's null eigenvalue is
     rounding noise on the scale of the largest maximum, not information.
     """
-    diag = np.diag(qfim)
+    diag = qfim.diagonal()
+    # at most three entries: Python floats round like numpy's and skip its dispatch
     if np.abs(qfim - np.diag(diag)).max(initial=0.0) <= slack:
-        with np.errstate(divide="ignore"):
-            return np.where(diag > 0.0, 1.0 / np.sqrt(np.maximum(diag, 0.0)), np.inf)
+        return np.array([1.0 / math.sqrt(v) if v > 0.0 else math.inf for v in diag.tolist()])
     # np.linalg.pinv's arithmetic with an absolute cutoff
     u, s, vt = np.linalg.svd(qfim, full_matrices=False)
-    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > slack)
-    inv_diag = np.diag(vt.T @ (inv_s[:, None] * u.T))
-    with np.errstate(divide="ignore"):
-        return np.where(inv_diag > 0.0, np.sqrt(np.maximum(inv_diag, 0.0)), np.inf)
+    inv_s = np.array([1.0 / v if v > slack else 0.0 for v in s.tolist()])
+    inv_diag = (vt.T @ (inv_s[:, None] * u.T)).diagonal()
+    return np.array([math.sqrt(v) if v > 0.0 else math.inf for v in inv_diag.tolist()])
 
 
 def build_report(
@@ -196,7 +196,7 @@ def build_report(
         if r is None:
             raise UnphysicalStateError("a pure qubit probe requires a Bloch vector r")
         r = check_bloch(r)
-        if not abs(np.linalg.norm(r) - 1.0) <= PURITY:
+        if not abs(algebra.euclidean_norm(r) - 1.0) <= PURITY:
             raise UnphysicalStateError(
                 "pure-probe analysis requires |r| = 1; the variance formula is "
                 "not the QFI for mixed probes"
@@ -208,11 +208,14 @@ def build_report(
 
     maxima = _squared_norms(gens)
     qfim = qfim_pure(gens, r)
+    largest = float(maxima.max(initial=0.0))  # NaN if any maximum is NaN
+    if not (math.isfinite(largest) and np.isfinite(qfim).all()):
+        raise OverflowError(f"the information |Y|^2 = {maxima.tolist()} overflows double precision")
     residuals = np.abs(weak_comm_matrix(gens, r))
 
-    slack = ATTAINABILITY * max(1.0, float(maxima.max(initial=0.0)))
+    slack = ATTAINABILITY * max(1.0, largest)
     attainable = bool(
-        residuals.max(initial=0.0) <= slack and np.all(np.diag(qfim) >= maxima - slack)
+        residuals.max(initial=0.0) <= slack and (qfim.diagonal() >= maxima - slack).all()
     )
     return QfimReport(
         qfim=qfim,

@@ -64,14 +64,14 @@ class SchemeConfig:
         if self.mode not in (MERGED, PRODUCT):
             raise ValueError(f"unknown composition mode {self.mode!r}")
         for point in self.validation_points:
-            self._check_partials_at(np.atleast_1d(np.asarray(point, dtype=float)))
+            self._check_partials_at(np.array(point, dtype=float, ndmin=1))
 
     def _check_partials_at(self, x: np.ndarray):
         exact = np.asarray(self.partials(x), dtype=float).reshape(self.n_params, 3)
         for ell in range(self.n_params):
             fd = central_difference(self.coefficients_at, x, ell)
-            scale = max(1.0, float(np.linalg.norm(exact[ell])))
-            if np.linalg.norm(fd - exact[ell]) > 1e-6 * scale:
+            scale = max(1.0, algebra.euclidean_norm(exact[ell]))
+            if algebra.euclidean_norm(fd - exact[ell]) > 1e-6 * scale:
                 raise ValueError(
                     f"analytic partial {ell} disagrees with finite differences at {x}"
                 )
@@ -81,10 +81,10 @@ class SchemeConfig:
         return self.segment_count * self.segment_time
 
     def coefficients_at(self, x) -> np.ndarray:
-        return as_vec3(self.coefficients(np.atleast_1d(np.asarray(x, dtype=float))))
+        return as_vec3(self.coefficients(np.array(x, dtype=float, ndmin=1)))
 
     def partials_at(self, x) -> np.ndarray:
-        out = np.asarray(self.partials(np.atleast_1d(np.asarray(x, dtype=float))), dtype=float)
+        out = np.asarray(self.partials(np.array(x, dtype=float, ndmin=1)), dtype=float)
         return out.reshape(self.n_params, 3)
 
     def effective_coefficients(self, x) -> np.ndarray:
@@ -129,7 +129,7 @@ def unitary_derivatives(scheme: SchemeConfig, x) -> tuple[np.ndarray, np.ndarray
     """U(x) and the ``(d, 2, 2)`` stack of its central differences along every x_ell,
     control held fixed: the one place the total unitary is differentiated.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.array(x, dtype=float, ndmin=1)
     u = partial(build_total_unitary, scheme)
     return u(x), np.array([central_difference(u, x, ell) for ell in range(scheme.n_params)])
 
@@ -162,7 +162,7 @@ def design_control(coefficients: Callable[[np.ndarray], np.ndarray], x_tilde) ->
     point, which pushes every parameter's maximal information to its
     quadratic-in-time ceiling.
     """
-    return -as_vec3(coefficients(np.atleast_1d(np.asarray(x_tilde, dtype=float))))
+    return -as_vec3(coefficients(np.array(x_tilde, dtype=float, ndmin=1)))
 
 
 def characterize(x_coeff, d_coeffs: Sequence) -> list[float]:

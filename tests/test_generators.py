@@ -1,5 +1,6 @@
 """Tests for the three generator routes and their mutual agreement."""
 
+import math
 import re
 from math import factorial
 
@@ -15,7 +16,8 @@ from su2qfi import (
     series_generator,
     su2_element,
 )
-from su2qfi.generators import SERIES_TERM_CAP
+from su2qfi.algebra import cross_matrix
+from su2qfi.generators import SERIES_TERM_CAP, _series_weights
 from su2qfi.scheme import MERGED, PRODUCT, SchemeConfig
 
 RNG = np.random.default_rng(202)
@@ -183,6 +185,59 @@ class TestClosedForm:
             t = RNG.uniform(0, 5)
             gen = closed_form_generator(RNG.uniform(0.1, 5) * random_unit(), d, t)
             assert magnitude(gen) ** 2 <= (t * np.linalg.norm(d)) ** 2 + 1e-12
+
+
+def outer_closed_form_generator(x_coeff, d_coeff, t):
+    """The closed form with its map written as np.eye and np.outer: the earlier
+    expression, kept as the bit-for-bit reference of the array-native one."""
+    x_coeff = np.asarray(x_coeff, dtype=float)
+    sinc, a, b = _series_weights(t * math.hypot(*x_coeff.tolist()))
+    generator_map = (
+        -t * sinc * np.eye(3)
+        + t * t * a * cross_matrix(x_coeff)
+        - t**3 * b * np.outer(x_coeff, x_coeff)
+    )
+    return (np.asarray(d_coeff, dtype=float)[..., None, :] * generator_map).sum(axis=-1)
+
+
+def _signed_zeros(rng, v):
+    """``v`` with a random subset of its entries replaced by +0.0 or -0.0."""
+    v = np.array(v, dtype=float)
+    mask = rng.random(v.shape) < 0.3
+    v[mask] = rng.choice([0.0, -0.0], size=mask.sum())
+    return v
+
+
+class TestClosedFormBitForBit:
+    EDGE_CASES = [
+        ([0.0, 0.0, 5.0], [[-0.0, -0.0, 1.0]], 1.0),  # z > pi: sinc < 0, signed zeros in the map
+        ([0.0, 0.0, 0.0], [[0.3, -1.2, 0.8]], 4.0),  # X = 0
+        ([0.3, -1.1, 0.7], [[0.3, -1.2, 0.8], [-0.0, -0.0, -0.0]], 0.0),  # T = 0, a -0 row
+        ([-0.0, 0.0, -0.0], [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]], 0.0),  # everything zero
+        ([1e-9, 0.0, -2e-9], [[1.0, 1e-9, 0.0]], 0.25),  # Taylor branch
+    ]
+
+    @pytest.mark.parametrize("x,d,t", EDGE_CASES)
+    def test_edge_cases(self, x, d, t):
+        assert (
+            closed_form_generator(x, d, t).tobytes()
+            == outer_closed_form_generator(x, d, t).tobytes()
+        )
+
+    def test_random_inputs_with_signed_zeros(self):
+        rng = np.random.default_rng(1407)
+        for _ in range(3000):
+            x = _signed_zeros(rng, rng.normal(size=3) * 10.0 ** rng.uniform(-6, 2))
+            stack = _signed_zeros(rng, rng.normal(size=(int(rng.integers(1, 4)), 3)))
+            if rng.random() < 0.2:
+                stack[rng.integers(len(stack))] = rng.choice([0.0, -0.0], size=3)
+            t = (0.0, float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.0, 12.0)))[
+                int(rng.integers(3))
+            ]
+            assert (
+                closed_form_generator(x, stack, t).tobytes()
+                == outer_closed_form_generator(x, stack, t).tobytes()
+            )
 
 
 class TestSeries:

@@ -1,14 +1,17 @@
-"""Golden CSV regression for ``sweep-alpha`` and ``curves``.
+"""Golden output regression: CSV from ``sweep-alpha`` and ``curves``, JSON
+from ``report``.
 
-The fixtures under ``tests/golden/`` were recorded with the scalar-loop
-implementation that preceded the array core, by running each argv below as
-``su2qfi --out tests/golden/<name>.csv <argv>``.  They must not be
-regenerated from the code they check.
+The fixtures under ``tests/golden/`` were recorded by running each argv below
+as ``su2qfi --out tests/golden/<name>.<csv|json> <argv>``: the CSV tables with
+the scalar-loop implementation that preceded the array core, the reports with
+the implementation that preceded the trimmed numpy dispatch on the report
+path (``np.errstate`` in ``_precision_bounds``, ``np.eye``/``np.outer`` in the
+generator map).  They must not be regenerated from the code they check.
 
-Default invocations must match byte for byte, and so must the N, alpha and
-T columns of every table.  Other cells may differ by at most 2 ULP: the
-scalar loops squared Python floats through libm ``pow``, which is not always
-the correctly rounded ``x * x`` that numpy's array square computes.
+Reports and default CSV invocations must match byte for byte, and so must the
+N, alpha and T columns of every table.  Other cells may differ by at most
+2 ULP: the scalar loops squared Python floats through libm ``pow``, which is
+not always the correctly rounded ``x * x`` that numpy's array square computes.
 """
 
 from pathlib import Path
@@ -40,8 +43,20 @@ CASES = {
     "curves_random_b": ("curves", "--B", "3.7048366758423126", "--theta", "0.5293648265741238",
                         "--phi", "5.860383858080979", "--t", "0.24209672824954634",
                         "--n-max", "60", "--controlled", "false"),
+    "report_default": ("report",),
+    "report_pure_uncontrolled": ("report", "--probe", "pure", "--r", "0", "0", "1",
+                                 "--control", "none"),
+    # theta = 0: the azimuth partial vanishes, so the diagonal branch prints an inf bound
+    "report_pole": ("report", "--theta", "0"),
+    # off-diagonal entries above the slack: the pseudo-inverse branch
+    "report_pinv": ("report", "--theta", "3.141592653589793", "--control", "none",
+                    "--probe", "pure", "--r", "0.6", "0", "0.8"),
+    # d = 3 affine map, control designed at a misestimated point, rank-2 pure-probe QFIM
+    "report_generic_d3": ("--config", str(GOLDEN / "config_generic_d3.json"), "report",
+                          "--x-tilde", "0.27", "-0.38", "0.79"),
+    "report_product_uncontrolled": ("report", "--mode", "product", "--control", "none"),
 }
-BYTE_IDENTICAL = ("sweep_default", "curves_default")
+BYTE_IDENTICAL = ("sweep_default", "curves_default", *(n for n in CASES if n.startswith("report_")))
 EXACT_COLUMNS = 2  # N, then alpha (sweep-alpha) or T (curves)
 
 
@@ -58,7 +73,8 @@ def _split(data: bytes) -> tuple[str, list[list[str]]]:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_recorded_output(name, tmp_path):
-    golden = (GOLDEN / f"{name}.csv").read_bytes()
+    suffix = ".json" if "report" in CASES[name] else ".csv"
+    golden = (GOLDEN / f"{name}{suffix}").read_bytes()
     got = _run(tmp_path, CASES[name])
     if name in BYTE_IDENTICAL:
         assert got == golden

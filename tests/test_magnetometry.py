@@ -23,7 +23,7 @@ from su2qfi import (
     qfim_pure,
     su2_element,
 )
-from su2qfi.magnetometry import _axes, _coefficients, _partials, _qfim_diagonal
+from su2qfi.magnetometry import _coefficients, _partials, _qfim_diagonal
 from su2qfi.oracles import entangled_qfim_fd, qfim_trace_oracle, weak_comm_trace_oracle
 from su2qfi.qfi import BELL_PHI_PLUS, scheme_generators, weak_comm_matrix
 
@@ -32,6 +32,13 @@ RNG = np.random.default_rng(505)
 POINT = FieldPoint(3.0, np.pi / 6, 0.0)
 
 PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def axes(theta, phi):
+    """(n0, n0', n0'') read off the partials at B = 1/2, where the rows are
+    2 n0 and the two tangents themselves."""
+    db, dtheta, dphi = _partials(np.array([0.5, theta, phi]))
+    return db / 2.0, dtheta, dphi
 
 
 def field_coefficients(p):
@@ -63,7 +70,7 @@ def residuals(p, total_time, r, controlled=False):
 def paper_residuals(p, total_time, r, controlled):
     """The paper's closed-form residuals: r projected on the rotating generator
     axes without control, on the fixed frame (n0, n0', m) with it."""
-    n0, n0_theta, _ = _axes(p.theta, p.phi)
+    n0, n0_theta, _ = axes(p.theta, p.phi)
     m = np.array([-np.sin(p.phi), np.cos(p.phi), 0.0])
     st = np.sin(p.theta)
     t = total_time
@@ -117,7 +124,7 @@ class TestFieldPoint:
     def test_axes_geometry(self):
         for _ in range(200):
             p = random_point()
-            n0, n0_theta, n0_phi = _axes(p.theta, p.phi)
+            n0, n0_theta, n0_phi = axes(p.theta, p.phi)
             assert abs(np.linalg.norm(n0) - 1) < 1e-14
             assert abs(np.linalg.norm(n0_theta) - 1) < 1e-14
             assert abs(np.linalg.norm(n0_phi) - np.sin(p.theta)) < 1e-12
@@ -128,7 +135,7 @@ class TestFieldPoint:
     def test_axis_cross_relations(self):
         for _ in range(100):
             p = random_point()
-            n0, n0_theta, n0_phi = _axes(p.theta, p.phi)
+            n0, n0_theta, n0_phi = axes(p.theta, p.phi)
             st = np.sin(p.theta)
             assert np.abs(np.cross(n0, n0_theta) - n0_phi / st).max() < 1e-12
             assert np.abs(np.cross(n0, n0_phi) - (-st) * n0_theta).max() < 1e-12
@@ -172,7 +179,7 @@ class TestFieldCoefficients:
 class TestGenerators:
     def test_field_magnitude_generator(self):
         gen_b, _, _ = generators(POINT, 2.5)
-        n0 = _axes(POINT.theta, POINT.phi)[0]
+        n0 = axes(POINT.theta, POINT.phi)[0]
         assert np.linalg.norm(gen_b) == pytest.approx(5.0, rel=1e-15)
         assert np.allclose(gen_b / np.linalg.norm(gen_b), -n0, atol=1e-14)
 
@@ -210,7 +217,7 @@ class TestGenerators:
                 for phi in phis:
                     for t in ts:
                         p = FieldPoint(b, theta, phi)
-                        n0, n0_theta, _ = _axes(theta, phi)
+                        n0, n0_theta, _ = axes(theta, phi)
                         m = np.array([-np.sin(phi), np.cos(phi), 0.0])
                         cbt, sbt = np.cos(b * t), np.sin(b * t)
                         paper = (
@@ -239,7 +246,7 @@ class TestGenerators:
             p = random_point()
             t = RNG.uniform(0.1, 5.0)
             bt = p.B * t
-            n0, n0_theta, _ = _axes(p.theta, p.phi)
+            n0, n0_theta, _ = axes(p.theta, p.phi)
             m = np.array([-np.sin(p.phi), np.cos(p.phi), 0.0])
             e_b = -n0
             e_theta = -np.cos(bt) * n0_theta + np.sin(bt) * m
@@ -335,7 +342,7 @@ class TestWeakCommExample:
         assert theta_phi == pytest.approx(oracle, abs=1e-13)
 
     def test_controlled_probe_along_field_axis(self):
-        n0 = _axes(POINT.theta, POINT.phi)[0]
+        n0 = axes(POINT.theta, POINT.phi)[0]
         b_theta, b_phi, theta_phi = residuals(POINT, 2.0, n0, controlled=True)
         assert abs(b_theta) < 1e-13
         assert abs(b_phi) < 1e-13

@@ -38,7 +38,7 @@ from su2qfi.oracles import (
     weak_comm_trace_oracle,
 )
 from su2qfi.algebra import lift
-from su2qfi.qfi import scheme_generators
+from su2qfi.qfi import _precision_bounds, scheme_generators
 from su2qfi.scheme import build_total_unitary, central_difference
 
 RNG = np.random.default_rng(404)
@@ -467,6 +467,88 @@ class TestOraclesAtLargeCoordinates:
         assert np.abs(entangled_qfim_fd(scheme, point) - qfim).max() <= 1e-6 * np.abs(qfim).max()
 
 
+def outer_qfim_pure(gens, r):
+    """qfim_pure with np.outer: the earlier expression, kept as the bit-for-bit reference."""
+    gens = np.asarray(gens, dtype=float).reshape(-1, 3)
+    proj = gens @ np.asarray(r, dtype=float)
+    return gens @ gens.T - np.outer(proj, proj)
+
+
+def errstate_precision_bounds(qfim, slack):
+    """_precision_bounds with np.diag copies and np.errstate blocks: the earlier
+    expressions, kept as the bit-for-bit reference."""
+    diag = np.diag(qfim)
+    if np.abs(qfim - np.diag(diag)).max(initial=0.0) <= slack:
+        with np.errstate(divide="ignore"):
+            return np.where(diag > 0.0, 1.0 / np.sqrt(np.maximum(diag, 0.0)), np.inf)
+    u, s, vt = np.linalg.svd(qfim, full_matrices=False)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > slack)
+    inv_diag = np.diag(vt.T @ (inv_s[:, None] * u.T))
+    with np.errstate(divide="ignore"):
+        return np.where(inv_diag > 0.0, np.sqrt(np.maximum(inv_diag, 0.0)), np.inf)
+
+
+class TestReportKernelsBitForBit:
+    def _gens(self, rng):
+        """A stack of 1 to 3 generators, some rows +-0 or parallel to another."""
+        d = int(rng.integers(1, 4))
+        gens = rng.normal(size=(d, 3)) * 10.0 ** rng.uniform(-3, 3, (d, 1))
+        for row in range(d):
+            kind = rng.random()
+            if kind < 0.15:
+                gens[row] = rng.choice([0.0, -0.0], size=3)
+            elif kind < 0.3 and row > 0:
+                gens[row] = rng.uniform(-2, 2) * gens[0]
+        return gens
+
+    def _probe(self, rng, gens):
+        """r = 0 (entangled), a random unit vector, or the direction of a row."""
+        kind = rng.random()
+        if kind < 0.3:
+            return np.zeros(3)
+        row = gens[rng.integers(len(gens))]
+        if kind < 0.5 and row.any():
+            return row / np.linalg.norm(row)
+        return random_unit(rng)
+
+    def test_qfim_and_bounds_over_random_stacks(self):
+        rng = np.random.default_rng(1408)
+        branches = {"diagonal": 0, "pinv": 0, "rank-deficient": 0, "zero-diagonal": 0}
+        for _ in range(3000):
+            gens = self._gens(rng)
+            r = self._probe(rng, gens)
+            qfim = qfim_pure(gens, r)
+            assert qfim.tobytes() == outer_qfim_pure(gens, r).tobytes()
+            slack = 1e-10 * max(1.0, float((gens * gens).sum(axis=1).max()))
+            bounds = _precision_bounds(qfim, slack)
+            assert bounds.tobytes() == errstate_precision_bounds(qfim, slack).tobytes()
+            off = np.abs(qfim - np.diag(np.diag(qfim))).max(initial=0.0)
+            branches["diagonal" if off <= slack else "pinv"] += 1
+            branches["rank-deficient"] += np.linalg.svd(qfim)[1].min() <= slack
+            branches["zero-diagonal"] += (np.diag(qfim) <= 0.0).any()
+        assert min(branches.values()) >= 100, branches
+
+    @pytest.mark.parametrize(
+        "qfim",
+        [
+            [[0.0]],
+            [[-0.0]],
+            [[-1e-300]],
+            [[4.0, 0.0], [0.0, 0.0]],
+            [[4.0, -0.0], [-0.0, -1e-17]],
+            [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
+            [[2.0, 1e-3, 0.0], [1e-3, 3.0, 0.0], [0.0, 0.0, -1e-18]],
+        ],
+    )
+    def test_bounds_edge_cases(self, qfim):
+        qfim = np.array(qfim)
+        for slack in (1e-10, 1e-2):
+            assert (
+                _precision_bounds(qfim, slack).tobytes()
+                == errstate_precision_bounds(qfim, slack).tobytes()
+            )
+
+
 class TestBuildReport:
     def test_magnetometry_pure_probe_not_attainable(self):
         point = FieldPoint(3.0, np.pi / 6, 0.0)
@@ -568,6 +650,23 @@ class TestBuildReport:
             np.testing.assert_allclose(
                 build_report(scheme, x, PURE_QUBIT, r=turned).precision_bounds, bounds, rtol=1e-6
             )
+
+
+    @pytest.mark.parametrize(
+        "gradients,probe_kind,r",
+        [
+            ([[1e200, 0.0, 0.0], [0.0, 1e200, 0.0]], ENTANGLED_WITH_ANCILLA, None),
+            ([[1e200, 0.0, 0.0], [0.0, 1.0, 0.0]], PURE_QUBIT, [0.0, 0.0, 1.0]),
+        ],
+        ids=["entangled", "pure"],
+    )
+    def test_overflowing_information_raises(self, gradients, probe_kind, r):
+        # |Y_l|^2 ~ 1e400: the entangled probe used to read an all-inf QFIM with
+        # bounds [inf, inf] ("no information"), the pure probe failed in the SVD
+        scheme = affine_scheme([0.1, 0.2, 0.3], gradients, np.zeros(3), 1.0, 1, "merged")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError, match="information .* overflows double precision"):
+                build_report(scheme, [0.0, 0.0], probe_kind, r=r)
 
 
 _COMPONENT = st.floats(-3.0, 3.0)
