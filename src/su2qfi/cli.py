@@ -198,7 +198,7 @@ class RunConfig:
         return self
 
     def to_dict(self) -> dict:
-        return _json_safe(asdict(self))
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -268,15 +268,8 @@ def _json_safe(obj):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_safe(v) for v in obj]
-    if isinstance(obj, (float, np.floating)):
-        val = float(obj)
-        if math.isinf(val):
-            return "inf" if val > 0 else "-inf"
-        if math.isnan(val):
-            return "nan"
-        return val
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     return obj
 
 
@@ -429,16 +422,12 @@ def main(argv: list[str] | None = None) -> int:
                     f"--tolerance-scale must be nonnegative, got {args.tolerance_scale}",
                 )
             return cmd_verify(args.seed, args.samples, args.tolerance_scale, args.out)
+        # looked up per call, so a replaced cmd_* function is the one that runs
+        command = {"report": cmd_report, "sweep-alpha": cmd_sweep_alpha, "curves": cmd_curves}
         cfg = _load_config(args)
         # a value that leaves the float range raises instead of printing inf or nan
         with np.errstate(over="raise", invalid="raise"):
-            if args.command == "report":
-                return cmd_report(cfg, args.out)
-            if args.command == "sweep-alpha":
-                return cmd_sweep_alpha(cfg, args.out)
-            if args.command == "curves":
-                return cmd_curves(cfg, args.out)
-        raise ConfigError("unknown-command", f"unknown command {args.command!r}")
+            return command[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2

@@ -58,7 +58,7 @@ def _series_weights(z: float) -> tuple[float, float, float]:
 def _checked_inputs(x_coeff, d_coeff, total_time) -> tuple[np.ndarray, np.ndarray, float]:
     """X and dX as float arrays and the phase z = T|X|, for both analytic routes.
     ``ValueError`` for a negative, NaN or infinite T or a non-finite X or dX;
-    ``OverflowError`` for finite inputs whose phase is not finite."""
+    ``OverflowError`` for finite inputs whose z, T^3, z^3 or |X|^2 is not finite."""
     if not 0.0 <= total_time < math.inf:
         raise ValueError(f"total_time must be nonnegative and finite, got {total_time}")
     x_coeff = as_vec3(x_coeff)
@@ -67,9 +67,16 @@ def _checked_inputs(x_coeff, d_coeff, total_time) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"the coefficients X = {x_coeff} are not finite")
     if not np.isfinite(d_coeff).all():
         raise ValueError(f"the partial dX = {d_coeff} is not finite")
-    z = total_time * math.hypot(*x_coeff.tolist())
+    norm = math.hypot(*x_coeff.tolist())
+    z = total_time * norm
     if not math.isfinite(z):
         raise OverflowError(f"the phase T|X| of X = {x_coeff} and T = {total_time:g} overflows")
+    for name, value, power in (("T", total_time, 3), ("(T|X|)", z, 3), ("|X|", norm, 2)):
+        try:
+            float(value) ** power  # a Python float power raises where numpy's reads inf
+        except OverflowError:
+            message = f"{name}^{power} overflows: T = {total_time:g}, |X| = {norm:g}"
+            raise OverflowError(message) from None
     return x_coeff, d_coeff, z
 
 
@@ -91,9 +98,9 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     and X parallel to dX all take the same arithmetic, and dX = 0 gives Y = 0.
     ``d_coeff`` is one 3-vector or a ``(d, 3)`` stack of partials, and Y has
     its shape.  The maximal information is |Y|^2.  A negative, NaN or
-    infinite time and a non-finite X or dX raise ``ValueError``; finite
-    inputs whose phase z is not finite (T|X| past double range, or T = 0 with
-    |X| past it) raise ``OverflowError``.
+    infinite time and a non-finite X or dX raise ``ValueError``; finite inputs
+    raise ``OverflowError`` where T or z exceeds about 5.6e102 or |X| about
+    1.3e154 (as in ``algebra.su2_exp``), so that T^3, z^3 or |X|^2 overflows.
     """
     x_coeff, d_coeff, z = _checked_inputs(x_coeff, d_coeff, total_time)
     t = total_time

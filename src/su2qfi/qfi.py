@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .algebra import as_vec3, check_bloch, check_density
+from .algebra import as_vec3, check_bloch
 from .errors import DimensionalityError, UnphysicalStateError
 from .generators import closed_form_generator
 from .scheme import SchemeConfig
@@ -98,10 +98,11 @@ def entangled_weak_comm(gen_a, gen_b, probe: np.ndarray) -> complex:
     probe = np.asarray(probe, dtype=complex).reshape(-1)
     if probe.shape != (4,):
         raise UnphysicalStateError("probe must be a 4-dimensional state vector")
-    rho = check_density(np.outer(probe, probe.conj()))
+    if not abs(np.vdot(probe, probe).real - 1.0) <= PURITY:  # then its projector is a state
+        raise UnphysicalStateError("probe state vector is not normalized")
     ha = algebra.lift(algebra.su2_element(gen_a))
     hb = algebra.lift(algebra.su2_element(gen_b))
-    return complex(np.trace((ha @ hb - hb @ ha) @ rho))
+    return complex(np.trace((ha @ hb - hb @ ha) @ np.outer(probe, probe.conj())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +127,10 @@ class QfimReport:
 
     def to_dict(self) -> dict:
         return {
-            "qfim": [[float(v) for v in row] for row in self.qfim],
-            "qfi_max": [float(v) for v in self.qfi_max],
-            "weak_comm_residuals": [[float(v) for v in row] for row in self.weak_comm_residuals],
-            "precision_bounds": [float(v) for v in self.precision_bounds],
+            "qfim": self.qfim.tolist(),
+            "qfi_max": self.qfi_max.tolist(),
+            "weak_comm_residuals": self.weak_comm_residuals.tolist(),
+            "precision_bounds": self.precision_bounds.tolist(),
             "attainable": bool(self.attainable),
             "probe_kind": self.probe_kind,
             "parameter_names": list(self.parameter_names),

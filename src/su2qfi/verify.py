@@ -1,9 +1,12 @@
 """Randomized oracle cross-check suites behind the ``verify`` command.
 
-Each suite samples random instances with a seeded generator, runs one of the
-closed forms against its independent matrix oracle, and reports the worst
-deviation seen together with the tolerance it must stay under.  A fixed seed
-makes the whole summary byte-reproducible.
+Each suite samples random instances with a seeded generator and runs one of
+the closed forms against its independent matrix oracle.  A check is one
+``CheckResult``: the suite creates it with its name and tolerance, each
+sample records its deviation into it, and the record keeps the worst
+deviation and a label of the input that produced it.  The suite returns its
+records as they are, and ``run_all`` scales their tolerances in place.  A
+fixed seed makes the whole summary byte-reproducible.
 """
 
 from __future__ import annotations
@@ -27,33 +30,25 @@ from .qfi import BELL_PHI_PLUS, entangled_weak_comm, qfim_pure, weak_comm_matrix
 from .scheme import MERGED, PRODUCT, affine_scheme, build_total_unitary
 
 
-@dataclass(frozen=True)
+@dataclass
 class CheckResult:
+    """One check: its tolerance, its worst deviation and the input behind it."""
+
     name: str
-    max_deviation: float
     tolerance: float
-    worst_input: str
+    max_deviation: float = 0.0
+    worst_input: str = "none"
 
     @property
     def passed(self) -> bool:
         return self.max_deviation <= self.tolerance
 
-
-class _Worst:
-    """Track the largest deviation and the input that produced it.
-
-    The label is built as ``formatter(*args)`` only when a value is a new
-    worst, so the common case formats nothing.
-    """
-
-    def __init__(self):
-        self.value = 0.0
-        self.label = "none"
-
-    def update(self, value: float, formatter, *args):
-        if value > self.value:
-            self.value = float(value)
-            self.label = formatter(*args)
+    def record(self, value: float, formatter, *args):
+        """Keep ``value`` if it is a new worst; only then is the label
+        ``formatter(*args)`` built, so the common case formats nothing."""
+        if value > self.max_deviation:
+            self.max_deviation = float(value)
+            self.worst_input = formatter(*args)
 
 
 def _fmt_vec(v) -> str:
@@ -76,9 +71,9 @@ def generator_three_way(seed: int, samples: int) -> list[CheckResult]:
     those the closed form and the numeric oracle still check each other.
     """
     rng = np.random.default_rng([seed, 1])
-    closed_series = _Worst()
-    closed_numeric = _Worst()
-    series_numeric = _Worst()
+    closed_series = CheckResult("generator/closed-vs-series", 1e-12)
+    closed_numeric = CheckResult("generator/closed-vs-numeric", 1e-6)
+    series_numeric = CheckResult("generator/series-vs-numeric", 1e-6)
     for _ in range(samples):
         x = rng.uniform(0.1, 5.0) * _random_unit(rng)
         d = rng.uniform(0.1, 5.0) * _random_unit(rng)
@@ -89,22 +84,14 @@ def generator_three_way(seed: int, samples: int) -> list[CheckResult]:
         scheme = affine_scheme(x, d, np.zeros(3), total_time, 1, MERGED)
         numeric = numeric_generator(scheme, [0.0], 0)
         label = (_generator_label, x, d, total_time)
-        closed_numeric.update(np.abs(closed - numeric).max(), *label)
+        closed_numeric.record(np.abs(closed - numeric).max(), *label)
         try:
             series = series_generator(x, d, total_time)
         except SeriesDepthError:
             continue
-        closed_series.update(np.abs(closed - series).max(), *label)
-        series_numeric.update(np.abs(series - numeric).max(), *label)
-    return [
-        CheckResult("generator/closed-vs-series", closed_series.value, 1e-12, closed_series.label),
-        CheckResult(
-            "generator/closed-vs-numeric", closed_numeric.value, 1e-6, closed_numeric.label
-        ),
-        CheckResult(
-            "generator/series-vs-numeric", series_numeric.value, 1e-6, series_numeric.label
-        ),
-    ]
+        closed_series.record(np.abs(closed - series).max(), *label)
+        series_numeric.record(np.abs(series - numeric).max(), *label)
+    return [closed_series, closed_numeric, series_numeric]
 
 
 def _random_generator(rng) -> np.ndarray:
@@ -118,9 +105,9 @@ def _qfim_label(gens, r) -> str:
 def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:
     """The pure-probe QFIM and residuals ``build_report`` evaluates vs the trace oracles."""
     rng = np.random.default_rng([seed, 2])
-    qfi_dev = _Worst()
-    qfim_dev = _Worst()
-    wc_dev = _Worst()
+    qfi_dev = CheckResult("qfim/qfi-vs-variance-oracle", 1e-12)
+    qfim_dev = CheckResult("qfim/qfim-vs-trace-oracle", 1e-11)
+    wc_dev = CheckResult("qfim/weak-comm-vs-trace-oracle", 1e-12)
     for _ in range(samples):
         gens = np.array([_random_generator(rng) for _ in range(3)])
         r = _random_unit(rng)
@@ -128,17 +115,13 @@ def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:
         mats = np.array([algebra.su2_element(g) for g in gens])
         label = (_qfim_label, gens, r)
         qfim = qfim_pure(gens, r)
-        qfi_dev.update(abs(qfim[0, 0] - variance_qfi_oracle(mats[0], rho)), *label)
-        qfim_dev.update(np.abs(qfim - qfim_trace_oracle(mats, rho)).max(), *label)
+        qfi_dev.record(abs(qfim[0, 0] - variance_qfi_oracle(mats[0], rho)), *label)
+        qfim_dev.record(np.abs(qfim - qfim_trace_oracle(mats, rho)).max(), *label)
         # every pair at once: the diagonal is exactly 0 on both sides and the
         # lower triangle mirrors the upper one exactly
         oracle = weak_comm_trace_oracle(mats[:, None], mats[None, :], rho)
-        wc_dev.update(np.abs(1j * weak_comm_matrix(gens, r) - oracle).max(), *label)
-    return [
-        CheckResult("qfim/qfi-vs-variance-oracle", qfi_dev.value, 1e-12, qfi_dev.label),
-        CheckResult("qfim/qfim-vs-trace-oracle", qfim_dev.value, 1e-11, qfim_dev.label),
-        CheckResult("qfim/weak-comm-vs-trace-oracle", wc_dev.value, 1e-12, wc_dev.label),
-    ]
+        wc_dev.record(np.abs(1j * weak_comm_matrix(gens, r) - oracle).max(), *label)
+    return [qfi_dev, qfim_dev, wc_dev]
 
 
 def _entangled_label(gen_a, gen_b) -> str:
@@ -152,25 +135,22 @@ def entangled_probe_suite(seed: int, samples: int) -> list[CheckResult]:
     r = 0, the reduced state I/2; that is the quantity checked here.
     """
     rng = np.random.default_rng([seed, 3])
-    qfi_dev = _Worst()
-    wc_dev = _Worst()
+    qfi_dev = CheckResult("entangled/qfi-vs-4x4-oracle", 1e-11)
+    wc_dev = CheckResult("entangled/weak-comm-zero", 1e-12)
     for _ in range(samples):
         gen_a = _random_generator(rng)
         gen_b = _random_generator(rng)
         label = (_entangled_label, gen_a, gen_b)
         qfi = qfim_pure(gen_a, np.zeros(3))[0, 0]
-        qfi_dev.update(abs(qfi - entangled_qfi_oracle(gen_a)), *label)
-        wc_dev.update(abs(entangled_weak_comm(gen_a, gen_b, BELL_PHI_PLUS)), *label)
-    return [
-        CheckResult("entangled/qfi-vs-4x4-oracle", qfi_dev.value, 1e-11, qfi_dev.label),
-        CheckResult("entangled/weak-comm-zero", wc_dev.value, 1e-12, wc_dev.label),
-    ]
+        qfi_dev.record(abs(qfi - entangled_qfi_oracle(gen_a)), *label)
+        wc_dev.record(abs(entangled_weak_comm(gen_a, gen_b, BELL_PHI_PLUS)), *label)
+    return [qfi_dev, wc_dev]
 
 
 def sld_identity_suite(seed: int, samples: int) -> list[CheckResult]:
     """SLD-vs-generator weak-commutation identity on random schemes and probes."""
     rng = np.random.default_rng([seed, 4])
-    dev = _Worst()
+    dev = CheckResult("sld/commutation-identity", 1e-6)
     for _ in range(samples):
         d = int(rng.integers(1, 4))
         x0 = rng.uniform(-2.0, 2.0, 3)
@@ -187,10 +167,10 @@ def sld_identity_suite(seed: int, samples: int) -> list[CheckResult]:
             psi /= np.linalg.norm(psi)
             probe = np.outer(psi, psi.conj())
         result = sld_oracle(scheme, x, probe)
-        dev.update(
+        dev.record(
             result.residuals.max(), "d={} T={:.6g} dim={}".format, d, total_time, probe.shape[0]
         )
-    return [CheckResult("sld/commutation-identity", dev.value, 1e-6, dev.label)]
+    return [dev]
 
 
 def trotter_gap_suite(seed: int, samples: int) -> list[CheckResult]:
@@ -202,6 +182,7 @@ def trotter_gap_suite(seed: int, samples: int) -> list[CheckResult]:
     to 2 per halving; the reported deviation is the worst |ratio - 2|.
     """
     del seed, samples  # deterministic suite, kept uniform with the others
+    worst = CheckResult("trotter/gap-halving-ratio", 0.2)
     point = FieldPoint(B=3.0, theta=np.pi / 6, phi=0.0)
     x = point.as_array() + np.array([0.0, 0.1, 0.0])
     total_time = 5.0
@@ -214,11 +195,10 @@ def trotter_gap_suite(seed: int, samples: int) -> list[CheckResult]:
             build_total_unitary(product, x) - build_total_unitary(merged, x), 2
         )
         distances.append(gap)
-    worst = _Worst()
     for i in range(len(distances) - 1):
         ratio = distances[i] / distances[i + 1]
-        worst.update(abs(ratio - 2.0), "t={:.6g} ratio={:.6g}".format, 0.5 / 2**i, ratio)
-    return [CheckResult("trotter/gap-halving-ratio", worst.value, 0.2, worst.label)]
+        worst.record(abs(ratio - 2.0), "t={:.6g} ratio={:.6g}".format, 0.5 / 2**i, ratio)
+    return [worst]
 
 
 ALL_SUITES = (
@@ -238,17 +218,9 @@ def run_all(seed: int, samples: int, tolerance_scale: float = 1.0) -> list[Check
     """
     if samples < 1:
         raise ValueError("sample count must be at least 1")
-    results = []
-    for suite in ALL_SUITES:
-        for check in suite(seed, samples):
-            results.append(
-                CheckResult(
-                    check.name,
-                    check.max_deviation,
-                    check.tolerance * tolerance_scale,
-                    check.worst_input,
-                )
-            )
+    results = [check for suite in ALL_SUITES for check in suite(seed, samples)]
+    for check in results:
+        check.tolerance *= tolerance_scale
     return results
 
 

@@ -51,6 +51,11 @@ class TestCross:
     def test_right_handed_basis(self):
         assert np.array_equal(cross([1, 0, 0], [0, 1, 0]), [0, 0, 1])
 
+    @pytest.mark.parametrize("bad", [[1, 0], [1, 0, 0, 0], [[1, 0, 0]]])
+    def test_rejects_a_non_3_vector(self, bad):
+        with pytest.raises(DegenerateVectorError, match="expected a 3-vector"):
+            cross(bad, [0, 1, 0])
+
     def test_self_cross_vanishes(self):
         v = RNG.normal(size=3)
         assert np.array_equal(cross(v, v), [0, 0, 0])
@@ -115,6 +120,10 @@ class TestNestedCross:
         z = RNG.normal(size=3)
         for n in (1, 2, 5):
             assert np.allclose(nested_cross(z, 2.5 * z, n), [0, 0, 0])
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            nested_cross([0, 0, 1], [1, 0, 0], -1)
 
 
 class TestAngleBetween:

@@ -96,6 +96,11 @@ class TestRunConfig:
                 {"scenario": "generic", "gradients": [[1, 0, 0]], "x": [0], "x_tilde": [0, 0]},
                 "parameter-point",
             ),
+            ({"n_values": [3, 0]}, "invalid-segment-count"),
+            ({"mode": "interleaved"}, "unknown-mode"),
+            ({"scenario": "generic"}, "missing-gradients"),
+            ({"t": 10**400}, "non-finite"),  # an integer too large to be a float
+            ({"scenario": "generic", "gradients": [[1, 0, 0]], "x": [0, 0]}, "parameter-point"),
         ],
     )
     def test_distinct_error_codes(self, data, code):
@@ -198,6 +203,7 @@ class TestGridInputValidation:
             (("curves", "--n-max", "4611686018427387904"), "grid-too-large"),
             (("sweep-alpha", "--alpha-count", "9223372036854775808"), "grid-too-large"),
             (("sweep-alpha", "--n-values", "100000000000000000000000"), "grid-too-large"),
+            (("--config", os.path.join("no-such-dir", "config.json"), "report"), "io"),
         ],
     )
     def test_rejected_with_one_error_line(self, capsys, argv, code):
@@ -635,6 +641,13 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert "worst input" in out
+
+    def test_out_file_is_echoed_to_stdout(self, capsys, tmp_path):
+        path = tmp_path / "verify.txt"
+        code, out, _ = run_main(capsys, "--samples", "5", "--out", str(path), "verify")
+        assert code == 0
+        assert out.endswith("checks passed\n")
+        assert path.read_bytes() == out.encode()
 
     def test_bad_sample_count_exits_2(self, capsys):
         code, _, err = run_main(capsys, "--samples", "0", "verify")

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from math import factorial
 
 import numpy as np
@@ -104,6 +105,22 @@ class TestBadInputsFailClosed:
         # finite X whose |X| overflows: z = T|X| is NaN at T = 0 and inf at T = 1
         with pytest.raises(OverflowError, match="phase T\\|X\\|"):
             route([1.7e308, 1.7e308, 0.0], SAMPLE_D, t)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize(
+        "x,t,power",
+        [
+            ([1e155, 0.0, 0.0], 1e-160, "|X|^2"),  # was a NaN entry and RuntimeWarnings
+            ([1e110, 0.0, 0.0], 1.0, "(T|X|)^3"),
+            ([1e-150, 0.0, 0.0], 1e110, "T^3"),
+        ],
+    )
+    def test_power_past_double_range_raises_overflow_error(self, route, x, t, power):
+        # finite T and X whose phase is finite, but a power the closed form takes is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=re.escape(power)):
+                route(x, [0.3, 1.0, 0.0], t)
 
     def test_non_finite_partial_in_a_stack_raises_in_the_closed_form(self):
         stack = np.array([SAMPLE_D, [0.0, float("nan"), 0.0]])
@@ -351,6 +368,11 @@ class TestNumericOracle:
             closed = su2_element(closed_form_generator(x0, d, t))
             worst = max(worst, np.abs(num - closed).max())
         assert worst < 1e-6
+
+    @pytest.mark.parametrize("ell", [-1, 1])
+    def test_parameter_index_out_of_range(self, ell):
+        with pytest.raises(IndexError, match="out of range"):
+            numeric_generator(linear_scheme([1, 0, 0], [0, 1, 0], 1.0), [0.0], ell)
 
     def test_negating_control_leaves_linear_response(self):
         # with the control cancelling the coefficients, the generator is -T dX.J

@@ -183,6 +183,10 @@ class TestGenerators:
         assert np.linalg.norm(gen_b) == pytest.approx(5.0, rel=1e-15)
         assert np.allclose(gen_b / np.linalg.norm(gen_b), -n0, atol=1e-14)
 
+    def test_unknown_control_rejected(self):
+        with pytest.raises(ValueError, match="unknown control kind"):
+            magnetometry_scheme(POINT, 1.0, 3, control="bogus")
+
     def test_colatitude_magnitude(self):
         _, gen_theta, _ = generators(POINT, 1.0)
         assert np.linalg.norm(gen_theta) == pytest.approx(2 * np.sin(3.0), abs=1e-14)

@@ -386,6 +386,11 @@ class TestSldOracle:
         with pytest.raises(UnphysicalStateError):
             sld_oracle(scheme, [0.0], np.eye(2))  # trace 2
 
+    def test_three_level_probe_rejected(self):
+        scheme = linear_scheme([1, 0, 0], [[0, 1, 0]])
+        with pytest.raises(UnphysicalStateError, match="2x2 or 4x4"):
+            sld_oracle(scheme, [0.0], np.eye(3) / 3)
+
     @pytest.mark.parametrize("diagonal", [(1.5, -0.5), (1.5, -0.5, 0.0, 0.0)])
     def test_negative_eigenvalue_rejected(self, diagonal):
         # unit trace and Hermitian, but not a state: the qubit one is r = (0, 0, 2)
@@ -576,6 +581,11 @@ class TestBuildReport:
         scheme = linear_scheme([1, 0, 0], np.eye(4)[:, :3] * 0 + RNG.uniform(-1, 1, (4, 3)))
         with pytest.raises(DimensionalityError):
             build_report(scheme, [0.0, 0, 0, 0], ENTANGLED_WITH_ANCILLA)
+
+    def test_unknown_probe_kind_rejected(self):
+        scheme = linear_scheme([1, 0, 0], [[0, 1, 0]])
+        with pytest.raises(ValueError, match="unknown probe kind"):
+            build_report(scheme, [0.0], "thermal")
 
     def test_pure_probe_requires_unit_bloch_vector(self):
         point = FieldPoint(3.0, np.pi / 6, 0.0)

@@ -47,6 +47,8 @@ class TestSchemeConfig:
             linear_scheme([1, 0, 0], [0, 1, 0], n=0)
         with pytest.raises(ValueError):
             linear_scheme([1, 0, 0], [0, 1, 0], mode="interleaved")
+        with pytest.raises(ValueError, match="at least one parameter"):
+            replace(linear_scheme([1, 0, 0], [0, 1, 0]), n_params=0)
 
     @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
     def test_rejects_non_integer_segment_count(self, n):

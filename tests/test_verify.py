@@ -15,6 +15,11 @@ def test_every_check_passes_across_seeds():
     assert failing == []
 
 
+def test_sample_count_below_one_rejected():
+    with pytest.raises(ValueError, match="at least 1"):
+        run_all(0, 0)
+
+
 @pytest.mark.parametrize("seed", [0, 7, 20220])
 def test_summary_repeats_byte_for_byte(seed):
     assert summarize(run_all(seed, 5), seed) == summarize(run_all(seed, 5), seed)
