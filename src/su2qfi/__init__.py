@@ -34,6 +34,7 @@ from .magnetometry import (
     precision_curves,
 )
 from .oracles import (
+    BELL_PHI_PLUS,
     entangled_qfim_fd,
     qfim_trace_oracle,
     sld_oracle,
@@ -41,7 +42,6 @@ from .oracles import (
     weak_comm_trace_oracle,
 )
 from .qfi import (
-    BELL_PHI_PLUS,
     ENTANGLED_WITH_ANCILLA,
     PURE_QUBIT,
     QfimReport,

@@ -328,8 +328,6 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
             continue
         if f.name == "controlled":
             value = value == "true"
-        if isinstance(value, list):
-            value = tuple(value)
         overrides[f.name] = value
     return overrides
 

@@ -36,6 +36,9 @@ SERIES_TERM_CAP = 48
 _A_SERIES = tuple((-1) ** k / math.factorial(2 * k + 2) for k in range(7))
 _B_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7))
 
+# with T and |X| in this band every power the closed form takes is a normal double
+_BAND_LOW, _BAND_HIGH = 2.0**-300, 2.0**300
+
 
 def _series_weights(z: float) -> tuple[float, float, float]:
     """sin(z)/z, a(z) = (1 - cos z)/z^2 and b(z) = (z - sin z)/z^3 for z >= 0.
@@ -55,10 +58,10 @@ def _series_weights(z: float) -> tuple[float, float, float]:
     return sin_z / z, 2.0 * (math.sin(0.5 * z) / z) ** 2, (z - sin_z) / z**3
 
 
-def _checked_inputs(x_coeff, d_coeff, total_time) -> tuple[np.ndarray, np.ndarray, float]:
-    """X and dX as float arrays and the phase z = T|X|, for both analytic routes.
+def _checked_inputs(x_coeff, d_coeff, total_time) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """X and dX as float arrays, |X| and the phase z = T|X|, for both analytic routes.
     ``ValueError`` for a negative, NaN or infinite T or a non-finite X or dX;
-    ``OverflowError`` for finite inputs whose z, T^3, z^3 or |X|^2 is not finite."""
+    ``OverflowError`` for finite inputs whose phase z or z^3 is not finite."""
     if not 0.0 <= total_time < math.inf:
         raise ValueError(f"total_time must be nonnegative and finite, got {total_time}")
     x_coeff = as_vec3(x_coeff)
@@ -69,15 +72,12 @@ def _checked_inputs(x_coeff, d_coeff, total_time) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"the partial dX = {d_coeff} is not finite")
     norm = math.hypot(*x_coeff.tolist())
     z = total_time * norm
-    if not math.isfinite(z):
-        raise OverflowError(f"the phase T|X| of X = {x_coeff} and T = {total_time:g} overflows")
-    for name, value, power in (("T", total_time, 3), ("(T|X|)", z, 3), ("|X|", norm, 2)):
-        try:
-            float(value) ** power  # a Python float power raises where numpy's reads inf
-        except OverflowError:
-            message = f"{name}^{power} overflows: T = {total_time:g}, |X| = {norm:g}"
-            raise OverflowError(message) from None
-    return x_coeff, d_coeff, z
+    try:
+        if math.isfinite(z**3):  # a Python float power raises where numpy's reads inf
+            return x_coeff, d_coeff, norm, z
+    except OverflowError:
+        pass
+    raise OverflowError(f"the phase T|X| or (T|X|)^3 overflows: T = {total_time:g}, |X| = {norm:g}")
 
 
 def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
@@ -94,16 +94,22 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
         Y = -T (sin(z)/z) dX + T^2 a(z) (X x dX) - T^3 b(z) (X.dX) X,
 
     which keeps full relative precision when |X|, T or the angle between X
-    and dX is small, and as z grows.  There is no special case: X = 0, T = 0
+    and dX is small, and as z grows.  The map has no special case: X = 0, T = 0
     and X parallel to dX all take the same arithmetic, and dX = 0 gives Y = 0.
+    Outside a band of T and |X| it is evaluated exactly at T scaled into
+    [1/2, 1), through the homogeneity Y(X, T) = 2^e Y(2^e X, 2^-e T).
     ``d_coeff`` is one 3-vector or a ``(d, 3)`` stack of partials, and Y has
     its shape.  The maximal information is |Y|^2.  A negative, NaN or
     infinite time and a non-finite X or dX raise ``ValueError``; finite inputs
-    raise ``OverflowError`` where T or z exceeds about 5.6e102 or |X| about
-    1.3e154 (as in ``algebra.su2_exp``), so that T^3, z^3 or |X|^2 overflows.
+    raise ``OverflowError`` only where the phase z or z^3 is not finite (z
+    above about 5.6e102).
     """
-    x_coeff, d_coeff, z = _checked_inputs(x_coeff, d_coeff, total_time)
-    t = total_time
+    x_coeff, d_coeff, norm, z = _checked_inputs(x_coeff, d_coeff, total_time)
+    t, scale = total_time, 0
+    if not (_BAND_LOW < t < _BAND_HIGH and norm < _BAND_HIGH):
+        # t in [1/2, 1) makes the scaled |X| at most 2z; at T = 0, where Y = 0, X is scaled
+        t, scale = math.frexp(t) if t else (0.0, -math.frexp(norm)[1])
+        x_coeff = np.ldexp(x_coeff, scale)
     sinc, a, b = _series_weights(z)
     # the linear map dX -> Y, applied row by row so a stack rounds like its rows
     generator_map = (
@@ -111,7 +117,8 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
         + t * t * a * algebra.cross_matrix(x_coeff)
         - t**3 * b * (x_coeff[:, None] * x_coeff)
     )
-    return (d_coeff[..., None, :] * generator_map).sum(axis=-1)
+    generator = (d_coeff[..., None, :] * generator_map).sum(axis=-1)
+    return np.ldexp(generator, scale) if scale else generator
 
 
 def series_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
@@ -125,26 +132,23 @@ def series_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     ``SERIES_TOL`` or the nested cross vanishes (colinear geometry).  If the
     bound has not fallen below ``SERIES_TOL`` within ``SERIES_TERM_CAP`` terms
     a ``SeriesDepthError`` is raised and the closed form should be used
-    instead.  Bad inputs raise the closed form's ``ValueError`` or ``OverflowError``.
+    instead.  Bad inputs raise the closed form's ``ValueError`` or
+    ``OverflowError``, and so does a sum that overflows double precision.
     """
-    x_coeff, d_coeff, _ = _checked_inputs(x_coeff, as_vec3(d_coeff), total_time)
+    x_coeff, d_coeff, _, z = _checked_inputs(x_coeff, as_vec3(d_coeff), total_time)
     x1, x2, x3 = x_coeff.tolist()
     w1, w2, w3 = d_coeff.tolist()
-    nx = algebra.euclidean_norm(x_coeff)
-    nd = algebra.euclidean_norm(d_coeff)
     s1 = s2 = s3 = 0.0
-    # term n carries coefficient (-T)^(n+1)/(n+1)! and bound T^(n+1)|X|^n|dX|/(n+1)!,
+    # term n carries coefficient (-T)^(n+1)/(n+1)! and bound T|dX| z^n/(n+1)!,
     # both updated multiplicatively to sidestep factorial overflow
     coeff = -total_time
-    bound = total_time * nd
+    bound = total_time * algebra.euclidean_norm(d_coeff)
     n = 0
-    while True:
-        if n > 0 and bound < SERIES_TOL:
-            return algebra.su2_element((s1, s2, s3))
+    while n == 0 or not bound < SERIES_TOL:
         if n >= SERIES_TERM_CAP:
             raise SeriesDepthError(
                 f"series not converged in {SERIES_TERM_CAP} terms "
-                f"(T|X| = {total_time * nx:.3g}); use the closed form"
+                f"(T|X| = {z:.3g}); use the closed form"
             )
         s1 += coeff * w1
         s2 += coeff * w2
@@ -152,10 +156,13 @@ def series_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
         # w <- X x w, written out as in algebra.cross
         w1, w2, w3 = x2 * w3 - x3 * w2, x3 * w1 - x1 * w3, x1 * w2 - x2 * w1
         if not (w1 or w2 or w3):
-            return algebra.su2_element((s1, s2, s3))
+            break
         n += 1
         coeff *= -total_time / (n + 1)
-        bound *= total_time * nx / (n + 1)
+        bound *= z / (n + 1)
+    if not all(map(math.isfinite, (s1, s2, s3))):
+        raise OverflowError(f"the series overflows double precision (T|X| = {z:.3g})")
+    return algebra.su2_element((s1, s2, s3))
 
 
 def generators_from_derivatives(u: np.ndarray, du: np.ndarray) -> np.ndarray:

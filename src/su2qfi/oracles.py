@@ -16,8 +16,10 @@ import numpy as np
 
 from . import algebra
 from .generators import generators_from_derivatives
-from .qfi import BELL_PHI_PLUS
 from .scheme import SchemeConfig, unitary_derivatives
+
+# canonical maximally entangled two-qubit probe (|00> + |11>) / sqrt(2)
+BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
 def variance_qfi_oracle(h_mat: np.ndarray, rho: np.ndarray) -> float:

@@ -13,7 +13,7 @@ idle ancilla makes every residual vanish and the ceiling unconditional.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,9 +26,6 @@ from .tolerances import ATTAINABILITY, PURITY
 
 PURE_QUBIT = "pure_qubit"
 ENTANGLED_WITH_ANCILLA = "entangled_with_ancilla"
-
-# canonical maximally entangled two-qubit probe (|00> + |11>) / sqrt(2)
-BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
 def _squared_norms(gens: np.ndarray) -> np.ndarray:
@@ -126,15 +123,9 @@ class QfimReport:
     parameter_names: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "qfim": self.qfim.tolist(),
-            "qfi_max": self.qfi_max.tolist(),
-            "weak_comm_residuals": self.weak_comm_residuals.tolist(),
-            "precision_bounds": self.precision_bounds.tolist(),
-            "attainable": bool(self.attainable),
-            "probe_kind": self.probe_kind,
-            "parameter_names": list(self.parameter_names),
-        }
+        """Every field by name, in declaration order, with arrays as nested lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 def scheme_generators(scheme: SchemeConfig, x) -> np.ndarray:

@@ -20,13 +20,14 @@ from .errors import SeriesDepthError
 from .generators import closed_form_generator, numeric_generator, series_generator
 from .magnetometry import FieldPoint, magnetometry_scheme
 from .oracles import (
+    BELL_PHI_PLUS,
     entangled_qfi_oracle,
     qfim_trace_oracle,
     sld_oracle,
     variance_qfi_oracle,
     weak_comm_trace_oracle,
 )
-from .qfi import BELL_PHI_PLUS, entangled_weak_comm, qfim_pure, weak_comm_matrix
+from .qfi import entangled_weak_comm, qfim_pure, weak_comm_matrix
 from .scheme import MERGED, PRODUCT, affine_scheme, build_total_unitary
 
 

@@ -106,21 +106,13 @@ class TestBadInputsFailClosed:
         with pytest.raises(OverflowError, match="phase T\\|X\\|"):
             route([1.7e308, 1.7e308, 0.0], SAMPLE_D, t)
 
-    @pytest.mark.parametrize("route", ROUTES)
-    @pytest.mark.parametrize(
-        "x,t,power",
-        [
-            ([1e155, 0.0, 0.0], 1e-160, "|X|^2"),  # was a NaN entry and RuntimeWarnings
-            ([1e110, 0.0, 0.0], 1.0, "(T|X|)^3"),
-            ([1e-150, 0.0, 0.0], 1e110, "T^3"),
-        ],
-    )
-    def test_power_past_double_range_raises_overflow_error(self, route, x, t, power):
-        # finite T and X whose phase is finite, but a power the closed form takes is not
+    @pytest.mark.parametrize("route", ROUTES, ids=["closed", "series"])
+    def test_cubed_phase_overflow_raises(self, route):
+        # z = 1e110 is finite but z^3 is not: the one refusal of finite inputs
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(OverflowError, match=re.escape(power)):
-                route(x, [0.3, 1.0, 0.0], t)
+            with pytest.raises(OverflowError, match=re.escape("phase T|X| or (T|X|)^3")):
+                route([1e110, 0.0, 0.0], [0.3, 1.0, 0.0], 1.0)
 
     def test_non_finite_partial_in_a_stack_raises_in_the_closed_form(self):
         stack = np.array([SAMPLE_D, [0.0, float("nan"), 0.0]])
@@ -132,7 +124,43 @@ class TestBadInputsFailClosed:
             qfi_max([0.3, -1.1, 0.7], [float("nan"), 0.0, 0.0], 1.0)
 
 
+# Inputs past the range of the powers the closed form takes, with Y from the
+# resummed series in mpmath at 60 digits (the float inputs taken as exact,
+# a and b from their Taylor series below z = 1/2), rounded to 20 digits
+EXTREME_INPUTS = {
+    # |X|^2 overflows: the closed form used to read a NaN entry
+    "norm-squared": (
+        [1e155, 0.0, 0.0], [0.3, 1.0, 0.0], 1e-160,
+        [-2.9999999999999998549e-161, -9.9999999998333332197e-161, 4.9999999999583332556e-166],
+    ),
+    # T^3 overflows
+    "time-cubed": (
+        [1e-150, 0.0, 0.0], [0.3, 1.0, 0.0], 1e110,
+        [-2.9999999999999999597e109, -1.0000000000000000236e110, 5.0000000000000002672e69],
+    ),
+    # T^3 underflows while T^3 b(z) |X|^2 is about T: the closed form used to
+    # return a wrong finite vector; the two small entries are ill-conditioned
+    # in the rounding of z = 1e44, so only the norm-relative error is meaningful
+    "time-cubed-underflow": (
+        [1e154, 0.0, 0.0], [0.3, 1.0, 0.0], 1e-110,
+        [-3.0000000000000000426e-111, -3.6177630599834984182e-155, 6.7735067473742024938e-156],
+    ),
+    # z = 10: the series' nested crosses overflow and used to sum to NaN
+    "series-nan": (
+        [1e11, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-10,
+        [0.0, 5.440211108893701191e-12, 1.8390715290764522541e-11],
+    ),
+}
+
+
 class TestClosedForm:
+    @pytest.mark.parametrize("case", EXTREME_INPUTS)
+    def test_exact_past_the_power_range(self, case):
+        x, d, t, expected = EXTREME_INPUTS[case]
+        y = closed_form_generator(x, d, t)
+        # math.hypot scales, where the squares of entries near 1e-161 underflow
+        assert math.hypot(*(y - expected)) <= 1e-14 * math.hypot(*expected)
+
     def test_overflowing_phase_raises_overflow_error(self):
         # T|X| = inf has no sine; the CLI maps OverflowError to error[overflow]
         with pytest.raises(OverflowError):
@@ -335,6 +363,19 @@ class TestSeries:
         # cross vanishes exactly after the linear term
         assert np.linalg.norm(x) * t == pytest.approx(50.0)
         assert np.array_equal(series_generator(x, d, t), -t * su2_element(d))
+
+    @pytest.mark.parametrize("case", EXTREME_INPUTS)
+    def test_never_returns_a_non_finite_matrix(self, case):
+        x, d, t, _ = EXTREME_INPUTS[case]
+        try:
+            series = series_generator(x, d, t)
+        except (OverflowError, SeriesDepthError):
+            return
+        assert np.isfinite(series).all()
+
+    def test_overflowing_terms_raise_overflow_error(self):
+        with pytest.raises(OverflowError, match="series overflows"):
+            series_generator([1e11, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-10)
 
     def test_non_colinear_beyond_the_cap_refuses(self):
         message = (

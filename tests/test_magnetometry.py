@@ -24,8 +24,13 @@ from su2qfi import (
     su2_element,
 )
 from su2qfi.magnetometry import _coefficients, _partials, _qfim_diagonal
-from su2qfi.oracles import entangled_qfim_fd, qfim_trace_oracle, weak_comm_trace_oracle
-from su2qfi.qfi import BELL_PHI_PLUS, scheme_generators, weak_comm_matrix
+from su2qfi.oracles import (
+    BELL_PHI_PLUS,
+    entangled_qfim_fd,
+    qfim_trace_oracle,
+    weak_comm_trace_oracle,
+)
+from su2qfi.qfi import scheme_generators, weak_comm_matrix
 
 RNG = np.random.default_rng(505)
 

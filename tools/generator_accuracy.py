@@ -6,11 +6,23 @@ The reference evaluates the resummed nested-cross series
     a(z) = (1 - cos z)/z^2,   b(z) = (z - sin z)/z^3,
 
 in mpmath at 50 significant digits, with a and b summed from their Taylor
-series below z = 1/2.  The 3000 inputs are drawn from rng seed 1: X along a
-random axis with |X| = 10^U(-14, 1.5), T = 10^U(-2, 1.5), and |dX| =
-U(0.1, 5) along a random axis, except that every fifth dX sits at an angle
-10^U(-12, -2) from X.  The script prints the median, 99th percentile and
-maximum of |Y - Y_ref| / |Y_ref| and exits 1 when the maximum exceeds 1e-13.
+series below z = 1/2, and the float inputs taken as exact.  Two samples of
+3000 inputs each, with |dX| = U(0.1, 5) along a random axis, except that
+every fifth dX sits at an angle 10^U(-12, -2) from X:
+
+- the main sample (rng seed 1): X along a random axis with
+  |X| = 10^U(-14, 1.5) and T = 10^U(-2, 1.5);
+- the extreme-magnitude sample (rng seed 2): |X| = 10^U(-300, 300) along a
+  random axis, the phase z = 10^U(-14, 3) and T = z/|X|.  Inputs whose
+  reference |Y| lies below the normal doubles are skipped, since rounding Y
+  to a subnormal is not the algorithm's error.
+
+Relative errors are |Y - Y_ref| / |Y_ref|, both norms taken after an exact
+power-of-two scaling so that their squares neither overflow nor underflow.
+The script prints the median, 99th percentile and maximum of each sample and
+exits 1 when the main sample's maximum exceeds 1e-13, the extreme sample's
+exceeds 1e-14, or the closed form refuses an extreme input (every z^3 there
+is finite).
 
 Needs mpmath, which the library itself does not:
 
@@ -20,6 +32,7 @@ Needs mpmath, which the library itself does not:
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -31,11 +44,22 @@ from su2qfi.generators import closed_form_generator  # noqa: E402
 
 SAMPLES = 3000
 MAX_RELATIVE_ERROR = 1e-13
+MAX_EXTREME_RELATIVE_ERROR = 1e-14
 
 
 def _random_unit(rng) -> np.ndarray:
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def _partial(rng, x_hat: np.ndarray, near_colinear: bool) -> np.ndarray:
+    u = _random_unit(rng)
+    if near_colinear:
+        perp = u - np.dot(u, x_hat) * x_hat
+        perp /= np.linalg.norm(perp)
+        angle = 10.0 ** rng.uniform(-12.0, -2.0)
+        u = np.cos(angle) * x_hat + np.sin(angle) * perp
+    return rng.uniform(0.1, 5.0) * u
 
 
 def inputs(samples: int = SAMPLES, seed: int = 1) -> list[tuple[np.ndarray, np.ndarray, float]]:
@@ -45,13 +69,18 @@ def inputs(samples: int = SAMPLES, seed: int = 1) -> list[tuple[np.ndarray, np.n
         x_hat = _random_unit(rng)
         x = 10.0 ** rng.uniform(-14.0, 1.5) * x_hat
         t = 10.0 ** rng.uniform(-2.0, 1.5)
-        u = _random_unit(rng)
-        if i % 5 == 0:  # near colinear
-            perp = u - np.dot(u, x_hat) * x_hat
-            perp /= np.linalg.norm(perp)
-            angle = 10.0 ** rng.uniform(-12.0, -2.0)
-            u = np.cos(angle) * x_hat + np.sin(angle) * perp
-        out.append((x, rng.uniform(0.1, 5.0) * u, t))
+        out.append((x, _partial(rng, x_hat, i % 5 == 0), t))
+    return out
+
+
+def extreme_inputs(samples: int = SAMPLES, seed: int = 2) -> list:
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(samples):
+        x_hat = _random_unit(rng)
+        norm = 10.0 ** rng.uniform(-300.0, 300.0)
+        z = 10.0 ** rng.uniform(-14.0, 3.0)
+        out.append((norm * x_hat, _partial(rng, x_hat, i % 5 == 0), z / norm))
     return out
 
 
@@ -83,21 +112,48 @@ def reference(x, d, t) -> np.ndarray:
         )
 
 
-def main() -> int:
-    errors = []
-    for x, d, t in inputs():
-        ref = reference(x, d, t)
-        errors.append(np.linalg.norm(closed_form_generator(x, d, t) - ref) / np.linalg.norm(ref))
+def _relative_error(y: np.ndarray, ref: np.ndarray) -> float:
+    """|y - ref| / |ref| after scaling both by the power of two that brings ref near 1."""
+    exponent = -math.frexp(np.abs(ref).max())[1]
+    y, ref = np.ldexp(y, exponent), np.ldexp(ref, exponent)
+    return float(np.linalg.norm(y - ref) / np.linalg.norm(ref))
+
+
+def _report(name: str, errors: list, limit: float) -> bool:
     errors = np.array(errors)
     worst = float(errors.max())
     print(
-        f"closed_form_generator vs 50-digit reference over {errors.size} inputs: "
+        f"closed_form_generator vs 50-digit reference over {errors.size} {name}: "
         f"median {np.median(errors):.2e}, p99 {np.quantile(errors, 0.99):.2e}, max {worst:.2e}"
     )
-    if not worst <= MAX_RELATIVE_ERROR:
-        print(f"FAIL: maximum relative error above {MAX_RELATIVE_ERROR:g}")
-        return 1
-    return 0
+    if not worst <= limit:
+        print(f"FAIL: maximum relative error above {limit:g}")
+    return worst <= limit
+
+
+def main() -> int:
+    errors = [
+        _relative_error(closed_form_generator(x, d, t), reference(x, d, t)) for x, d, t in inputs()
+    ]
+    ok = _report("inputs", errors, MAX_RELATIVE_ERROR)
+    errors, refused, subnormal = [], 0, 0
+    for x, d, t in extreme_inputs():
+        ref = reference(x, d, t)
+        if math.hypot(*ref) < sys.float_info.min:
+            subnormal += 1
+            continue
+        try:
+            errors.append(_relative_error(closed_form_generator(x, d, t), ref))
+        except OverflowError:
+            refused += 1
+    ok &= _report(
+        f"extreme-magnitude inputs ({subnormal} with a subnormal |Y| skipped)",
+        errors,
+        MAX_EXTREME_RELATIVE_ERROR,
+    )
+    if refused:
+        print(f"FAIL: {refused} extreme-magnitude inputs with a finite z^3 refused")
+    return 0 if ok and not refused else 1
 
 
 if __name__ == "__main__":
