@@ -25,7 +25,6 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_3 = np.eye(3)
 
 
 def as_vec3(v) -> np.ndarray:

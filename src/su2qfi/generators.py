@@ -111,13 +111,21 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
         t, scale = math.frexp(t) if t else (0.0, -math.frexp(norm)[1])
         x_coeff = np.ldexp(x_coeff, scale)
     sinc, a, b = _series_weights(z)
-    # the linear map dX -> Y, applied row by row so a stack rounds like its rows
-    generator_map = (
-        -t * sinc * algebra.IDENTITY_3
-        + t * t * a * algebra.cross_matrix(x_coeff)
-        - t**3 * b * (x_coeff[:, None] * x_coeff)
+    # the linear map dX -> Y = c1 I + c2 [X]x - c3 X X^T, entry by entry from
+    # Python floats with the operations and order of the elementwise array
+    # expression, including the signed zeros of c1 I and c2 [X]x off their support
+    c1, c2, c3 = -t * sinc, t * t * a, t**3 * b
+    x1, x2, x3 = x_coeff.tolist()
+    on, off = c1 + c2 * 0.0, c1 * 0.0
+    generator_map = np.array(
+        [
+            [on - c3 * (x1 * x1), off + c2 * -x3 - c3 * (x1 * x2), off + c2 * x2 - c3 * (x1 * x3)],
+            [off + c2 * x3 - c3 * (x2 * x1), on - c3 * (x2 * x2), off + c2 * -x1 - c3 * (x2 * x3)],
+            [off + c2 * -x2 - c3 * (x3 * x1), off + c2 * x1 - c3 * (x3 * x2), on - c3 * (x3 * x3)],
+        ]
     )
-    generator = (d_coeff[..., None, :] * generator_map).sum(axis=-1)
+    # applied row by row so a stack rounds like its rows
+    generator = np.add.reduce(d_coeff[..., None, :] * generator_map, axis=-1)
     return np.ldexp(generator, scale) if scale else generator
 
 

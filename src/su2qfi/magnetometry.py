@@ -23,6 +23,7 @@ behind ``precision_curves``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,24 +54,29 @@ class FieldPoint:
         return np.array([self.B, self.theta, self.phi])
 
 
-def _axis(st, ct, sp, cp) -> np.ndarray:
-    """The field axis n0 from the sines and cosines of theta and phi."""
-    return np.array([st * cp, st * sp, ct])
-
-
 # the coefficient maps take a raw (B, theta, phi) array, which finite
-# differences may step outside the ranges FieldPoint enforces
+# differences may step outside the ranges FieldPoint enforces; everything is
+# Python floats until the one array at the end
+def _field(x: np.ndarray) -> tuple[float, float, float, float, float]:
+    """2B and the sines and cosines of theta and phi."""
+    b, theta, phi = x.tolist()
+    return 2.0 * b, math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
+
+
 def _coefficients(x: np.ndarray) -> np.ndarray:
-    b, theta, phi = x
-    return 2.0 * b * _axis(np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi))
+    b2, st, ct, sp, cp = _field(x)
+    return np.array([b2 * (st * cp), b2 * (st * sp), b2 * ct])
 
 
 def _partials(x: np.ndarray) -> np.ndarray:
-    b, theta, phi = x
-    st, ct, sp, cp = trig = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    n0_theta = np.array([ct * cp, ct * sp, -st])
-    n0_phi = np.array([-st * sp, st * cp, 0.0])
-    return np.array([2.0 * _axis(*trig), 2.0 * b * n0_theta, 2.0 * b * n0_phi])
+    b2, st, ct, sp, cp = _field(x)
+    return np.array(
+        [
+            [2.0 * (st * cp), 2.0 * (st * sp), 2.0 * ct],
+            [b2 * (ct * cp), b2 * (ct * sp), b2 * -st],
+            [b2 * (-st * sp), b2 * (st * cp), b2 * 0.0],
+        ]
+    )
 
 
 def magnetometry_scheme(

@@ -30,7 +30,7 @@ ENTANGLED_WITH_ANCILLA = "entangled_with_ancilla"
 
 def _squared_norms(gens: np.ndarray) -> np.ndarray:
     """|Y|^2 over the last axis, rounded the same way for one vector or a stack."""
-    return (gens * gens).sum(axis=-1)
+    return np.add.reduce(gens * gens, axis=-1)
 
 
 def qfim_pure(gens, r) -> np.ndarray:
@@ -41,7 +41,11 @@ def qfim_pure(gens, r) -> np.ndarray:
     state of a maximally entangled probe, it is the entangled-probe QFIM.
     """
     r = check_bloch(r)
-    gens = np.asarray(gens, dtype=float).reshape(-1, 3)
+    return _qfim(np.asarray(gens, dtype=float).reshape(-1, 3), r)
+
+
+def _qfim(gens: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``qfim_pure`` for a checked ``(d, 3)`` float stack and Bloch vector."""
     proj = gens @ r
     return gens @ gens.T - proj[:, None] * proj[None, :]
 
@@ -79,7 +83,11 @@ def weak_comm_matrix(gens, r) -> np.ndarray:
     exactly antisymmetric, with a zero diagonal.
     """
     r = check_bloch(r)
-    gens = np.asarray(gens, dtype=float).reshape(-1, 3)
+    return _weak_comm(np.asarray(gens, dtype=float).reshape(-1, 3), r)
+
+
+def _weak_comm(gens: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``weak_comm_matrix`` for a checked ``(d, 3)`` float stack and Bloch vector."""
     g = gens @ algebra.cross_matrix(r) @ gens.T
     return 0.25 * (g.T - g)
 
@@ -148,10 +156,11 @@ def _precision_bounds(qfim: np.ndarray, slack: float) -> np.ndarray:
     at or below ``slack`` as zero: a rank-deficient QFIM's null eigenvalue is
     rounding noise on the scale of the largest maximum, not information.
     """
-    diag = qfim.diagonal()
-    # at most three entries: Python floats round like numpy's and skip its dispatch
-    if np.abs(qfim - np.diag(diag)).max(initial=0.0) <= slack:
-        return np.array([1.0 / math.sqrt(v) if v > 0.0 else math.inf for v in diag.tolist()])
+    # at most nine entries: Python floats round like numpy's and skip its dispatch
+    rows = qfim.tolist()
+    diag = [row[a] for a, row in enumerate(rows)]
+    if all(abs(v) <= slack for a, row in enumerate(rows) for b, v in enumerate(row) if a != b):
+        return np.array([1.0 / math.sqrt(v) if v > 0.0 else math.inf for v in diag])
     # np.linalg.pinv's arithmetic with an absolute cutoff
     u, s, vt = np.linalg.svd(qfim, full_matrices=False)
     inv_s = np.array([1.0 / v if v > slack else 0.0 for v in s.tolist()])
@@ -198,12 +207,16 @@ def build_report(
     else:
         raise ValueError(f"unknown probe kind {probe_kind!r}")
 
+    # r is checked once, here; the kernels below take it as it is
     maxima = _squared_norms(gens)
-    qfim = qfim_pure(gens, r)
+    qfim = _qfim(gens, r)
     largest = float(maxima.max(initial=0.0))  # NaN if any maximum is NaN
     if not (math.isfinite(largest) and np.isfinite(qfim).all()):
         raise OverflowError(f"the information |Y|^2 = {maxima.tolist()} overflows double precision")
-    residuals = np.abs(weak_comm_matrix(gens, r))
+    if probe_kind == PURE_QUBIT:
+        residuals = np.abs(_weak_comm(gens, r))
+    else:  # r = 0: every residual vanishes
+        residuals = np.zeros(qfim.shape)
 
     slack = ATTAINABILITY * max(1.0, largest)
     attainable = bool(

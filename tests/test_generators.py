@@ -1,5 +1,6 @@
 """Tests for the three generator routes and their mutual agreement."""
 
+import itertools
 import math
 import re
 import warnings
@@ -282,6 +283,63 @@ class TestClosedFormBitForBit:
             assert (
                 closed_form_generator(x, stack, t).tobytes()
                 == outer_closed_form_generator(x, stack, t).tobytes()
+            )
+
+    def test_every_signed_zero_pattern(self):
+        # the map keeps the array expression's signed zeros; in Y they can show
+        # only in a row whose products with dX are all zero
+        patterns = list(itertools.product([0.0, -0.0, -1.5], repeat=3))
+        for x, d, t in itertools.product(patterns, patterns, (0.0, 1.0, 5.0)):
+            assert (
+                closed_form_generator(x, [d], t).tobytes()
+                == outer_closed_form_generator(x, [d], t).tobytes()
+            )
+
+    # outside the band of T and |X| the map is built at T scaled into [1/2, 1)
+    # (or, at T = 0, at |X| scaled into [1/2, 1)) and the result scaled back
+    OUT_OF_BAND = [
+        ([0.7 * 2.0**350, -0.3 * 2.0**350, 2.0**349], [[0.3, -1.2, 0.8]], 2.0**-400),  # z ~ 2^-50
+        ([2.0**401, -0.0, 0.6 * 2.0**401], [[-0.0, 1.0, 0.0], [0.5, 0.0, -2.0]], 2.0**-400),
+        ([1e300, 0.0, -0.0], [[0.3, -1.2, 0.8], [-0.0, -0.0, -0.0]], 0.0),
+        ([0.6e300, -0.8e300, 0.0], [[1.0, 2.0, 3.0]], 0.0),
+        ([2.0**-349, 0.0, -(2.0**-350)], [[0.3, -1.2, 0.8]], 2.0**350),  # z ~ 2
+        ([1e-200, 3e-200, -0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 1e250),
+    ]
+
+    @staticmethod
+    def scaled_reference(x, d, t):
+        """The reference map at the power-of-two scale the closed form picks."""
+        x = np.asarray(x, dtype=float)
+        if t:
+            t, e = math.frexp(t)
+        else:
+            e = -math.frexp(math.hypot(*x.tolist()))[1]
+        return np.ldexp(outer_closed_form_generator(np.ldexp(x, e), d, t), e)
+
+    @pytest.mark.parametrize("x,d,t", OUT_OF_BAND)
+    def test_out_of_band_cases(self, x, d, t):
+        assert (
+            closed_form_generator(x, d, t).tobytes() == self.scaled_reference(x, d, t).tobytes()
+        )
+
+    def test_random_out_of_band_inputs(self):
+        rng = np.random.default_rng(1409)
+        for _ in range(800):
+            kind = int(rng.integers(4))
+            if kind == 0:  # T = 0 at any |X|
+                log_t, log_x = -math.inf, rng.uniform(-1000.0, 1000.0)
+            elif kind == 1:  # T below the band, |X| in it
+                log_t, log_x = rng.uniform(-1000.0, -300.5), rng.uniform(-300.0, 299.0)
+            else:  # |X| or T above the band, at a phase z = T|X| in 2^[-8, 8]
+                log_big, log_z = rng.uniform(300.5, 1000.0), rng.uniform(-8.0, 8.0)
+                log_x, log_t = (log_big, log_z - log_big)[:: 1 if kind == 2 else -1]
+            t = float(2.0**log_t)
+            x = _signed_zeros(rng, random_unit(rng) * 2.0**log_x)
+            assert not (2.0**-300 < t < 2.0**300 and math.hypot(*x.tolist()) < 2.0**300)
+            stack = _signed_zeros(rng, rng.normal(size=(int(rng.integers(1, 4)), 3)))
+            assert (
+                closed_form_generator(x, stack, t).tobytes()
+                == self.scaled_reference(x, stack, t).tobytes()
             )
 
 

@@ -17,12 +17,12 @@ from su2qfi import (
     closed_form_generator,
     density,
     magnetometry_scheme,
-    numeric_generator,
     precision_curves,
     qfi_max,
     qfim_pure,
     su2_element,
 )
+from su2qfi.generators import generators_from_derivatives
 from su2qfi.magnetometry import _coefficients, _partials, _qfim_diagonal
 from su2qfi.oracles import (
     BELL_PHI_PLUS,
@@ -31,6 +31,7 @@ from su2qfi.oracles import (
     weak_comm_trace_oracle,
 )
 from su2qfi.qfi import scheme_generators, weak_comm_matrix
+from su2qfi.scheme import design_control, unitary_derivatives
 
 RNG = np.random.default_rng(505)
 
@@ -181,6 +182,64 @@ class TestFieldCoefficients:
         assert worst < 1e-6
 
 
+def numpy_trig_axis(st, ct, sp, cp):
+    return np.array([st * cp, st * sp, ct])
+
+
+def numpy_trig_coefficients(x):
+    """_coefficients with numpy's sin and cos on numpy scalars: the earlier
+    expression, kept as the bit-for-bit reference of the math-module one."""
+    b, theta, phi = x
+    return 2.0 * b * numpy_trig_axis(np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi))
+
+
+def numpy_trig_partials(x):
+    """_partials with numpy's sin and cos, kept as the bit-for-bit reference."""
+    b, theta, phi = x
+    st, ct, sp, cp = trig = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    n0_theta = np.array([ct * cp, ct * sp, -st])
+    n0_phi = np.array([-st * sp, st * cp, 0.0])
+    return np.array([2.0 * numpy_trig_axis(*trig), 2.0 * b * n0_theta, 2.0 * b * n0_phi])
+
+
+class TestFieldTrigBitForBit:
+    """The coefficient maps take sin and cos from ``math``.  Every report
+    digest reads them, so they must round exactly as numpy's do; on a CPU or
+    C library where the two sines differ, this test names the cause."""
+
+    @staticmethod
+    def points(rng, count):
+        """Field points in and at the edges of FieldPoint's ranges, tiny B
+        included, each with the central-difference steps of every coordinate."""
+        edges_theta = (0.0, np.pi, -1e-6, np.pi + 1e-6)
+        edges_phi = (0.0, np.nextafter(2.0 * np.pi, 0.0), -1e-6, 2.0 * np.pi + 1e-6)
+        for k in range(count):
+            x = np.array(
+                [
+                    10.0 ** rng.uniform(-8.0, 2.0),
+                    edges_theta[k % 8] if k % 8 < 4 else rng.uniform(0.0, np.pi),
+                    edges_phi[k % 7] if k % 7 < 4 else rng.uniform(0.0, 2.0 * np.pi),
+                ]
+            )
+            yield x
+            for ell in range(3):
+                step = 1e-6 * max(1.0, abs(x[ell])) * np.eye(3)[ell]
+                yield x + step
+                yield x - step
+
+    def test_coefficients_and_partials(self):
+        for x in self.points(np.random.default_rng(1411), 3000):
+            assert _coefficients(x).tobytes() == numpy_trig_coefficients(x).tobytes(), x
+            assert _partials(x).tobytes() == numpy_trig_partials(x).tobytes(), x
+
+    def test_design_control(self):
+        for x in self.points(np.random.default_rng(1412), 300):
+            assert (
+                design_control(_coefficients, x).tobytes()
+                == design_control(numpy_trig_coefficients, x).tobytes()
+            ), x
+
+
 class TestGenerators:
     def test_field_magnitude_generator(self):
         gen_b, _, _ = generators(POINT, 2.5)
@@ -271,9 +330,10 @@ class TestGenerators:
                 p, 1.0, 2, control="optimal" if controlled else "none"
             )
             gens = scheme_generators(scheme, p.as_array())
-            for ell in range(3):
-                num = numeric_generator(scheme, p.as_array(), ell)
-                assert np.abs(num - su2_element(gens[ell])).max() < 1e-6
+            # one differentiation for all three parameters
+            nums = generators_from_derivatives(*unitary_derivatives(scheme, p.as_array()))
+            for num, gen in zip(nums, gens):
+                assert np.abs(num - su2_element(gen)).max() < 1e-6
 
 
 class TestQfims:

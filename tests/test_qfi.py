@@ -12,6 +12,7 @@ from su2qfi import (
     BELL_PHI_PLUS,
     ENTANGLED_WITH_ANCILLA,
     PURE_QUBIT,
+    DegenerateVectorError,
     DimensionalityError,
     FieldPoint,
     SchemeConfig,
@@ -552,6 +553,59 @@ class TestReportKernelsBitForBit:
                 _precision_bounds(qfim, slack).tobytes()
                 == errstate_precision_bounds(qfim, slack).tobytes()
             )
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_off_diagonal_at_the_slack_takes_the_diagonal_branch(self, sign):
+        slack = 1e-2
+        at = np.array([[2.0, sign * slack], [sign * slack, 3.0]])
+        past = np.array([[2.0, sign * np.nextafter(slack, 1.0)], [sign * slack, 3.0]])
+        for qfim in (at, past):
+            assert (
+                _precision_bounds(qfim, slack).tobytes()
+                == errstate_precision_bounds(qfim, slack).tobytes()
+            )
+        diagonal = np.array([1.0 / np.sqrt(2.0), 1.0 / np.sqrt(3.0)])
+        assert _precision_bounds(at, slack).tobytes() == diagonal.tobytes()
+        assert _precision_bounds(past, slack).tobytes() != diagonal.tobytes()
+
+    def test_entangled_report_matches_the_checked_kernels(self):
+        """build_report checks r once and skips the residual matrix at r = 0;
+        its QFIM and residuals equal the public, checked kernels at r = 0."""
+        rng = np.random.default_rng(1410)
+        for _ in range(500):
+            d = int(rng.integers(1, 4))
+            grads = _signed_zeros_rows(rng, rng.normal(size=(d, 3)))
+            scheme = linear_scheme(rng.normal(size=3), grads, rng.uniform(0.1, 2.0))
+            x = rng.normal(size=d)
+            gens = scheme_generators(scheme, x)
+            report = build_report(scheme, x, ENTANGLED_WITH_ANCILLA)
+            zero = np.zeros(3)
+            assert report.qfim.tobytes() == qfim_pure(gens, zero).tobytes()
+            assert (
+                report.weak_comm_residuals.tobytes()
+                == np.abs(weak_comm_matrix(gens, zero)).tobytes()
+            )
+
+    @pytest.mark.parametrize("kernel", [qfim_pure, weak_comm_matrix])
+    def test_public_kernels_still_check_the_bloch_vector(self, kernel):
+        gens = np.array([[0.3, -1.1, 0.7], [1.0, 0.0, 0.0]])
+        with pytest.raises(UnphysicalStateError):
+            kernel(gens, [0.8, 0.8, 0.0])
+        with pytest.raises(UnphysicalStateError):
+            kernel(gens, [float("nan"), 0.0, 0.0])
+        with pytest.raises(DegenerateVectorError, match="expected a 3-vector"):
+            kernel(gens, [0.0, 1.0])
+
+
+def _signed_zeros_rows(rng, stack):
+    """``stack`` with some rows set to +-0 entries and some entries set to +-0."""
+    stack = np.array(stack, dtype=float)
+    mask = rng.random(stack.shape) < 0.2
+    stack[mask] = rng.choice([0.0, -0.0], size=mask.sum())
+    for row in range(len(stack)):
+        if rng.random() < 0.25:
+            stack[row] = rng.choice([0.0, -0.0], size=3)
+    return stack
 
 
 class TestBuildReport:
