@@ -24,8 +24,6 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
-IDENTITY_2 = np.eye(2, dtype=complex)
-
 
 def as_vec3(v) -> np.ndarray:
     """Coerce to a float 3-vector."""
@@ -99,15 +97,39 @@ def angle_between(a, b) -> float:
     return float(np.arctan2(np.linalg.norm(cross(a, b)), np.dot(a, b)))
 
 
+def _as_stack3(v) -> np.ndarray:
+    """``v`` as a float array whose last axis has length 3: one vector or a stack."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (3,):
+        raise DegenerateVectorError(f"expected a 3-vector or a stack of them, got shape {v.shape}")
+    return v
+
+
 def su2_element(v) -> np.ndarray:
     """The Hermitian traceless matrix v.J = v1 j1 + v2 j2 + v3 j3.
 
     Built entry by entry from the halved components; halving is exact, so
-    this equals v.sigma/2 to the last bit.
+    this equals v.sigma/2 to the last bit.  A ``(..., 3)`` stack of vectors
+    gives the ``(..., 2, 2)`` stack of their matrices, each built as the
+    one-vector call builds it.
     """
-    v1, v2, v3 = as_vec3(v).tolist()
-    h1, h2, h3 = 0.5 * v1, 0.5 * v2, 0.5 * v3
-    return np.array([[h3, complex(h1, -h2)], [complex(h1, h2), -h3]])
+    v = _as_stack3(v)
+    components = iter(v.ravel().tolist())
+    entries = []
+    for v1, v2, v3 in zip(components, components, components):
+        h1, h2, h3 = 0.5 * v1, 0.5 * v2, 0.5 * v3
+        entries += (h3, complex(h1, -h2), complex(h1, h2), -h3)
+    return np.array(entries, dtype=complex).reshape(v.shape[:-1] + (2, 2))
+
+
+def _row_squares(v: np.ndarray) -> list:
+    """v.v of the 3-vector ``v`` or of each vector of a stack, each the BLAS dot
+    product of the vector with itself that ``euclidean_norm`` takes: one
+    ``dot`` for a single vector, one stacked ``matmul`` (a dot per row) otherwise."""
+    if v.ndim == 1:
+        return [v.dot(v)]
+    rows = v.reshape(-1, 3)
+    return (rows[:, None, :] @ rows[:, :, None]).ravel().tolist()
 
 
 def su2_exp(v, tau: float) -> np.ndarray:
@@ -117,35 +139,56 @@ def su2_exp(v, tau: float) -> np.ndarray:
 
         cos(tau |v| / 2) I  -  2 i sin(tau |v| / 2) (vhat.J)
 
-    which is unitary to machine precision for any tau.  v = 0 gives I for any
-    tau.  Otherwise a NaN phase tau |v| / 2 (a NaN in v or tau) raises
-    ``ValueError``, and an infinite one (tau infinite, or |v|^2 beyond double
-    range, which is |v| above about 1.3e154) raises ``OverflowError``.
+    which is unitary to machine precision for any tau.  ``v`` is one 3-vector
+    or a ``(..., 3)`` stack of them, and the result has shape ``(..., 2, 2)``.
+    Every row takes the same arithmetic in Python floats, with |v|^2 from the
+    BLAS dot product ``euclidean_norm`` takes, so a row of a stack equals the
+    one-vector call to the last bit.  v = 0 gives I for any tau.  Otherwise a
+    NaN phase tau |v| / 2 (a NaN in v or tau) raises ``ValueError``, and an
+    infinite one (tau infinite, or |v|^2 beyond double range, which is |v|
+    above about 1.3e154) raises ``OverflowError``; in a stack the first such
+    row raises.
     """
-    v = as_vec3(v)
-    nv = euclidean_norm(v)
-    if nv == 0.0:
-        return IDENTITY_2.copy()
-    half = 0.5 * float(tau) * nv  # a Python float overflows to inf without a warning
-    if not math.isfinite(half):
-        if math.isinf(nv) or math.isinf(half):
-            raise OverflowError(f"the phase tau|v|/2 of tau = {tau:g} and v = {v} overflows")
-        raise ValueError(f"the phase tau|v|/2 is NaN for tau = {tau:g} and v = {v}")
-    c = math.cos(half)
-    s = math.sin(half)
-    v1, v2, v3 = v.tolist()
-    n1, n2, n3 = v1 / nv, v2 / nv, v3 / nv
-    return np.array(
-        [
-            [complex(c, -s * n3), complex(-s * n2, -s * n1)],
-            [complex(s * n2, -s * n1), complex(c, s * n3)],
-        ]
-    )
+    v = _as_stack3(v)
+    flat = v.ravel().tolist()
+    # see euclidean_norm for the overflow warning
+    if max(map(abs, flat), default=0.0) < _SQUARES_FIT:
+        squares = _row_squares(v)
+    else:
+        with np.errstate(over="ignore"):
+            squares = _row_squares(v)
+    tau_f = float(tau)
+    entries = []
+    components = iter(flat)
+    for square, v1, v2, v3 in zip(squares, components, components, components):
+        nv = math.sqrt(square)
+        if nv == 0.0:
+            entries += (1 + 0j, 0j, 0j, 1 + 0j)
+            continue
+        half = 0.5 * tau_f * nv  # a Python float overflows to inf without a warning
+        if not math.isfinite(half):
+            row = np.array([v1, v2, v3])
+            if math.isinf(nv) or math.isinf(half):
+                raise OverflowError(f"the phase tau|v|/2 of tau = {tau:g} and v = {row} overflows")
+            raise ValueError(f"the phase tau|v|/2 is NaN for tau = {tau:g} and v = {row}")
+        c = math.cos(half)
+        s = math.sin(half)
+        n1, n2, n3 = v1 / nv, v2 / nv, v3 / nv
+        entries += (
+            complex(c, -s * n3),
+            complex(-s * n2, -s * n1),
+            complex(s * n2, -s * n1),
+            complex(c, s * n3),
+        )
+    return np.array(entries, dtype=complex).reshape(v.shape[:-1] + (2, 2))
 
 
 def check_bloch(r) -> np.ndarray:
-    """``r`` as a 3-vector; ``UnphysicalStateError`` unless |r| <= 1 (NaN fails)."""
-    r = as_vec3(r)
+    """``r`` as a float 3-vector; ``UnphysicalStateError`` unless it has three
+    entries and |r| <= 1 (NaN fails)."""
+    r = np.asarray(r, dtype=float)
+    if r.shape != (3,):
+        raise UnphysicalStateError(f"a Bloch vector has 3 entries, got shape {r.shape}")
     length = math.hypot(*r.tolist())  # no overflow warning on huge components
     if not length <= 1.0 + BLOCH_NORM_SLACK:
         raise UnphysicalStateError(f"Bloch vector norm {length} is not at most 1")

@@ -18,14 +18,28 @@ from . import algebra
 from .generators import generators_from_derivatives
 from .scheme import SchemeConfig, unitary_derivatives
 
-# canonical maximally entangled two-qubit probe (|00> + |11>) / sqrt(2)
+# canonical maximally entangled two-qubit probe (|00> + |11>) / sqrt(2) and its projector
 BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+BELL_PROJECTOR = BELL_PHI_PLUS[:, None] * BELL_PHI_PLUS.conj()[None, :]
+
+
+def _trace(m: np.ndarray):
+    """Trace over the last two axes of a stack of 2x2 or 4x4 matrices.
+
+    A 2x2 trace is its two diagonal entries added, without ``np.trace``'s
+    dispatch; that rounds as ``np.trace`` does, except that two -0 entries give
+    -0 where ``np.trace`` gives +0.  A 4x4 trace keeps ``np.trace``, whose
+    summation order may depend on the SIMD width.
+    """
+    if m.shape[-1] == 2:
+        return m[..., 0, 0] + m[..., 1, 1]
+    return np.trace(m, axis1=-2, axis2=-1)
 
 
 def variance_qfi_oracle(h_mat: np.ndarray, rho: np.ndarray) -> float:
     """4 (Tr[H^2 rho] - Tr[H rho]^2) on explicit matrices."""
-    m1 = np.trace(h_mat @ rho).real
-    m2 = np.trace(h_mat @ h_mat @ rho).real
+    m1 = _trace(h_mat @ rho).real
+    m2 = _trace(h_mat @ h_mat @ rho).real
     return float(4.0 * (m2 - m1**2))
 
 
@@ -38,22 +52,20 @@ def qfim_trace_oracle(h_mats, rho: np.ndarray) -> np.ndarray:
     """
     h = np.asarray(h_mats)
     pairs = h[:, None] @ h[None, :]  # H_a H_b at [a, b]
-    sym = 0.5 * np.trace((pairs + pairs.transpose(1, 0, 2, 3)) @ rho, axis1=-2, axis2=-1)
+    sym = 0.5 * _trace((pairs + pairs.transpose(1, 0, 2, 3)) @ rho)
     h_rho = h @ rho
-    cross = np.trace(h_rho[:, None] @ h_rho[None, :], axis1=-2, axis2=-1)
+    cross = _trace(h_rho[:, None] @ h_rho[None, :])
     return 4.0 * (sym - cross).real
 
 
 def weak_comm_trace_oracle(h_a: np.ndarray, h_b: np.ndarray, rho: np.ndarray):
     """Tr[[H_a, H_b] rho] on explicit matrices, broadcast over stacks of H_a and H_b."""
-    return np.trace((h_a @ h_b - h_b @ h_a) @ rho, axis1=-2, axis2=-1)
+    return _trace((h_a @ h_b - h_b @ h_a) @ rho)
 
 
 def entangled_qfi_oracle(gen) -> float:
     """Entangled-probe QFI of the generator Y through the 4x4 variance trace."""
-    h4 = algebra.lift(algebra.su2_element(gen))
-    rho4 = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
-    return variance_qfi_oracle(h4, rho4)
+    return variance_qfi_oracle(algebra.lift(algebra.su2_element(gen)), BELL_PROJECTOR)
 
 
 def entangled_qfim_fd(scheme: SchemeConfig, x) -> np.ndarray:
@@ -68,7 +80,7 @@ def entangled_qfim_fd(scheme: SchemeConfig, x) -> np.ndarray:
     dpsi = algebra.lift(du) @ BELL_PHI_PLUS
     overlaps = dpsi.conj() @ psi  # <da psi|psi>
     gram = dpsi.conj() @ dpsi.T
-    return 4.0 * (gram - np.outer(overlaps, overlaps.conj())).real
+    return 4.0 * (gram - overlaps[:, None] * overlaps.conj()[None, :]).real
 
 
 @dataclass(frozen=True, eq=False)

@@ -105,9 +105,9 @@ def entangled_weak_comm(gen_a, gen_b, probe: np.ndarray) -> complex:
         raise UnphysicalStateError("probe must be a 4-dimensional state vector")
     if not abs(np.vdot(probe, probe).real - 1.0) <= PURITY:  # then its projector is a state
         raise UnphysicalStateError("probe state vector is not normalized")
-    ha = algebra.lift(algebra.su2_element(gen_a))
-    hb = algebra.lift(algebra.su2_element(gen_b))
-    return complex(np.trace((ha @ hb - hb @ ha) @ np.outer(probe, probe.conj())))
+    ha, hb = algebra.lift(algebra.su2_element(np.array([as_vec3(gen_a), as_vec3(gen_b)])))
+    projector = probe[:, None] * probe.conj()[None, :]  # np.outer's product
+    return complex(np.trace((ha @ hb - hb @ ha) @ projector))
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,7 +38,8 @@ class SchemeConfig:
     analytic partial derivatives of X.  When ``validation_points`` is
     nonempty the supplied partials are checked against central finite
     differences of ``coefficients`` at construction (``central_difference``,
-    step 1e-6 * max(1, |x_ell|)).
+    step 1e-6 * max(1, |x_ell|)).  A control vector with a NaN or infinite
+    entry raises ``ValueError``.
     """
 
     coefficients: Callable[[np.ndarray], np.ndarray]
@@ -51,7 +52,10 @@ class SchemeConfig:
     validation_points: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "control", as_vec3(self.control))
+        control = as_vec3(self.control)
+        if not all(map(math.isfinite, control.tolist())):
+            raise ValueError(f"the control X_c = {control} is not finite")
+        object.__setattr__(self, "control", control)
         if self.n_params < 1:
             raise ValueError("a scheme needs at least one parameter")
         if not (math.isfinite(self.segment_time) and self.segment_time > 0):
@@ -102,10 +106,13 @@ def build_total_unitary(scheme: SchemeConfig, x) -> np.ndarray:
     coeff = scheme.coefficients_at(x)
     if scheme.mode == MERGED:
         return algebra.su2_exp(coeff + scheme.control, scheme.total_time)
-    segment = algebra.su2_exp(scheme.control, scheme.segment_time) @ algebra.su2_exp(
-        coeff, scheme.segment_time
-    )
-    return np.linalg.matrix_power(segment, scheme.segment_count)
+    control, encoding = algebra.su2_exp(np.array([scheme.control, coeff]), scheme.segment_time)
+    return np.linalg.matrix_power(control @ encoding, scheme.segment_count)
+
+
+def _step(x_ell: float) -> float:
+    """The finite-difference step h = 1e-6 * max(1, |x_ell|) along one coordinate."""
+    return 1e-6 * max(1.0, abs(x_ell))
 
 
 def central_difference(
@@ -113,11 +120,11 @@ def central_difference(
 ) -> np.ndarray:
     """Central difference (f(x + h e_ell) - f(x - h e_ell)) / 2h of ``f`` along ``ell``.
 
-    This is the one step rule of every finite-difference check in the
+    ``_step`` is the one step rule of every finite-difference check in the
     package: h = 1e-6 * max(1, |x_ell|), absolute near zero and relative
     beyond 1, so that x +- h stays distinct from x at any magnitude.
     """
-    h = 1e-6 * max(1.0, abs(float(x[ell])))
+    h = _step(float(x[ell]))
     xp = x.copy()
     xm = x.copy()
     xp[ell] += h
@@ -128,10 +135,28 @@ def central_difference(
 def unitary_derivatives(scheme: SchemeConfig, x) -> tuple[np.ndarray, np.ndarray]:
     """U(x) and the ``(d, 2, 2)`` stack of its central differences along every x_ell,
     control held fixed: the one place the total unitary is differentiated.
+
+    Every difference takes the step rule ``_step``.  In merged mode
+    the 2d + 1 unitaries at x and x +- h e_ell come from one stacked
+    ``algebra.su2_exp``, and the result equals the per-point form
+    ``central_difference(partial(build_total_unitary, scheme), x, ell)`` bit
+    for bit; product mode evaluates that form.
     """
     x = np.array(x, dtype=float, ndmin=1)
-    u = partial(build_total_unitary, scheme)
-    return u(x), np.array([central_difference(u, x, ell) for ell in range(scheme.n_params)])
+    if scheme.mode != MERGED:
+        u = partial(build_total_unitary, scheme)
+        return u(x), np.array([central_difference(u, x, ell) for ell in range(scheme.n_params)])
+    point = x.tolist()
+    points = [point]
+    steps = []
+    for ell in range(scheme.n_params):
+        h = _step(point[ell])
+        for shifted in (point[ell] + h, point[ell] - h):
+            points.append(point[:ell] + [shifted] + point[ell + 1 :])
+        steps.append(2.0 * h)
+    coeffs = np.array([scheme.coefficients_at(p) for p in points]) + scheme.control
+    u = algebra.su2_exp(coeffs, scheme.total_time)
+    return u[0], (u[1::2] - u[2::2]) / np.array(steps)[:, None, None]
 
 
 def affine_scheme(
@@ -160,9 +185,13 @@ def design_control(coefficients: Callable[[np.ndarray], np.ndarray], x_tilde) ->
 
     Holding this control cancels the per-segment generator at the estimated
     point, which pushes every parameter's maximal information to its
-    quadratic-in-time ceiling.
+    quadratic-in-time ceiling.  A NaN or infinite entry of ``x_tilde`` raises
+    ``ValueError``; a scheme refuses a control that is not finite.
     """
-    return -as_vec3(coefficients(np.array(x_tilde, dtype=float, ndmin=1)))
+    x_tilde = np.array(x_tilde, dtype=float, ndmin=1)
+    if not all(map(math.isfinite, x_tilde.ravel().tolist())):
+        raise ValueError(f"the estimate x_tilde = {x_tilde} is not finite")
+    return -as_vec3(coefficients(x_tilde))
 
 
 def characterize(x_coeff, d_coeffs: Sequence) -> list[float]:

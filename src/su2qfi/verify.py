@@ -11,7 +11,7 @@ fixed seed makes the whole summary byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,23 +33,34 @@ from .scheme import MERGED, PRODUCT, affine_scheme, build_total_unitary
 
 @dataclass
 class CheckResult:
-    """One check: its tolerance, its worst deviation and the input behind it."""
+    """One check: its tolerance, its worst deviation and the input behind it.
+
+    ``record`` keeps the formatter and the arguments of each new worst sample
+    as they are, and ``worst_input`` formats them only when it is read; so a
+    caller must not mutate a recorded argument afterwards.
+    """
 
     name: str
     tolerance: float
     max_deviation: float = 0.0
-    worst_input: str = "none"
+    _worst: tuple = field(default=(str, ("none",)), init=False, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
         return self.max_deviation <= self.tolerance
 
+    @property
+    def worst_input(self) -> str:
+        """Label of the input behind the worst deviation, ``"none"`` before any."""
+        formatter, args = self._worst
+        return formatter(*args)
+
     def record(self, value: float, formatter, *args):
-        """Keep ``value`` if it is a new worst; only then is the label
-        ``formatter(*args)`` built, so the common case formats nothing."""
+        """Keep ``value`` if it is a new worst, with ``formatter`` and ``args``
+        for its label; nothing is formatted here."""
         if value > self.max_deviation:
             self.max_deviation = float(value)
-            self.worst_input = formatter(*args)
+            self._worst = (formatter, args)
 
 
 def _fmt_vec(v) -> str:
@@ -58,7 +69,7 @@ def _fmt_vec(v) -> str:
 
 def _random_unit(rng) -> np.ndarray:
     v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+    return v / algebra.euclidean_norm(v)
 
 
 def _generator_label(x, d, total_time) -> str:
@@ -113,7 +124,7 @@ def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:
         gens = np.array([_random_generator(rng) for _ in range(3)])
         r = _random_unit(rng)
         rho = algebra.density(r)
-        mats = np.array([algebra.su2_element(g) for g in gens])
+        mats = algebra.su2_element(gens)
         label = (_qfim_label, gens, r)
         qfim = qfim_pure(gens, r)
         qfi_dev.record(abs(qfim[0, 0] - variance_qfi_oracle(mats[0], rho)), *label)
@@ -166,7 +177,7 @@ def sld_identity_suite(seed: int, samples: int) -> list[CheckResult]:
         else:
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             psi /= np.linalg.norm(psi)
-            probe = np.outer(psi, psi.conj())
+            probe = psi[:, None] * psi.conj()[None, :]  # np.outer's product
         result = sld_oracle(scheme, x, probe)
         dev.record(
             result.residuals.max(), "d={} T={:.6g} dim={}".format, d, total_time, probe.shape[0]
@@ -192,9 +203,10 @@ def trotter_gap_suite(seed: int, samples: int) -> list[CheckResult]:
         n = int(round(total_time / t))
         merged = magnetometry_scheme(point, t, n, control="optimal", mode=MERGED)
         product = magnetometry_scheme(point, t, n, control="optimal", mode=PRODUCT)
-        gap = np.linalg.norm(
-            build_total_unitary(product, x) - build_total_unitary(merged, x), 2
-        )
+        # the spectral norm, np.linalg.norm(., 2) without its dispatch
+        gap = np.linalg.svd(
+            build_total_unitary(product, x) - build_total_unitary(merged, x), compute_uv=False
+        ).max()
         distances.append(gap)
     for i in range(len(distances) - 1):
         ratio = distances[i] / distances[i + 1]

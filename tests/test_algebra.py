@@ -1,5 +1,7 @@
 """Tests for the 3-vector / su(2) substrate."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,32 @@ def taylor_expm(mat, scaling_steps=8):
     for _ in range(scaling_steps):
         out = out @ out
     return out
+
+
+def entrywise_su2_element(v):
+    """v.J from the halved components as Python floats: the one-vector
+    construction, kept as the bit-for-bit reference for stacks."""
+    h1, h2, h3 = (0.5 * c for c in np.asarray(v, dtype=float).tolist())
+    return np.array([[h3, complex(h1, -h2)], [complex(h1, h2), -h3]])
+
+
+def half_angle_su2_exp(v, tau):
+    """exp(-i tau v.J) for one 3-vector with |v| = sqrt(v.v) from numpy's dot
+    and the rest in Python floats: the one-vector arithmetic, kept as the
+    bit-for-bit reference for stacks."""
+    v = np.asarray(v, dtype=float)
+    nv = float(np.sqrt(v.dot(v)))
+    if nv == 0.0:
+        return np.eye(2, dtype=complex)
+    half = 0.5 * float(tau) * nv
+    c, s = math.cos(half), math.sin(half)
+    n1, n2, n3 = (x / nv for x in v.tolist())
+    return np.array(
+        [
+            [complex(c, -s * n3), complex(-s * n2, -s * n1)],
+            [complex(s * n2, -s * n1), complex(c, s * n3)],
+        ]
+    )
 
 
 _MAGNITUDES = st.floats(1e-150, 1e150)
@@ -189,6 +217,18 @@ class TestSu2Element:
             expected = (v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z) / 2
             assert np.array_equal(su2_element(v), expected)
 
+    def test_stack_rows_equal_the_entrywise_matrix(self):
+        rng = np.random.default_rng(1806)
+        for shape in [(), (1,), (3,), (2, 3)]:
+            stack = rng.normal(size=shape + (3,)) * 10.0 ** rng.uniform(-8, 8, shape + (1,))
+            stack[..., 0] = rng.choice([0.0, -0.0], size=shape)  # signed zeros survive
+            out = su2_element(stack)
+            assert out.shape == shape + (2, 2)
+            rows = [entrywise_su2_element(v) for v in stack.reshape(-1, 3)]
+            assert out.tobytes() == np.array(rows).tobytes()
+        with pytest.raises(DegenerateVectorError, match="3-vector"):
+            su2_element(np.ones((2, 4)))
+
 
 class TestEuclideanNorm:
     def test_rounds_exactly_as_numpy_norm(self):
@@ -282,6 +322,50 @@ class TestSu2Exp:
             vals, vecs = np.linalg.eigh(h)
             ref = vecs @ np.diag(np.exp(-1j * tau * vals)) @ vecs.conj().T
             assert np.abs(su2_exp(v, tau) - ref).max() < 1e-12
+
+    def test_stack_rows_equal_the_one_vector_call(self):
+        rng = np.random.default_rng(1801)
+        for _ in range(2000):
+            shape = tuple(int(k) for k in rng.integers(1, 4, size=rng.integers(1, 3)))
+            stack = rng.normal(size=shape + (3,)) * 10.0 ** rng.uniform(-8, 8, shape + (1,))
+            stack[rng.random(shape) < 0.15] = rng.choice([0.0, -0.0], size=3)
+            tau = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 3)
+            out = su2_exp(stack, tau)
+            assert out.shape == shape + (2, 2)
+            rows = [su2_exp(v, tau) for v in stack.reshape(-1, 3)]
+            assert out.tobytes() == np.array(rows).tobytes()
+            reference = [half_angle_su2_exp(v, tau) for v in stack.reshape(-1, 3)]
+            assert out.tobytes() == np.array(reference).tobytes()
+
+    def test_stack_of_zero_vectors_is_identity_for_any_tau(self):
+        for tau in (3.0, np.inf, np.nan):
+            out = su2_exp(np.zeros((2, 3)), tau)
+            assert out.tobytes() == np.array([np.eye(2, dtype=complex)] * 2).tobytes()
+        assert su2_exp(np.zeros((0, 3)), 1.0).shape == (0, 2, 2)
+
+    @pytest.mark.parametrize(
+        ("bad", "tau"),
+        [
+            ((np.nan, 0.0, 0.0), 1.0),
+            ((1.0, 0.0, 0.0), np.nan),
+            ((1.0, 0.0, 0.0), np.inf),
+            ((1e200, 0.0, 0.0), 1.0),
+        ],
+        ids=["nan-v", "nan-tau", "inf-tau", "huge-v"],
+    )
+    def test_stack_refuses_as_its_rows_do(self, bad, tau):
+        with pytest.raises((ValueError, OverflowError)) as scalar:
+            su2_exp(bad, tau)
+        # v = 0 needs no phase; the first row with one raises
+        stack = np.array([[0.0, 0.0, 0.0], bad, [1.0, 2.0, 3.0]])
+        with pytest.raises(scalar.type) as stacked:
+            su2_exp(stack, tau)
+        assert str(stacked.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("shape", [(), (2,), (4,), (2, 2)])
+    def test_rejects_a_last_axis_other_than_3(self, shape):
+        with pytest.raises(DegenerateVectorError, match="3-vector"):
+            su2_exp(np.ones(shape), 1.0)
 
     def test_conjugation_rotates_the_axis(self):
         # U (w.J) U^dag = (R w).J with R the rotation by tau|v| about vhat

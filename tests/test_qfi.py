@@ -1,5 +1,7 @@
 """Tests for the QFI engine, its oracles and report assembly."""
 
+import itertools
+import math
 import warnings
 from dataclasses import replace
 
@@ -12,7 +14,6 @@ from su2qfi import (
     BELL_PHI_PLUS,
     ENTANGLED_WITH_ANCILLA,
     PURE_QUBIT,
-    DegenerateVectorError,
     DimensionalityError,
     FieldPoint,
     SchemeConfig,
@@ -29,8 +30,11 @@ from su2qfi import (
     qfim_pure,
     su2_element,
 )
+from su2qfi.algebra import check_bloch
 from su2qfi.qfi import weak_comm_matrix
 from su2qfi.oracles import (
+    BELL_PROJECTOR,
+    _trace,
     entangled_qfi_oracle,
     entangled_qfim_fd,
     qfim_trace_oracle,
@@ -142,6 +146,39 @@ class TestQfimTraceOracle:
             got = qfim_trace_oracle(mats, rho)
             assert got.shape == (d, d)
             assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+class TestOracleTrace:
+    def test_2x2_trace_equals_np_trace_on_random_stacks(self):
+        rng = np.random.default_rng(1802)
+        for shape in [(), (3,), (3, 3), (5, 2)]:
+            for _ in range(200):
+                m = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+                m *= 10.0 ** rng.uniform(-10, 10, shape + (1, 1))
+                got = np.asarray(_trace(m))
+                assert got.tobytes() == np.asarray(np.trace(m, axis1=-2, axis2=-1)).tobytes()
+
+    def test_2x2_trace_differs_only_in_the_sign_of_a_zero_sum(self):
+        def negative_zero(v):
+            return v == 0.0 and math.copysign(1.0, v) < 0.0
+
+        values = (0.0, -0.0, 1.5, -2.5, np.inf)
+        for a, b, c, e in itertools.product(values, repeat=4):
+            m = np.array([[complex(a, c), 1.0], [2.0, complex(b, e)]])
+            got, ref = _trace(m), np.trace(m)
+            assert got == ref
+            # np.trace gives +0 for -0 + -0, the plain sum gives -0
+            real_sign = negative_zero(a) and negative_zero(b)
+            imag_sign = negative_zero(c) and negative_zero(e)
+            assert (got.tobytes() != ref.tobytes()) == (real_sign or imag_sign)
+
+    def test_4x4_trace_is_np_trace(self):
+        rng = np.random.default_rng(1804)
+        m = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        assert _trace(m).tobytes() == np.trace(m, axis1=-2, axis2=-1).tobytes()
+
+    def test_bell_projector_is_the_outer_product(self):
+        assert BELL_PROJECTOR.tobytes() == np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj()).tobytes()
 
 
 class TestQfiMax:
@@ -586,15 +623,24 @@ class TestReportKernelsBitForBit:
                 == np.abs(weak_comm_matrix(gens, zero)).tobytes()
             )
 
-    @pytest.mark.parametrize("kernel", [qfim_pure, weak_comm_matrix])
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            qfim_pure,
+            weak_comm_matrix,
+            pytest.param(lambda gens, r: check_bloch(r), id="check_bloch"),
+        ],
+    )
     def test_public_kernels_still_check_the_bloch_vector(self, kernel):
         gens = np.array([[0.3, -1.1, 0.7], [1.0, 0.0, 0.0]])
         with pytest.raises(UnphysicalStateError):
             kernel(gens, [0.8, 0.8, 0.0])
         with pytest.raises(UnphysicalStateError):
             kernel(gens, [float("nan"), 0.0, 0.0])
-        with pytest.raises(DegenerateVectorError, match="expected a 3-vector"):
-            kernel(gens, [0.0, 1.0])
+        # a wrong length is an unphysical state, not a degenerate direction
+        for bad in ([0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [[0.0, 0.0, 1.0]], 0.5):
+            with pytest.raises(UnphysicalStateError, match="3 entries"):
+                kernel(gens, bad)
 
 
 def _signed_zeros_rows(rng, stack):

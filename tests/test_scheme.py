@@ -1,6 +1,7 @@
 """Tests for scheme construction, total unitaries and control design."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from su2qfi import (
     gap_profile,
     magnetometry_scheme,
     qfi_max,
+    su2_exp,
 )
-from su2qfi.scheme import MERGED, PRODUCT
+from su2qfi.scheme import MERGED, PRODUCT, affine_scheme, central_difference, unitary_derivatives
 
 RNG = np.random.default_rng(303)
 
@@ -85,6 +87,13 @@ class TestSchemeConfig:
         scheme = linear_scheme([1, 2, 3], [0, 1, 0], control=np.array([-1, -2, -3.0]))
         assert np.allclose(scheme.effective_coefficients([0.0]), [0, 0, 0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_non_finite_control(self, bad):
+        with pytest.raises(ValueError, match="control"):
+            linear_scheme([1, 0, 0], [0, 1, 0], control=[bad, 0.0, 0.0])
+        with pytest.raises(ValueError, match="control"):
+            replace(linear_scheme([1, 0, 0], [0, 1, 0]), control=np.array([0.0, 0.0, bad]))
+
 
 class TestTotalUnitary:
     def test_no_control_modes_coincide(self):
@@ -130,7 +139,57 @@ class TestTotalUnitary:
         assert all(1.8 <= r <= 2.2 for r in ratios), ratios
 
 
+class TestUnitaryDerivatives:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_merged_stack_equals_the_per_point_differences(self, d):
+        """One stacked su2_exp gives what central_difference of build_total_unitary
+        gives point by point, bit for bit, including steps relative to a large x_ell."""
+        rng = np.random.default_rng(1800 + d)
+        for _ in range(300):
+            grads = rng.uniform(-2.0, 2.0, (d, 3)) * 10.0 ** rng.uniform(-3, 3)
+            control = rng.uniform(-2.0, 2.0, 3) if rng.random() < 0.5 else np.zeros(3)
+            scheme = affine_scheme(
+                rng.uniform(-2.0, 2.0, 3), grads, control, rng.uniform(0.1, 5.0), 1, MERGED
+            )
+            x = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3)
+            u, du = unitary_derivatives(scheme, x)
+            per_point = partial(build_total_unitary, scheme)
+            expected = np.array([central_difference(per_point, x, ell) for ell in range(d)])
+            assert u.tobytes() == per_point(x).tobytes()
+            assert du.shape == (d, 2, 2)
+            assert du.tobytes() == expected.tobytes()
+
+    def test_product_mode_segment_equals_two_one_vector_exponentials(self):
+        """The stacked control and encoding exponentials of a product-mode segment
+        equal the two one-vector calls, so the total unitary is unchanged bit for bit."""
+        rng = np.random.default_rng(1805)
+        for _ in range(300):
+            d = int(rng.integers(1, 4))
+            control = rng.uniform(-2.0, 2.0, 3) if rng.random() < 0.7 else np.zeros(3)
+            t, n = rng.uniform(0.01, 2.0), int(rng.integers(1, 90))
+            grads = rng.normal(size=(d, 3))
+            scheme = affine_scheme(rng.uniform(-2, 2, 3), grads, control, t, n, PRODUCT)
+            x = rng.normal(size=d)
+            segment = su2_exp(control, t) @ su2_exp(scheme.coefficients_at(x), t)
+            expected = np.linalg.matrix_power(segment, n)
+            assert build_total_unitary(scheme, x).tobytes() == expected.tobytes()
+
+
 class TestDesignControl:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_estimate(self, bad):
+        point = FieldPoint(3.0, np.pi / 6, 0.0)
+        with pytest.raises(ValueError, match="x_tilde"):
+            magnetometry_scheme(point, 1.0, 5, control="optimal", x_tilde=[1.0, bad, 0.0])
+        with pytest.raises(ValueError, match="x_tilde"):
+            design_control(magnetometry_scheme(point).coefficients, [bad, 0.0, 0.0])
+
+    def test_a_control_that_overflows_is_refused(self):
+        # a finite estimate whose coefficients 2B n0 overflow
+        point = FieldPoint(3.0, np.pi / 6, 0.0)
+        with pytest.raises(ValueError, match="control"):
+            magnetometry_scheme(point, 1.0, 5, control="optimal", x_tilde=[1e308, 0.5, 0.0])
+
     def test_negates_coefficients_at_the_estimate(self):
         point = FieldPoint(3.0, np.pi / 6, 0.0)
         scheme = magnetometry_scheme(point, 1.0, 5)
