@@ -41,14 +41,9 @@ def euclidean_norm(v: np.ndarray) -> float:
     """|v| of a float 3-vector, rounded exactly as ``np.linalg.norm`` rounds it.
 
     That is the square root of the BLAS dot product, without the dispatch of
-    ``np.linalg.norm``.  A square that overflows gives inf without a warning;
-    silencing the warning costs a few microseconds, so it is paid only when a
-    component is large enough to overflow.
+    ``np.linalg.norm``; a square that overflows gives inf (``_row_squares``).
     """
-    if max(map(abs, v.tolist())) < _SQUARES_FIT:
-        return math.sqrt(v.dot(v))
-    with np.errstate(over="ignore"):
-        return math.sqrt(v.dot(v))
+    return math.sqrt(_row_squares(v)[0])
 
 
 def cross(a, b) -> np.ndarray:
@@ -123,9 +118,22 @@ def su2_element(v) -> np.ndarray:
 
 
 def _row_squares(v: np.ndarray) -> list:
-    """v.v of the 3-vector ``v`` or of each vector of a stack, each the BLAS dot
-    product of the vector with itself that ``euclidean_norm`` takes: one
-    ``dot`` for a single vector, one stacked ``matmul`` (a dot per row) otherwise."""
+    """v.v of the 3-vector ``v`` or of each vector of a stack, as a list.
+
+    A square that overflows gives inf without a warning; silencing the
+    warning costs a few microseconds, so it is paid only when a component is
+    large enough to overflow.
+    """
+    flat = v.ravel().tolist()
+    if not flat or max(map(abs, flat)) < _SQUARES_FIT:
+        return _dots(v)
+    with np.errstate(over="ignore"):
+        return _dots(v)
+
+
+def _dots(v: np.ndarray) -> list:
+    """The BLAS dot product of each vector of ``v`` with itself: one ``dot`` for a
+    single vector, one stacked ``matmul`` (a dot per row, rounding alike) otherwise."""
     if v.ndim == 1:
         return [v.dot(v)]
     rows = v.reshape(-1, 3)
@@ -150,17 +158,10 @@ def su2_exp(v, tau: float) -> np.ndarray:
     row raises.
     """
     v = _as_stack3(v)
-    flat = v.ravel().tolist()
-    # see euclidean_norm for the overflow warning
-    if max(map(abs, flat), default=0.0) < _SQUARES_FIT:
-        squares = _row_squares(v)
-    else:
-        with np.errstate(over="ignore"):
-            squares = _row_squares(v)
     tau_f = float(tau)
     entries = []
-    components = iter(flat)
-    for square, v1, v2, v3 in zip(squares, components, components, components):
+    components = iter(v.ravel().tolist())
+    for square, v1, v2, v3 in zip(_row_squares(v), components, components, components):
         nv = math.sqrt(square)
         if nv == 0.0:
             entries += (1 + 0j, 0j, 0j, 1 + 0j)

@@ -25,7 +25,7 @@ import re
 import sys
 import traceback
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -75,16 +75,18 @@ def _boolean(name: str, value) -> bool:
     return value
 
 
-def _sequence(name: str, value, item, length: int | None = None) -> tuple:
-    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-        size = "" if length is None else f" of {length} entries"
-        raise ConfigError("invalid-vector", f"{name} must be a list{size}, got {value!r}")
-    return tuple(item(f"{name}[{i}]", v) for i, v in enumerate(value))
+def _sequence(item, length: int | None = None):
+    def check(name: str, value) -> tuple:
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            size = "" if length is None else f" of {length} entries"
+            raise ConfigError("invalid-vector", f"{name} must be a list{size}, got {value!r}")
+        return tuple(item(f"{name}[{i}]", v) for i, v in enumerate(value))
+    return check
 
 
-_VEC3 = partial(_sequence, item=_number, length=3)
-_NUMBERS = partial(_sequence, item=_number)
-_COUNTS = partial(_sequence, item=_count)
+_VEC3 = _sequence(_number, 3)
+_NUMBERS = _sequence(_number)
+_COUNTS = _sequence(_count)
 
 # type and shape of every field that is not a string, checked by from_dict;
 # every number must also be finite
@@ -93,7 +95,7 @@ _FIELD_TYPES = {
     **dict.fromkeys(("N", "alpha_count", "n_max"), _count),
     **dict.fromkeys(("x0", "r", "control_vector"), _VEC3),
     **dict.fromkeys(("x", "x_tilde"), _NUMBERS),
-    "gradients": partial(_sequence, item=_VEC3),
+    "gradients": _sequence(_VEC3),
     "n_values": _COUNTS,
     "controlled": _boolean,
 }

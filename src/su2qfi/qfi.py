@@ -152,9 +152,10 @@ def _precision_bounds(qfim: np.ndarray, slack: float) -> np.ndarray:
     """Single-shot standard-deviation floor per parameter of a finite QFIM.
 
     1/sqrt of the diagonal when every off-diagonal entry is within ``slack``,
-    else sqrt of the pseudo-inverse's diagonal, which treats singular values
-    at or below ``slack`` as zero: a rank-deficient QFIM's null eigenvalue is
-    rounding noise on the scale of the largest maximum, not information.
+    else sqrt of the pseudo-inverse's diagonal, which drops singular values at
+    or below ``slack``.  For a parameter with a component in the null space
+    of a rank-deficient QFIM these are not Cramer-Rao bounds: no unbiased
+    estimator of it has finite variance.
     """
     # at most nine entries: Python floats round like numpy's and skip its dispatch
     rows = qfim.tolist()

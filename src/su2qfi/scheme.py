@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,10 +35,10 @@ class SchemeConfig:
     ``coefficients`` maps a parameter point (shape ``(d,)``) to the
     coefficient 3-vector X(x); ``partials`` returns the ``(d, 3)`` array of
     analytic partial derivatives of X.  When ``validation_points`` is
-    nonempty the supplied partials are checked against central finite
-    differences of ``coefficients`` at construction (``central_difference``,
-    step 1e-6 * max(1, |x_ell|)).  A control vector with a NaN or infinite
-    entry raises ``ValueError``.
+    nonempty the supplied partials are checked at construction against
+    central differences of ``coefficients`` on the points of ``_stencil``.
+    ``n_params`` and ``segment_count`` are ints or numpy integers, and a
+    control vector with a NaN or infinite entry raises ``ValueError``.
     """
 
     coefficients: Callable[[np.ndarray], np.ndarray]
@@ -56,29 +55,33 @@ class SchemeConfig:
         if not all(map(math.isfinite, control.tolist())):
             raise ValueError(f"the control X_c = {control} is not finite")
         object.__setattr__(self, "control", control)
+        for name, value in (("n_params", self.n_params), ("segment_count", self.segment_count)):
+            kind = type(value)  # an int skips the slower abstract-class check
+            if kind is not int and (kind is bool or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.n_params < 1:
             raise ValueError("a scheme needs at least one parameter")
         if not (math.isfinite(self.segment_time) and self.segment_time > 0):
             raise ValueError("segment_time must be finite and positive")
         count = self.segment_count
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        if count < 1:
             raise ValueError(f"segment_count must be a positive integer, got {count!r}")
         if not math.isfinite(float(count) * self.segment_time):
             raise OverflowError(f"the total time {count} * {self.segment_time:g} overflows")
         if self.mode not in (MERGED, PRODUCT):
             raise ValueError(f"unknown composition mode {self.mode!r}")
         for point in self.validation_points:
-            self._check_partials_at(np.array(point, dtype=float, ndmin=1))
+            self._check_partials_at(point)
 
-    def _check_partials_at(self, x: np.ndarray):
-        exact = np.asarray(self.partials(x), dtype=float).reshape(self.n_params, 3)
-        for ell in range(self.n_params):
-            fd = central_difference(self.coefficients_at, x, ell)
-            scale = max(1.0, algebra.euclidean_norm(exact[ell]))
-            if algebra.euclidean_norm(fd - exact[ell]) > 1e-6 * scale:
-                raise ValueError(
-                    f"analytic partial {ell} disagrees with finite differences at {x}"
-                )
+    def _check_partials_at(self, x):
+        """Refuse partials off the central differences by more than 1e-6 max(1, |dX|)."""
+        points, two_h = _stencil(self, x)
+        shifted = iter(points[1:])
+        for ell, (plus, minus, exact) in enumerate(zip(shifted, shifted, self.partials_at(x))):
+            fd = (self.coefficients_at(plus) - self.coefficients_at(minus)) / two_h[ell]
+            error = algebra.euclidean_norm(fd - exact)
+            if error > 1e-6 and error > 1e-6 * algebra.euclidean_norm(exact):
+                raise ValueError(f"analytic partial {ell} disagrees with finite differences at {x}")
 
     @property
     def total_time(self) -> float:
@@ -96,67 +99,57 @@ class SchemeConfig:
         return self.coefficients_at(x) + self.control
 
 
-def build_total_unitary(scheme: SchemeConfig, x) -> np.ndarray:
-    """Total unitary of the scheme at parameter point ``x``.
+def _compose(scheme: SchemeConfig, coeffs: np.ndarray) -> np.ndarray:
+    """Total unitaries of one coefficient vector X or of a ``(k, 3)`` stack of them.
 
-    Merged mode returns exp(-i N t (X + X_c).J); product mode multiplies the
-    N control/encoding segment pairs explicitly (control acts after the
-    encoding within each segment).
+    Merged mode is exp(-i N t (X + X_c).J); product mode multiplies the N
+    control/encoding segment pairs (control after encoding in each segment).
+    A row of a stack equals the one-vector call on it to the last bit.
     """
-    coeff = scheme.coefficients_at(x)
     if scheme.mode == MERGED:
-        return algebra.su2_exp(coeff + scheme.control, scheme.total_time)
-    control, encoding = algebra.su2_exp(np.array([scheme.control, coeff]), scheme.segment_time)
-    return np.linalg.matrix_power(control @ encoding, scheme.segment_count)
+        return algebra.su2_exp(coeffs + scheme.control, scheme.total_time)
+    control = algebra.su2_exp(scheme.control, scheme.segment_time)
+    segments = control @ algebra.su2_exp(coeffs, scheme.segment_time)
+    return np.linalg.matrix_power(segments, scheme.segment_count)
 
 
-def _step(x_ell: float) -> float:
-    """The finite-difference step h = 1e-6 * max(1, |x_ell|) along one coordinate."""
-    return 1e-6 * max(1.0, abs(x_ell))
+def build_total_unitary(scheme: SchemeConfig, x) -> np.ndarray:
+    """Total unitary of the scheme at the parameter point ``x`` (see ``_compose``)."""
+    return _compose(scheme, scheme.coefficients_at(x))
 
 
-def central_difference(
-    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, ell: int
-) -> np.ndarray:
-    """Central difference (f(x + h e_ell) - f(x - h e_ell)) / 2h of ``f`` along ``ell``.
+def _stencil(scheme: SchemeConfig, x) -> tuple[list, list]:
+    """The points x, x + h e_0, x - h e_0, x + h e_1, ... as lists, and the 2h of
+    each x_ell: the one step rule of every finite difference in the package.
 
-    ``_step`` is the one step rule of every finite-difference check in the
-    package: h = 1e-6 * max(1, |x_ell|), absolute near zero and relative
-    beyond 1, so that x +- h stays distinct from x at any magnitude.
+    h = 1e-6 * max(1, |x_ell|) is absolute near zero and relative beyond 1,
+    so x +- h stays distinct from x at any magnitude.  A point whose length
+    is not ``n_params`` raises ``ValueError``.
     """
-    h = _step(float(x[ell]))
-    xp = x.copy()
-    xm = x.copy()
-    xp[ell] += h
-    xm[ell] -= h
-    return (f(xp) - f(xm)) / (2.0 * h)
+    x = np.array(x, dtype=float, ndmin=1)
+    if x.shape != (scheme.n_params,):
+        raise ValueError(f"a point of shape {x.shape} for a scheme of {scheme.n_params} parameters")
+    point = x.tolist()
+    points = [point]
+    two_h = []
+    for ell, x_ell in enumerate(point):
+        h = 1e-6 * max(1.0, abs(x_ell))
+        before, after = point[:ell], point[ell + 1 :]
+        points += (before + [x_ell + h] + after, before + [x_ell - h] + after)
+        two_h.append(2.0 * h)
+    return points, two_h
 
 
 def unitary_derivatives(scheme: SchemeConfig, x) -> tuple[np.ndarray, np.ndarray]:
     """U(x) and the ``(d, 2, 2)`` stack of its central differences along every x_ell,
     control held fixed: the one place the total unitary is differentiated.
 
-    Every difference takes the step rule ``_step``.  In merged mode
-    the 2d + 1 unitaries at x and x +- h e_ell come from one stacked
-    ``algebra.su2_exp``, and the result equals the per-point form
-    ``central_difference(partial(build_total_unitary, scheme), x, ell)`` bit
-    for bit; product mode evaluates that form.
+    The 2d + 1 unitaries at the points of ``_stencil`` come from one stacked
+    composition, in either mode.
     """
-    x = np.array(x, dtype=float, ndmin=1)
-    if scheme.mode != MERGED:
-        u = partial(build_total_unitary, scheme)
-        return u(x), np.array([central_difference(u, x, ell) for ell in range(scheme.n_params)])
-    point = x.tolist()
-    points = [point]
-    steps = []
-    for ell in range(scheme.n_params):
-        h = _step(point[ell])
-        for shifted in (point[ell] + h, point[ell] - h):
-            points.append(point[:ell] + [shifted] + point[ell + 1 :])
-        steps.append(2.0 * h)
-    coeffs = np.array([scheme.coefficients_at(p) for p in points]) + scheme.control
-    u = algebra.su2_exp(coeffs, scheme.total_time)
-    return u[0], (u[1::2] - u[2::2]) / np.array(steps)[:, None, None]
+    points, two_h = _stencil(scheme, x)
+    u = _compose(scheme, np.array([scheme.coefficients_at(p) for p in points]))
+    return u[0], (u[1::2] - u[2::2]) / np.array(two_h)[:, None, None]
 
 
 def affine_scheme(

@@ -44,7 +44,7 @@ from su2qfi.oracles import (
 )
 from su2qfi.algebra import lift
 from su2qfi.qfi import _precision_bounds, scheme_generators
-from su2qfi.scheme import build_total_unitary, central_difference
+from su2qfi.scheme import build_total_unitary
 
 RNG = np.random.default_rng(404)
 
@@ -448,7 +448,8 @@ class TestSldOracle:
 
 def four_state_entangled_qfim_fd(scheme, x):
     """The entangled-probe QFIM from central differences of the 4-state
-    |psi(x)> = (U(x) (x) I)|Phi+> itself, one entry (a, b) at a time."""
+    |psi(x)> = (U(x) (x) I)|Phi+> itself, step h = 1e-6 * max(1, |x_ell|),
+    one entry (a, b) at a time."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = scheme.n_params
 
@@ -456,7 +457,13 @@ def four_state_entangled_qfim_fd(scheme, x):
         return lift(build_total_unitary(scheme, xs)) @ BELL_PHI_PLUS
 
     psi0 = state(x)
-    dpsi = [central_difference(state, x, ell) for ell in range(d)]
+    dpsi = []
+    for ell in range(d):
+        h = 1e-6 * max(1.0, abs(float(x[ell])))
+        xp, xm = x.copy(), x.copy()
+        xp[ell] += h
+        xm[ell] -= h
+        dpsi.append((state(xp) - state(xm)) / (2.0 * h))
     out = np.zeros((d, d))
     for a in range(d):
         for b in range(d):

@@ -1,7 +1,6 @@
 """Tests for scheme construction, total unitaries and control design."""
 
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -18,7 +17,9 @@ from su2qfi import (
     qfi_max,
     su2_exp,
 )
-from su2qfi.scheme import MERGED, PRODUCT, affine_scheme, central_difference, unitary_derivatives
+from su2qfi.generators import numeric_generator
+from su2qfi.oracles import entangled_qfim_fd, sld_oracle
+from su2qfi.scheme import MERGED, PRODUCT, affine_scheme, unitary_derivatives
 
 RNG = np.random.default_rng(303)
 
@@ -61,6 +62,15 @@ class TestSchemeConfig:
         scheme = linear_scheme([1, 0, 0], [0, 1, 0], t=0.5, n=np.int64(3))
         assert scheme.total_time == 1.5
 
+    @pytest.mark.parametrize("d", [2.5, 3.0, True, "3"])
+    def test_rejects_non_integer_n_params(self, d):
+        with pytest.raises(ValueError, match="n_params must be a positive integer"):
+            replace(linear_scheme([1, 0, 0], [0, 1, 0]), n_params=d)
+
+    def test_accepts_numpy_integer_n_params(self):
+        scheme = replace(linear_scheme([1, 0, 0], [[0, 1, 0], [0, 0, 1]]), n_params=np.int64(2))
+        assert unitary_derivatives(scheme, [0.1, 0.2])[1].shape == (2, 2, 2)
+
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_segment_time(self, t):
         with pytest.raises(ValueError, match="segment_time must be finite and positive"):
@@ -82,6 +92,42 @@ class TestSchemeConfig:
                 n_params=1,
                 validation_points=([1.0],),
             )
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_partials_check_refuses_an_error_of_1e_5(self, scale):
+        """At |x| ~ 1e3 the step is relative, h = 1e-3, and the check still tells
+        the right partials from partials off by 1e-5 of their size."""
+
+        def coefficients(xp):
+            return np.array([xp[0] ** 2, xp[0] * xp[1], xp[1] ** 3 / 3.0])
+
+        def partials(xp):
+            return np.array([[2.0 * xp[0], xp[1], 0.0], [0.0, xp[0], xp[1] ** 2]])
+
+        point = (scale * 1.1, -scale * 1.2)
+        SchemeConfig(coefficients, partials, 2, validation_points=(point,))
+        with pytest.raises(ValueError, match="analytic partial 0 disagrees"):
+            SchemeConfig(
+                coefficients,
+                lambda xp: partials(xp) * (1.0 + 1e-5),
+                2,
+                validation_points=(point,),
+            )
+
+    def test_partials_check_floors_its_scale_at_one(self):
+        """Small partials are held to 1e-6 absolute, not 1e-6 of their size."""
+
+        def scheme(error):
+            return SchemeConfig(
+                lambda xp: np.array([0.01 * xp[0], 0.0, 0.0]),
+                lambda xp: np.array([[0.01 + error, 0.0, 0.0]]),
+                1,
+                validation_points=([0.3],),
+            )
+
+        scheme(5e-7)
+        with pytest.raises(ValueError, match="analytic partial 0 disagrees"):
+            scheme(5e-6)
 
     def test_effective_coefficients_add_control(self):
         scheme = linear_scheme([1, 2, 3], [0, 1, 0], control=np.array([-1, -2, -3.0]))
@@ -140,28 +186,65 @@ class TestTotalUnitary:
 
 
 class TestUnitaryDerivatives:
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_merged_stack_equals_the_per_point_differences(self, d):
-        """One stacked su2_exp gives what central_difference of build_total_unitary
-        gives point by point, bit for bit, including steps relative to a large x_ell."""
-        rng = np.random.default_rng(1800 + d)
-        for _ in range(300):
+    @staticmethod
+    def per_point_differences(scheme, x):
+        """(U(x + h e_ell) - U(x - h e_ell)) / 2h for each ell, one point at a time,
+        with h = 1e-6 * max(1, |x_ell|)."""
+        out = []
+        for ell in range(scheme.n_params):
+            h = 1e-6 * max(1.0, abs(float(x[ell])))
+            xp, xm = x.copy(), x.copy()
+            xp[ell] += h
+            xm[ell] -= h
+            u_plus, u_minus = build_total_unitary(scheme, xp), build_total_unitary(scheme, xm)
+            out.append((u_plus - u_minus) / (2.0 * h))
+        return np.array(out)
+
+    @pytest.mark.parametrize(
+        "mode, d",
+        [pytest.param(MERGED, d, id=str(d)) for d in (1, 2, 3)]
+        + [pytest.param(PRODUCT, d, id=f"product-{d}") for d in (1, 2, 3)],
+    )
+    def test_merged_stack_equals_the_per_point_differences(self, mode, d):
+        """One stacked composition gives what central differences of
+        build_total_unitary give point by point, bit for bit, in both modes,
+        including steps relative to a large x_ell."""
+        rng = np.random.default_rng(1800 + d + (10 if mode == PRODUCT else 0))
+        for _ in range(300 if mode == MERGED else 150):
             grads = rng.uniform(-2.0, 2.0, (d, 3)) * 10.0 ** rng.uniform(-3, 3)
             control = rng.uniform(-2.0, 2.0, 3) if rng.random() < 0.5 else np.zeros(3)
+            n = 1 if mode == MERGED else int(rng.integers(1, 91))
             scheme = affine_scheme(
-                rng.uniform(-2.0, 2.0, 3), grads, control, rng.uniform(0.1, 5.0), 1, MERGED
+                rng.uniform(-2.0, 2.0, 3), grads, control, rng.uniform(0.1, 5.0) / n, n, mode
             )
             x = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 3)
             u, du = unitary_derivatives(scheme, x)
-            per_point = partial(build_total_unitary, scheme)
-            expected = np.array([central_difference(per_point, x, ell) for ell in range(d)])
-            assert u.tobytes() == per_point(x).tobytes()
+            assert u.tobytes() == build_total_unitary(scheme, x).tobytes()
             assert du.shape == (d, 2, 2)
-            assert du.tobytes() == expected.tobytes()
+            assert du.tobytes() == self.per_point_differences(scheme, x).tobytes()
+
+    @pytest.mark.parametrize(
+        "scheme, x",
+        [
+            (affine_scheme([1, 0, 0], [[0, 1, 0], [0, 0, 1]], np.zeros(3), 0.5, 3, MERGED), [0.1]),
+            (magnetometry_scheme(FieldPoint(3.0, np.pi / 6, 0.0)), [3.0, 0.5, 0.0, 1.0]),
+        ],
+        ids=["affine-d2-short", "magnetometry-long"],
+    )
+    def test_refuses_a_point_of_the_wrong_length(self, scheme, x):
+        lengths = rf"shape \({len(x)},\).* {scheme.n_params} parameters"
+        for call in (
+            lambda: unitary_derivatives(scheme, x),
+            lambda: numeric_generator(scheme, x, 0),
+            lambda: entangled_qfim_fd(scheme, x),
+            lambda: sld_oracle(scheme, x, np.eye(2) / 2),
+        ):
+            with pytest.raises(ValueError, match=lengths):
+                call()
 
     def test_product_mode_segment_equals_two_one_vector_exponentials(self):
-        """The stacked control and encoding exponentials of a product-mode segment
-        equal the two one-vector calls, so the total unitary is unchanged bit for bit."""
+        """A product-mode total unitary is the matrix power of the control exponential
+        times the encoding one, each a one-vector call, bit for bit."""
         rng = np.random.default_rng(1805)
         for _ in range(300):
             d = int(rng.integers(1, 4))
