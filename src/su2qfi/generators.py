@@ -23,11 +23,11 @@ from .errors import SeriesDepthError
 from .scheme import SchemeConfig, unitary_derivatives
 
 # Truncation tolerance and refusal cap for the nested cross-product series.
-# The alternating partial sums grow like exp(T|X|) before cancelling, so in
-# double precision the series can honor its accuracy contract only up to
-# T|X| ~ 10; at this tolerance, 48 terms reach T|X| = 10.4 for T|dX| = 1 (9.9
-# for T|dX| = 10).  Larger arguments must use the closed form, which is what
-# the SeriesDepthError signals.
+# The alternating partial sums grow like exp(z), z = T|X|, before cancelling,
+# so in double precision the series can honor its accuracy contract only up
+# to z ~ 10; at this tolerance, 48 terms reach z = 10.38 whatever dX is.
+# Larger arguments must use the closed form, which is what the
+# SeriesDepthError signals.
 SERIES_TOL = 1e-14
 SERIES_TERM_CAP = 48
 
@@ -132,42 +132,39 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
 def series_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     """Generator by direct summation of the nested cross-product series.
 
-    Term n contributes (-T)^(n+1)/(n+1)! times the n-fold nested cross
-    product of X applied to dX.  The terms are accumulated as one real
-    coefficient 3-vector, held as three floats, which is contracted with J
-    once at the end.  The linear n = 0 term is always summed; the tail is
-    truncated once the term bound T^(n+1) |X|^n |dX| / (n+1)! falls below
-    ``SERIES_TOL`` or the nested cross vanishes (colinear geometry).  If the
-    bound has not fallen below ``SERIES_TOL`` within ``SERIES_TERM_CAP`` terms
-    a ``SeriesDepthError`` is raised and the closed form should be used
-    instead.  Bad inputs raise the closed form's ``ValueError`` or
-    ``OverflowError``, and so does a sum that overflows double precision.
+    Term n is (-T)^(n+1)/(n+1)! times the n-fold nested cross of X with dX:
+    term 0 is -T dX and term n is -(T X) x (term n - 1) / (n + 1), summed
+    as three floats and contracted with J once at the end.  The tail is cut
+    once the bound z^n/(n+1)! on term n relative to T|dX|, z = T|X|, falls
+    below ``SERIES_TOL`` or the nested cross vanishes (colinear geometry),
+    so the result scales exactly with dX.  Past ``SERIES_TERM_CAP`` terms a
+    ``SeriesDepthError`` asks for the closed form instead.  Bad inputs raise
+    the closed form's ``ValueError`` or ``OverflowError``, and so does a sum
+    that overflows double precision.
     """
     x_coeff, d_coeff, _, z = _checked_inputs(x_coeff, as_vec3(d_coeff), total_time)
-    x1, x2, x3 = x_coeff.tolist()
-    w1, w2, w3 = d_coeff.tolist()
+    # Python floats: a product past double precision reads inf without a warning
+    x1, x2, x3 = [-total_time * v for v in x_coeff.tolist()]
+    w1, w2, w3 = [-total_time * v for v in d_coeff.tolist()]
     s1 = s2 = s3 = 0.0
-    # term n carries coefficient (-T)^(n+1)/(n+1)! and bound T|dX| z^n/(n+1)!,
-    # both updated multiplicatively to sidestep factorial overflow
-    coeff = -total_time
-    bound = total_time * algebra.euclidean_norm(d_coeff)
-    n = 0
-    while n == 0 or not bound < SERIES_TOL:
-        if n >= SERIES_TERM_CAP:
+    # the next term carries 1/n! and is at most T|dX| times bound = z^(n-1)/n!,
+    # which is updated multiplicatively to sidestep factorial overflow
+    bound, n = 1.0, 1
+    while not bound < SERIES_TOL:
+        if n > SERIES_TERM_CAP:
             raise SeriesDepthError(
                 f"series not converged in {SERIES_TERM_CAP} terms "
                 f"(T|X| = {z:.3g}); use the closed form"
             )
-        s1 += coeff * w1
-        s2 += coeff * w2
-        s3 += coeff * w3
-        # w <- X x w, written out as in algebra.cross
-        w1, w2, w3 = x2 * w3 - x3 * w2, x3 * w1 - x1 * w3, x1 * w2 - x2 * w1
+        s1 += w1
+        s2 += w2
+        s3 += w3
+        n += 1
+        # w <- -(T X) x w / n, the cross written out as in algebra.cross
+        w1, w2, w3 = (x2 * w3 - x3 * w2) / n, (x3 * w1 - x1 * w3) / n, (x1 * w2 - x2 * w1) / n
         if not (w1 or w2 or w3):
             break
-        n += 1
-        coeff *= -total_time / (n + 1)
-        bound *= z / (n + 1)
+        bound *= z / n
     if not all(map(math.isfinite, (s1, s2, s3))):
         raise OverflowError(f"the series overflows double precision (T|X| = {z:.3g})")
     return algebra.su2_element((s1, s2, s3))

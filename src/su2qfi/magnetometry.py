@@ -60,7 +60,10 @@ class FieldPoint:
 def _field(x: np.ndarray) -> tuple[float, float, float, float, float]:
     """2B and the sines and cosines of theta and phi."""
     b, theta, phi = x.tolist()
-    return 2.0 * b, math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
+    b2 = 2.0 * b
+    if not math.isfinite(b2):  # a Python float overflows to inf without a warning
+        raise OverflowError(f"the coefficient scale 2B = 2 * {b!r} is not finite")
+    return b2, math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
 
 
 def _coefficients(x: np.ndarray) -> np.ndarray:
@@ -143,14 +146,17 @@ def precision_curves(
 
     Deviations are 1/sqrt of the optimal QFIM diagonal; entries with zero
     information (oscillation nulls, azimuth at a pole) are reported as
-    infinite rather than raising.  Each entry is attainable on its own with
-    either probe; only the entangled probe attains all three at once.
+    infinite rather than raising; information that overflows double precision
+    raises ``OverflowError``.  Each entry is attainable on its own with either
+    probe; only the entangled probe attains all three at once.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     n = np.arange(1, n_max + 1)
-    total_time = n * segment_time
-    info = _qfim_diagonal(p, total_time, controlled)
-    with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below instead
+        total_time = n * segment_time
+        info = _qfim_diagonal(p, total_time, controlled)
         dev = np.where(info > 0.0, 1.0 / np.sqrt(info), np.inf)
+    if not np.isfinite(info).all():
+        raise OverflowError(f"the information up to T = {total_time[-1]:g} overflows")
     return CurveTable(n, total_time, dev[0], dev[1], dev[2])

@@ -162,11 +162,17 @@ def _precision_bounds(qfim: np.ndarray, slack: float) -> np.ndarray:
     diag = [row[a] for a, row in enumerate(rows)]
     if all(abs(v) <= slack for a, row in enumerate(rows) for b, v in enumerate(row) if a != b):
         return np.array([1.0 / math.sqrt(v) if v > 0.0 else math.inf for v in diag])
-    # np.linalg.pinv's arithmetic with an absolute cutoff
-    u, s, vt = np.linalg.svd(qfim, full_matrices=False)
-    inv_s = np.array([1.0 / v if v > slack else 0.0 for v in s.tolist()])
+    # np.linalg.pinv's arithmetic with the report's cutoff, on the QFIM scaled
+    # by 4**j so its largest entry lies in [1/4, 1): exact, and the reciprocal
+    # of a subnormal singular value cannot overflow; sqrt undoes it as 2**j
+    j = -(math.frexp(max(abs(v) for row in rows for v in row))[1] // 2)
+    u, s, vt = np.linalg.svd(np.ldexp(qfim, 2 * j), full_matrices=False)
+    cutoff = math.ldexp(slack, 2 * j)
+    inv_s = np.array([1.0 / v if v > cutoff else 0.0 for v in s.tolist()])
     inv_diag = (vt.T @ (inv_s[:, None] * u.T)).diagonal()
-    return np.array([math.sqrt(v) if v > 0.0 else math.inf for v in inv_diag.tolist()])
+    return np.array(
+        [math.ldexp(math.sqrt(v), j) if v > 0.0 else math.inf for v in inv_diag.tolist()]
+    )
 
 
 def build_report(
@@ -182,8 +188,8 @@ def build_report(
     built once; the maxima are |Y_l|^2.  A pure qubit probe needs a unit
     Bloch vector ``r``.  The entangled probe needs none: its reduced state is
     I/2, so it takes the same formulas with r = 0 and every residual vanishes
-    (``entangled_weak_comm`` checks this on 4x4 matrices).  The verdict's
-    slack is ATTAINABILITY * max(1, largest maximum).
+    (``entangled_weak_comm`` checks this on 4x4 matrices).  Verdict and bounds
+    take the slack ATTAINABILITY * largest maximum, free of the units of dX.
 
     The closed forms evaluated here assume merged-exponential composition;
     for a product-mode scheme they describe the small-t limit, and the
@@ -219,7 +225,7 @@ def build_report(
     else:  # r = 0: every residual vanishes
         residuals = np.zeros(qfim.shape)
 
-    slack = ATTAINABILITY * max(1.0, largest)
+    slack = ATTAINABILITY * largest
     attainable = bool(
         residuals.max(initial=0.0) <= slack and (qfim.diagonal() >= maxima - slack).all()
     )

@@ -61,7 +61,10 @@ class SchemeConfig:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.n_params < 1:
             raise ValueError("a scheme needs at least one parameter")
-        if not (math.isfinite(self.segment_time) and self.segment_time > 0):
+        time = self.segment_time
+        if type(time) is not float and (type(time) is bool or not isinstance(time, numbers.Real)):
+            raise ValueError(f"segment_time must be a number, got {time!r}")
+        if not (math.isfinite(time) and time > 0):
             raise ValueError("segment_time must be finite and positive")
         count = self.segment_count
         if count < 1:
@@ -88,11 +91,10 @@ class SchemeConfig:
         return self.segment_count * self.segment_time
 
     def coefficients_at(self, x) -> np.ndarray:
-        return as_vec3(self.coefficients(np.array(x, dtype=float, ndmin=1)))
+        return as_vec3(self.coefficients(_point(self, x)))
 
     def partials_at(self, x) -> np.ndarray:
-        out = np.asarray(self.partials(np.array(x, dtype=float, ndmin=1)), dtype=float)
-        return out.reshape(self.n_params, 3)
+        return np.asarray(self.partials(_point(self, x)), dtype=float).reshape(self.n_params, 3)
 
     def effective_coefficients(self, x) -> np.ndarray:
         """S(x) = X(x) + X_c, the per-segment generator coefficients."""
@@ -118,18 +120,24 @@ def build_total_unitary(scheme: SchemeConfig, x) -> np.ndarray:
     return _compose(scheme, scheme.coefficients_at(x))
 
 
+def _point(scheme: SchemeConfig, x) -> np.ndarray:
+    """``x`` as a float array, the one length rule of every point the package
+    evaluates: a shape other than ``(n_params,)`` raises ``ValueError``."""
+    x = np.array(x, dtype=float, ndmin=1)
+    if x.shape != (scheme.n_params,):
+        raise ValueError(f"a point of shape {x.shape} for a scheme of {scheme.n_params} parameters")
+    return x
+
+
 def _stencil(scheme: SchemeConfig, x) -> tuple[list, list]:
     """The points x, x + h e_0, x - h e_0, x + h e_1, ... as lists, and the 2h of
     each x_ell: the one step rule of every finite difference in the package.
 
     h = 1e-6 * max(1, |x_ell|) is absolute near zero and relative beyond 1,
     so x +- h stays distinct from x at any magnitude.  A point whose length
-    is not ``n_params`` raises ``ValueError``.
+    is not ``n_params`` raises ``_point``'s ``ValueError``.
     """
-    x = np.array(x, dtype=float, ndmin=1)
-    if x.shape != (scheme.n_params,):
-        raise ValueError(f"a point of shape {x.shape} for a scheme of {scheme.n_params} parameters")
-    point = x.tolist()
+    point = _point(scheme, x).tolist()
     points = [point]
     two_h = []
     for ell, x_ell in enumerate(point):
@@ -218,7 +226,8 @@ def gap_profile(
 
     Rows are ordered segment-count-major, then by the order of
     ``alpha_grid``.  The defaults match the landscape used throughout the
-    tests: t = 1, |X| = 2, |dX| = 1.
+    tests: t = 1, |X| = 2, |dX| = 1.  An entry that overflows double
+    precision raises ``OverflowError``.
     """
     from .qfi import qfi_max_from_angle
 
@@ -227,8 +236,11 @@ def gap_profile(
     if n.size == 0 or alpha.size == 0:
         raise ValueError("gap_profile requires nonempty grids")
     n_col = np.repeat(n, alpha.size)
-    total_time = n_col * t
-    ceiling = total_time**2 * dx_norm**2
     alpha_col = np.tile(alpha, n.size)
-    unc = qfi_max_from_angle(x_norm, dx_norm, alpha_col, total_time)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
+        total_time = n_col * t
+        ceiling = total_time**2 * dx_norm**2
+        unc = qfi_max_from_angle(x_norm, dx_norm, alpha_col, total_time)
+    if not (np.isfinite(ceiling).all() and np.isfinite(unc).all()):
+        raise OverflowError("the information (T |dX|)^2 or the phase T|X| overflows")
     return GapTable(n_col, alpha_col, unc, ceiling, ceiling - unc)

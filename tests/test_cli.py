@@ -204,6 +204,11 @@ class TestGridInputValidation:
             (("sweep-alpha", "--alpha-count", "9223372036854775808"), "grid-too-large"),
             (("sweep-alpha", "--n-values", "100000000000000000000000"), "grid-too-large"),
             (("--config", os.path.join("no-such-dir", "config.json"), "report"), "io"),
+            # a finite field B whose coefficient scale 2B overflows
+            (("report", "--B", "1.7e308"), "overflow"),
+            (("report", "--B", "1.7e308", "--control", "none"), "overflow"),
+            (("report", "--x-tilde", "1e308", "0.5", "0"), "overflow"),
+            (("report", "--B", "1.7e308", "--mode", "product", "--control", "none"), "overflow"),
         ],
     )
     def test_rejected_with_one_error_line(self, capsys, argv, code):
@@ -350,6 +355,9 @@ class TestFlagFuzz:
               ["--mode", "merged", "--control", "none", "--probe", "entangled"]))
     @example(("report", 3.0, 0.5, 0.0, 1.0, 5, ["--probe", "pure", "--r", "1e+200", "0.0",
                                                 "-1e-05"]))
+    # a finite B whose 2B overflows
+    @example(("report", 8.98846567431158e+307, 0.0, 0.0, 1.0, 1,
+              ["--mode", "merged", "--control", "none", "--probe", "entangled"]))
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_floats_exit_zero_or_one_error_line(self, argv):
         code, err = run_flags(_flag_args(*argv))
@@ -415,6 +423,22 @@ class TestReport:
         assert code == 0
         doc = json.loads(out)
         assert doc["attainable"] is False
+
+    def test_a_short_time_report_scales_like_a_long_one(self, capsys):
+        # the verdict and the bounds do not depend on the units of T |dX|: at
+        # T = 1e-7 the pure probe is as far from its maxima as at T = 1e-5
+        docs = []
+        for t in ("1e-5", "1e-7"):
+            code, out, _ = run_main(
+                capsys, "report", "--t", t, "--N", "1", "--theta", "0.7", "--phi", "0.4",
+                "--control", "none", "--probe", "pure", "--r", "0.6", "0", "0.8",
+            )
+            assert code == 0
+            docs.append(json.loads(out))
+        assert [doc["attainable"] for doc in docs] == [False, False]
+        np.testing.assert_allclose(
+            docs[1]["precision_bounds"], 100.0 * np.array(docs[0]["precision_bounds"]), rtol=1e-3
+        )
 
     def test_invalid_segment_count_exits_2(self, capsys):
         code, _, err = run_main(capsys, "report", "--N", "0")

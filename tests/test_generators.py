@@ -43,15 +43,15 @@ def linear_scheme(x0, grad, total_time, control=np.zeros(3), segments=1, mode=ME
     )
 
 
-def expected_term_count(z, t_nd, tol):
+def expected_term_count(z, tol):
     """Independent factorial-tail oracle for the series term count.
 
     Term n is bounded by T^(n+1) |X|^n |dX| / (n+1)! = T|dX| z^n / (n+1)!
     with z = T|X|; the linear term is always summed, and the series stops at
-    the first later term whose bound is below ``tol``.
+    the first later term whose bound relative to T|dX| is below ``tol``.
     """
     count = 1
-    while t_nd * z**count / factorial(count + 1) >= tol:
+    while z**count / factorial(count + 1) >= tol:
         count += 1
     return count
 
@@ -350,13 +350,31 @@ class TestSeries:
         series = series_generator(x, d, 3.0)
         assert np.abs(series - (-3.0) * su2_element(d)).max() == 0.0
 
-    def test_refuses_beyond_cap(self):
-        # T|X| = 10 with T|dX| = 10 needs more terms than the cap admits
-        x = np.array([0, 0, 2.0])
-        d = np.array([2.0, 0, 0])
-        assert expected_term_count(10.0, 10.0, 1e-14) > SERIES_TERM_CAP
+    # z = 10.38 is where the 48th term's bound z^48/49! reaches SERIES_TOL
+    @pytest.mark.parametrize("d_norm", [1e-300, 1e-100, 1e-10, 1.0, 10.0, 1e100, 1e300])
+    def test_refusal_depends_on_the_phase_alone(self, d_norm):
+        assert expected_term_count(10.38, 1e-14) <= SERIES_TERM_CAP
+        assert expected_term_count(10.39, 1e-14) > SERIES_TERM_CAP
+        d = d_norm * np.array([0.6, 0.0, 0.8])
+        assert np.isfinite(series_generator([0, 0, 2.0], d, 10.38 / 2)).all()
         with pytest.raises(SeriesDepthError):
-            series_generator(x, d, 5.0)
+            series_generator([0, 0, 2.0], d, 10.39 / 2)
+
+    def test_phase_ten_converges_at_any_partial(self):
+        # T|X| = 10 with T|dX| = 10: the stop no longer depends on T|dX|
+        expected = su2_element(closed_form_generator([0, 0, 2.0], [2.0, 0, 0], 5.0))
+        series = series_generator([0, 0, 2.0], [2.0, 0, 0], 5.0)
+        assert np.abs(series - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("k", [-1000, -300, -40, -1, 1, 40, 300, 1000])
+    def test_scales_exactly_with_the_partial(self, k):
+        # powers of two keep every product exact, so the sums scale bit for bit
+        c = 2.0**k
+        for x, d, t in [(SAMPLE_X, SAMPLE_D, 2.0), ([0, 0, 2.0], [1.0, 0, 0], 5.0),
+                        ([1e11, 0, 0], [0, 1.0, 0], 1e-10)]:
+            d = np.asarray(d) * 2.0 ** -(k // 2)  # keeps c dX inside the normal range
+            expected = c * series_generator(x, d, t)
+            assert series_generator(x, c * d, t).tobytes() == expected.tobytes()
 
     def test_zero_field_keeps_the_linear_term(self):
         # the term bound vanishes with |X|, but the n = 0 term must survive
@@ -400,8 +418,7 @@ class TestSeries:
         series = series_generator(x, d, t)
         # the terms the series admits: it updates its coefficients
         # multiplicatively, so each may differ from the factorial form by a few ulps
-        z, t_nd = t * np.linalg.norm(x), t * np.linalg.norm(d)
-        admitted = terms[: expected_term_count(z, t_nd, 1e-14)]
+        admitted = terms[: expected_term_count(t * np.linalg.norm(x), 1e-14)]
         slack = 8 * np.finfo(float).eps * np.abs(admitted).sum()
         assert np.abs(series - su2_element(np.sum(admitted, axis=0))).max() <= slack
         # both routes against the converged sum
@@ -431,9 +448,21 @@ class TestSeries:
             return
         assert np.isfinite(series).all()
 
-    def test_overflowing_terms_raise_overflow_error(self):
+    def test_large_field_at_short_time_matches_closed_form(self):
+        # |X| = 1e11 at T = 1e-10: the terms carry T X, so no power of |X| overflows
+        x, d, t = [1e11, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-10
+        expected = su2_element(closed_form_generator(x, d, t))
+        series = series_generator(x, d, t)
+        assert np.abs(series - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_huge_phase_at_tiny_partial_refuses(self):
+        # T|dX| = 1e-110 once stopped after the linear term; z = 1e44 must refuse
+        with pytest.raises(SeriesDepthError):
+            series_generator([1e154, 0.0, 0.0], [0.3, 1.0, 0.0], 1e-110)
+
+    def test_a_sum_past_double_precision_raises_overflow_error(self):
         with pytest.raises(OverflowError, match="series overflows"):
-            series_generator([1e11, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-10)
+            series_generator([0.0, 0.0, 0.0], [1e300, 0.0, 0.0], 1e10)
 
     def test_non_colinear_beyond_the_cap_refuses(self):
         message = (

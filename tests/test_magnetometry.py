@@ -165,6 +165,14 @@ class TestFieldCoefficients:
         alphas = characterize(x, [db, dtheta, dphi])
         assert np.allclose(alphas, [0.0, np.pi / 2, np.pi / 2], atol=1e-12)
 
+    @pytest.mark.parametrize("b", [1e308, -1e308, float("inf")])
+    def test_a_field_whose_2b_overflows_raises(self, b):
+        # 2B is a Python float, which overflows to inf without a warning
+        x = np.array([b, 0.5, 0.0])
+        for kernel in (_coefficients, _partials):
+            with pytest.raises(OverflowError, match="2B"):
+                kernel(x)
+
     def test_scheme_partials_agree_with_finite_differences(self):
         # central differences of the coefficient map, poles included
         worst = 0.0
@@ -471,6 +479,20 @@ class TestPrecisionCurves:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             precision_curves(POINT, 1.0, 0, True)
+
+    @pytest.mark.parametrize(
+        "p, t, controlled",
+        [
+            # infinite information once read as a zero deviation
+            (FieldPoint(1e200, 0.5, 0.0), 1.0, True),
+            (FieldPoint(3.0, 0.5, 0.0), 1e300, False),
+            (FieldPoint(1e308, 0.5, 0.0), 1.0, False),
+        ],
+    )
+    def test_overflowing_information_raises_without_a_warning(self, p, t, controlled):
+        # RuntimeWarnings are errors in this suite, so a warning would fail the match
+        with pytest.raises(OverflowError, match="information"):
+            precision_curves(p, t, 3, controlled)
 
 
 class TestOffDiagonal:

@@ -789,6 +789,62 @@ class TestBuildReport:
 _COMPONENT = st.floats(-3.0, 3.0)
 
 
+class TestScaleFreeReport:
+    """A report depends on the geometry of X, dX and r, not on the units of dX:
+    scaling every gradient by c scales the information by c^2 and the bounds
+    by 1/c, and leaves the verdict as it is."""
+
+    @given(
+        st.integers(1, 3),
+        # no component so small that its square, scaled by 2^-80, leaves the normal doubles
+        st.lists(_COMPONENT.filter(lambda v: v == 0.0 or abs(v) > 1e-6), min_size=12, max_size=12),
+        st.floats(1e-3, 10.0),
+        st.integers(1, 300),
+        st.sampled_from(["none", "designed", "random"]),
+        st.sampled_from([ENTANGLED_WITH_ANCILLA, PURE_QUBIT]),
+        st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        st.integers(-40, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scaling_the_gradients(self, d, numbers, t, n, control, probe_kind, r, k):
+        x0, control_vector = numbers[:3], numbers[9:]
+        grads = np.reshape(numbers[3 : 3 + 3 * d], (d, 3))
+        assume(np.linalg.norm(r) > 0.1)
+        r = _unit(np.array(r)) if probe_kind == PURE_QUBIT else None
+        # "designed" is design_control at x = 0, where S = X + X_c vanishes
+        control = {"none": [0, 0, 0], "designed": -np.array(x0), "random": control_vector}[control]
+        c = 2.0**k
+
+        def report(scale):
+            scheme = affine_scheme(x0, scale * grads, control, t, n, "merged")
+            return build_report(scheme, np.zeros(d), probe_kind, r=r)
+
+        base, scaled = report(1.0), report(c)
+        for name in ("qfim", "qfi_max", "weak_comm_residuals"):
+            assert getattr(scaled, name).tobytes() == (c * c * getattr(base, name)).tobytes()
+        assert scaled.attainable == base.attainable
+        bounds = base.precision_bounds / c
+        qfim = base.qfim
+        if np.all(np.abs(qfim - np.diag(qfim.diagonal())) <= 1e-10 * base.qfi_max.max()):
+            assert scaled.precision_bounds.tobytes() == bounds.tobytes()
+        else:
+            np.testing.assert_allclose(scaled.precision_bounds, bounds, rtol=1e-12)
+
+    def test_tiny_information_is_judged_against_its_own_maximum(self):
+        # the probe gets 2.5e-25 of a maximum of 1e-12: far from attaining it
+        scheme = affine_scheme([0, 0, 1], [[1, 0, 0]], [0, 0, 0], 1e-6, 1, "merged")
+        report = build_report(scheme, [0.0], PURE_QUBIT, r=[1, 0, 0])
+        assert report.qfim[0, 0] < 1e-24 and report.qfi_max[0] > 0.9e-12
+        assert report.attainable is False
+
+    def test_subnormal_rank_deficient_qfim_has_finite_bounds(self):
+        # a * ones((2, 2)) has pseudo-inverse diagonal 1/(4a); at a subnormal a
+        # the reciprocal of its singular value 2a overflows unless rescaled
+        a = 1.355805159888723e-309
+        bounds = _precision_bounds(np.array([[a, a], [a, a]]), 1e-10 * a)
+        np.testing.assert_allclose(bounds, 0.5 / math.sqrt(a), rtol=1e-12)
+
+
 @st.composite
 def affine_points(draw, max_params=3):
     """A random affine scheme, T = N t up to 3e3, and its evaluation point."""
@@ -842,6 +898,6 @@ class TestAttainabilityVerdict:
         scheme, x = sample
         gens = scheme_generators(scheme, x)
         top = max(np.dot(g, g) for g in gens)
-        assume(np.dot(gens[0], gens[0]) > 1e-6 * max(1.0, top))
+        assume(np.dot(gens[0], gens[0]) > 1e-6 * top)
         report = build_report(scheme, x, PURE_QUBIT, r=_unit(gens[0]))
         assert report.attainable is False

@@ -19,6 +19,7 @@ from su2qfi import (
 )
 from su2qfi.generators import numeric_generator
 from su2qfi.oracles import entangled_qfim_fd, sld_oracle
+from su2qfi.qfi import ENTANGLED_WITH_ANCILLA, PURE_QUBIT, build_report, scheme_generators
 from su2qfi.scheme import MERGED, PRODUCT, affine_scheme, unitary_derivatives
 
 RNG = np.random.default_rng(303)
@@ -75,6 +76,15 @@ class TestSchemeConfig:
     def test_rejects_non_finite_segment_time(self, t):
         with pytest.raises(ValueError, match="segment_time must be finite and positive"):
             linear_scheme([1, 0, 0], [0, 1, 0], t=t)
+
+    @pytest.mark.parametrize("t", ["1", None, True, np.array(1.0), 1j])
+    def test_rejects_a_segment_time_that_is_not_a_number(self, t):
+        with pytest.raises(ValueError, match="segment_time must be a number"):
+            linear_scheme([1, 0, 0], [0, 1, 0], t=t)
+
+    @pytest.mark.parametrize("t", [np.float64(0.5), np.float32(0.5), np.int64(2), 2])
+    def test_accepts_numpy_and_integer_segment_times(self, t):
+        assert linear_scheme([1, 0, 0], [0, 1, 0], t=t, n=3).total_time == 3 * float(t)
 
     @pytest.mark.parametrize("n", [10, np.int64(10)])
     def test_rejects_overflowing_total_time(self, n):
@@ -238,6 +248,10 @@ class TestUnitaryDerivatives:
             lambda: numeric_generator(scheme, x, 0),
             lambda: entangled_qfim_fd(scheme, x),
             lambda: sld_oracle(scheme, x, np.eye(2) / 2),
+            lambda: build_total_unitary(scheme, x),
+            lambda: scheme_generators(scheme, x),
+            lambda: build_report(scheme, x, ENTANGLED_WITH_ANCILLA),
+            lambda: build_report(scheme, x, PURE_QUBIT, r=[0.0, 0.0, 1.0]),
         ):
             with pytest.raises(ValueError, match=lengths):
                 call()
@@ -270,7 +284,7 @@ class TestDesignControl:
     def test_a_control_that_overflows_is_refused(self):
         # a finite estimate whose coefficients 2B n0 overflow
         point = FieldPoint(3.0, np.pi / 6, 0.0)
-        with pytest.raises(ValueError, match="control"):
+        with pytest.raises(OverflowError, match="2B"):
             magnetometry_scheme(point, 1.0, 5, control="optimal", x_tilde=[1e308, 0.5, 0.0])
 
     def test_negates_coefficients_at_the_estimate(self):
@@ -359,6 +373,14 @@ class TestGapProfile:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             gap_profile([], [0.1])
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(t=1e300), dict(dx_norm=1e300), dict(x_norm=1e308, t=1e10)]
+    )
+    def test_overflowing_information_raises_without_a_warning(self, kwargs):
+        # RuntimeWarnings are errors in this suite, so a warning would fail the test
+        with pytest.raises(OverflowError):
+            gap_profile([10], [0.5], **kwargs)
 
     def test_matches_direct_maximum(self):
         # table entries agree with the generic maximum on explicit vectors
