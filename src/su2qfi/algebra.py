@@ -33,17 +33,14 @@ def as_vec3(v) -> np.ndarray:
     return arr
 
 
-# below this magnitude per component a sum of three squares cannot overflow
-_SQUARES_FIT = 2.0**510
-
-
 def euclidean_norm(v: np.ndarray) -> float:
-    """|v| of a float 3-vector, rounded exactly as ``np.linalg.norm`` rounds it.
+    """|v| of a float 3-vector: ``math.hypot`` of its components.
 
-    That is the square root of the BLAS dot product, without the dispatch of
-    ``np.linalg.norm``; a square that overflows gives inf (``_row_squares``).
+    The package's one rule for the length of a real 3-vector: hypot forms no
+    square that can overflow or underflow, so |v| is finite whenever the
+    true length is, and it scales exactly with a power of two.
     """
-    return math.sqrt(_row_squares(v)[0])
+    return math.hypot(*v.tolist())
 
 
 def cross(a, b) -> np.ndarray:
@@ -79,17 +76,24 @@ def nested_cross(z, w, n: int) -> np.ndarray:
 
 
 def angle_between(a, b) -> float:
-    """Angle between two nonzero vectors, in [0, pi].
+    """Angle between two nonzero finite vectors, in [0, pi].
 
     Evaluated as atan2(|a x b|, a.b), which resolves small angles to full
     relative precision; an arccos of the normalized dot product cannot
-    resolve angles below about 1e-8.
+    resolve angles below about 1e-8.  Each vector is first scaled by the
+    exact power of two that brings its largest component into [1/2, 1), so
+    the angle does not depend on the vectors' lengths and no product
+    overflows.  A zero vector or a NaN or infinite component raises
+    ``DegenerateVectorError``, a ``ValueError``.
     """
-    a = as_vec3(a)
-    b = as_vec3(b)
-    if not np.any(a) or not np.any(b):
-        raise DegenerateVectorError("angle_between requires nonzero vectors")
-    return float(np.arctan2(np.linalg.norm(cross(a, b)), np.dot(a, b)))
+    pair = []
+    for v in (as_vec3(a), as_vec3(b)):
+        components = v.tolist()
+        if not (all(map(math.isfinite, components)) and any(components)):
+            raise DegenerateVectorError(f"angle_between requires nonzero finite vectors, got {v}")
+        pair.append(np.ldexp(v, -math.frexp(max(map(abs, components)))[1]))
+    a, b = pair
+    return math.atan2(euclidean_norm(cross(a, b)), float(np.dot(a, b)))
 
 
 def _as_stack3(v) -> np.ndarray:
@@ -117,29 +121,6 @@ def su2_element(v) -> np.ndarray:
     return np.array(entries, dtype=complex).reshape(v.shape[:-1] + (2, 2))
 
 
-def _row_squares(v: np.ndarray) -> list:
-    """v.v of the 3-vector ``v`` or of each vector of a stack, as a list.
-
-    A square that overflows gives inf without a warning; silencing the
-    warning costs a few microseconds, so it is paid only when a component is
-    large enough to overflow.
-    """
-    flat = v.ravel().tolist()
-    if not flat or max(map(abs, flat)) < _SQUARES_FIT:
-        return _dots(v)
-    with np.errstate(over="ignore"):
-        return _dots(v)
-
-
-def _dots(v: np.ndarray) -> list:
-    """The BLAS dot product of each vector of ``v`` with itself: one ``dot`` for a
-    single vector, one stacked ``matmul`` (a dot per row, rounding alike) otherwise."""
-    if v.ndim == 1:
-        return [v.dot(v)]
-    rows = v.reshape(-1, 3)
-    return (rows[:, None, :] @ rows[:, :, None]).ravel().tolist()
-
-
 def su2_exp(v, tau: float) -> np.ndarray:
     """Exact unitary exp(-i tau v.J) via the half-angle closed form.
 
@@ -149,27 +130,29 @@ def su2_exp(v, tau: float) -> np.ndarray:
 
     which is unitary to machine precision for any tau.  ``v`` is one 3-vector
     or a ``(..., 3)`` stack of them, and the result has shape ``(..., 2, 2)``.
-    Every row takes the same arithmetic in Python floats, with |v|^2 from the
-    BLAS dot product ``euclidean_norm`` takes, so a row of a stack equals the
-    one-vector call to the last bit.  v = 0 gives I for any tau.  Otherwise a
-    NaN phase tau |v| / 2 (a NaN in v or tau) raises ``ValueError``, and an
-    infinite one (tau infinite, or |v|^2 beyond double range, which is |v|
-    above about 1.3e154) raises ``OverflowError``; in a stack the first such
-    row raises.
+    Every row takes the same arithmetic in Python floats, with |v| from
+    ``math.hypot``, so a row of a stack equals the one-vector call to the last
+    bit, and su2_exp(2^k v, 2^-k tau) equals su2_exp(v, tau) while every
+    component stays normal.  v = 0 gives I for any tau.  Otherwise a NaN
+    phase tau |v| / 2 (a NaN in v or tau) raises ``ValueError``, and an
+    infinite |v| or phase raises ``OverflowError`` naming which; in a stack
+    the first such row raises.
     """
     v = _as_stack3(v)
     tau_f = float(tau)
     entries = []
     components = iter(v.ravel().tolist())
-    for square, v1, v2, v3 in zip(_row_squares(v), components, components, components):
-        nv = math.sqrt(square)
+    for v1, v2, v3 in zip(components, components, components):
+        nv = math.hypot(v1, v2, v3)
         if nv == 0.0:
             entries += (1 + 0j, 0j, 0j, 1 + 0j)
             continue
         half = 0.5 * tau_f * nv  # a Python float overflows to inf without a warning
         if not math.isfinite(half):
             row = np.array([v1, v2, v3])
-            if math.isinf(nv) or math.isinf(half):
+            if math.isinf(nv):
+                raise OverflowError(f"the length |v| of v = {row} overflows")
+            if math.isinf(half):
                 raise OverflowError(f"the phase tau|v|/2 of tau = {tau:g} and v = {row} overflows")
             raise ValueError(f"the phase tau|v|/2 is NaN for tau = {tau:g} and v = {row}")
         c = math.cos(half)

@@ -43,8 +43,8 @@ class FieldPoint:
     phi: float
 
     def __post_init__(self):
-        if not self.B > 0:
-            raise UnphysicalStateError("field magnitude B must be positive")
+        if not 0.0 < self.B < math.inf:
+            raise UnphysicalStateError(f"field magnitude B = {self.B} must be positive and finite")
         if not 0.0 <= self.theta <= np.pi:
             raise UnphysicalStateError("theta must lie in [0, pi]")
         if not 0.0 <= self.phi < 2.0 * np.pi:

@@ -237,6 +237,7 @@ def gap_profile(
         raise ValueError("gap_profile requires nonempty grids")
     n_col = np.repeat(n, alpha.size)
     alpha_col = np.tile(alpha, n.size)
+    dx_norm = np.float64(dx_norm)  # a Python float's square raises its own OverflowError
     with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
         total_time = n_col * t
         ceiling = total_time**2 * dx_norm**2

@@ -111,7 +111,7 @@ def _random_generator(rng) -> np.ndarray:
 
 
 def _qfim_label(gens, r) -> str:
-    return f"|Y|={_fmt_vec(np.linalg.norm(gens, axis=1))} r={_fmt_vec(r)}"
+    return f"|Y|={_fmt_vec([algebra.euclidean_norm(g) for g in gens])} r={_fmt_vec(r)}"
 
 
 def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:
@@ -137,7 +137,7 @@ def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:
 
 
 def _entangled_label(gen_a, gen_b) -> str:
-    return f"|Ya|={np.linalg.norm(gen_a):.6g} |Yb|={np.linalg.norm(gen_b):.6g}"
+    return f"|Ya|={algebra.euclidean_norm(gen_a):.6g} |Yb|={algebra.euclidean_norm(gen_b):.6g}"
 
 
 def entangled_probe_suite(seed: int, samples: int) -> list[CheckResult]:

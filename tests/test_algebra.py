@@ -52,11 +52,11 @@ def entrywise_su2_element(v):
 
 
 def half_angle_su2_exp(v, tau):
-    """exp(-i tau v.J) for one 3-vector with |v| = sqrt(v.v) from numpy's dot
-    and the rest in Python floats: the one-vector arithmetic, kept as the
-    bit-for-bit reference for stacks."""
+    """exp(-i tau v.J) for one 3-vector with |v| from math.hypot and the rest in
+    Python floats: the one-vector arithmetic, kept as the bit-for-bit
+    reference for stacks."""
     v = np.asarray(v, dtype=float)
-    nv = float(np.sqrt(v.dot(v)))
+    nv = math.hypot(*v.tolist())
     if nv == 0.0:
         return np.eye(2, dtype=complex)
     half = 0.5 * float(tau) * nv
@@ -73,6 +73,9 @@ def half_angle_su2_exp(v, tau):
 _MAGNITUDES = st.floats(1e-150, 1e150)
 _COMPONENTS = st.one_of(st.just(0.0), _MAGNITUDES, _MAGNITUDES.map(lambda m: -m))
 _VECTORS = st.lists(_COMPONENTS, min_size=3, max_size=3).map(np.array)
+# magnitudes that stay normal after a scaling by 2^k, |k| <= 1000
+_MODERATE = st.floats(1e-5, 1e5)
+_SIGNED_MODERATE = st.one_of(_MODERATE, _MODERATE.map(lambda m: -m))
 
 
 class TestCross:
@@ -168,6 +171,40 @@ class TestAngleBetween:
         with pytest.raises(DegenerateVectorError):
             angle_between([0, 0, 0], [1, 0, 0])
 
+    @given(
+        st.lists(st.floats(-5, 5), min_size=3, max_size=3),
+        st.lists(st.floats(-5, 5), min_size=3, max_size=3),
+        st.integers(-1000, 1000),
+        st.integers(-1000, 1000),
+    )
+    @settings(max_examples=300)
+    def test_independent_of_the_lengths(self, a, b, j, k):
+        # each vector is brought to the same scale exactly before any product
+        a, b = np.array(a), np.array(b)
+        if not (np.abs(a) >= 1e-5).any() or not (np.abs(b) >= 1e-5).any():
+            return
+        a[np.abs(a) < 1e-5] = 0.0  # no component turns subnormal under the scaling
+        b[np.abs(b) < 1e-5] = 0.0
+        assert angle_between(np.ldexp(a, j), np.ldexp(b, k)) == angle_between(a, b)
+
+    @pytest.mark.parametrize(
+        ("a", "b", "expected"),
+        [
+            ([1e-170, 0, 0], [0, 1e-170, 0], math.pi / 2),
+            ([1e-200, 0, 0], [1e-200, 1e-210, 0], 1e-10),
+            ([1e200, 0, 0], [1e200, 1e190, 0], 1e-10),
+        ],
+        ids=["tiny-perpendicular", "tiny-small-angle", "huge-small-angle"],
+    )
+    def test_extreme_magnitudes(self, a, b, expected):
+        assert angle_between(a, b) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_component_rejected(self, bad):
+        for a, b in (([bad, 1, 0], [1, 0, 0]), ([1, 0, 0], [0, 1, bad])):
+            with pytest.raises(ValueError, match="finite"):
+                angle_between(a, b)
+
     @given(st.lists(st.floats(-5, 5), min_size=3, max_size=3), st.floats(0.1, 10))
     @settings(max_examples=100)
     def test_antiparallel_never_nan(self, v, scale):
@@ -231,15 +268,17 @@ class TestSu2Element:
 
 
 class TestEuclideanNorm:
-    def test_rounds_exactly_as_numpy_norm(self):
+    def test_equals_math_hypot(self):
         rng = np.random.default_rng(5)
-        for v in rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-150, 150, (500, 1)):
-            assert euclidean_norm(v) == np.linalg.norm(v)
+        for v in rng.normal(size=(500, 3)) * 10.0 ** rng.uniform(-300, 300, (500, 1)):
+            assert euclidean_norm(v) == math.hypot(*v)
 
-    def test_overflowing_square_is_inf(self):
-        # pytest turns a RuntimeWarning into an error
-        assert euclidean_norm(np.array([1e200, 0.0, 0.0])) == np.inf
-        assert euclidean_norm(np.array([-1e160, 1e160, 1e160])) == np.inf
+    def test_huge_components_give_a_finite_length(self):
+        # no square is formed, so a length within double range is finite
+        assert euclidean_norm(np.array([1e200, 0.0, 0.0])) == 1e200
+        assert euclidean_norm(np.array([-1e160, 1e160, 1e160])) == pytest.approx(
+            math.sqrt(3.0) * 1e160, rel=1e-15
+        )
 
 
 class TestLift:
@@ -267,18 +306,44 @@ class TestSu2Exp:
             assert np.array_equal(su2_exp([0, 0, 0], tau), np.eye(2))
 
     @pytest.mark.parametrize(
-        ("v", "tau", "error"),
+        ("v", "tau", "error", "which"),
         [
-            ((np.nan, 0.0, 0.0), 1.0, ValueError),
-            ((1.0, 0.0, 0.0), np.nan, ValueError),
-            ((1.0, 0.0, 0.0), np.inf, OverflowError),
-            ((1e200, 0.0, 0.0), 1.0, OverflowError),  # |v|^2 overflows
+            ((np.nan, 0.0, 0.0), 1.0, ValueError, "phase .* NaN"),
+            ((1.0, 0.0, 0.0), np.nan, ValueError, "phase .* NaN"),
+            ((1.0, 0.0, 0.0), np.inf, OverflowError, "phase .* overflows"),
+            ((1e200, 0.0, 0.0), 1e200, OverflowError, "phase .* overflows"),
+            ((1.7e308, 1.7e308, 0.0), 1e-300, OverflowError, "length .* overflows"),
         ],
-        ids=["nan-v", "nan-tau", "inf-tau", "huge-v"],
+        ids=["nan-v", "nan-tau", "inf-tau", "phase-overflow", "length-overflow"],
     )
-    def test_non_finite_phase_raises(self, v, tau, error):
-        with pytest.raises(error, match="phase"):
+    def test_non_finite_phase_raises(self, v, tau, error, which):
+        with pytest.raises(error, match=which):
             su2_exp(v, tau)
+
+    @given(
+        st.lists(st.one_of(st.just(0.0), _SIGNED_MODERATE), min_size=3, max_size=3),
+        _SIGNED_MODERATE,
+        st.integers(-900, 900),
+    )
+    @settings(max_examples=300)
+    def test_scales_exactly_with_a_power_of_two(self, v, tau, k):
+        # |v| from hypot scales exactly, so su2_exp(2^k v, 2^-k tau) is su2_exp(v, tau)
+        v = np.array(v)
+        scaled = su2_exp(np.ldexp(v, k), math.ldexp(tau, -k))
+        assert scaled.tobytes() == su2_exp(v, tau).tobytes()
+
+    def test_tiny_vector_at_a_huge_time(self):
+        # squares of 2^-565 underflow to zero; the phase is exactly 1/2
+        exact = su2_exp([2.0**-565, 0.0, 0.0], 2.0**565)
+        assert exact.tobytes() == su2_exp([1.0, 0.0, 0.0], 1.0).tobytes()
+        u = su2_exp([1e-170, 0.0, 0.0], 1e170)
+        assert np.abs(u - su2_exp([1.0, 0.0, 0.0], 1.0)).max() <= 1e-15
+
+    def test_huge_vector_at_a_tiny_time(self):
+        # |v| = 1e160 squares past double range; the phase is 5e-11
+        u = su2_exp([1e160, 0.0, 0.0], 1e-170)
+        assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-15
+        assert u[0, 1] == pytest.approx(-5e-11j, rel=1e-15)
 
     @pytest.mark.parametrize("magnitude", [1e-8, 1e-3, 1.0, 1e3, 1e8])
     def test_matches_the_half_angle_definition(self, magnitude):
@@ -287,9 +352,9 @@ class TestSu2Exp:
         for _ in range(50):
             v = magnitude * random_unit(rng)
             tau = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0)
-            half = tau * np.linalg.norm(v) / 2
+            half = tau * math.hypot(*v) / 2
             expected = np.cos(half) * np.eye(2) - 2j * np.sin(half) * su2_element(
-                v / np.linalg.norm(v)
+                v / math.hypot(*v)
             )
             assert np.abs(su2_exp(v, tau) - expected).max() <= 1e-15
 
@@ -349,9 +414,10 @@ class TestSu2Exp:
             ((np.nan, 0.0, 0.0), 1.0),
             ((1.0, 0.0, 0.0), np.nan),
             ((1.0, 0.0, 0.0), np.inf),
-            ((1e200, 0.0, 0.0), 1.0),
+            ((1e200, 0.0, 0.0), 1e200),
+            ((1.7e308, 1.7e308, 0.0), 1e-300),
         ],
-        ids=["nan-v", "nan-tau", "inf-tau", "huge-v"],
+        ids=["nan-v", "nan-tau", "inf-tau", "phase-overflow", "length-overflow"],
     )
     def test_stack_refuses_as_its_rows_do(self, bad, tau):
         with pytest.raises((ValueError, OverflowError)) as scalar:

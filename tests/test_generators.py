@@ -497,6 +497,14 @@ class TestNumericOracle:
             worst = max(worst, np.abs(num - closed).max())
         assert worst < 1e-6
 
+    def test_tiny_coefficients_at_a_huge_time(self):
+        # |X|^2 = 1e-340 underflows, yet the phase T|X| is 1
+        x0, d, t = np.array([1e-170, 0.0, 0.0]), np.array([0.0, 1e-170, 0.0]), 1e170
+        num = numeric_generator(linear_scheme(x0, d, t), [0.0], 0)
+        closed = su2_element(closed_form_generator(x0, d, t))
+        assert np.abs(closed).max() > 0.4
+        assert np.abs(num - closed).max() < 1e-6
+
     @pytest.mark.parametrize("ell", [-1, 1])
     def test_parameter_index_out_of_range(self, ell):
         with pytest.raises(IndexError, match="out of range"):

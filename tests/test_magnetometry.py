@@ -5,6 +5,8 @@ The example's generators, QFIMs and residuals come from the generic path
 closed forms appear here as expected values.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,8 @@ class TestFieldPoint:
     def test_validation(self):
         with pytest.raises(UnphysicalStateError):
             FieldPoint(0.0, 0.5, 0.5)
+        with pytest.raises(UnphysicalStateError, match="positive and finite"):
+            FieldPoint(math.inf, 0.5, 0.5)
         with pytest.raises(UnphysicalStateError):
             FieldPoint(1.0, -0.1, 0.5)
         with pytest.raises(UnphysicalStateError):

@@ -1,5 +1,6 @@
 """Tests for scheme construction, total unitaries and control design."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -256,6 +257,27 @@ class TestUnitaryDerivatives:
             with pytest.raises(ValueError, match=lengths):
                 call()
 
+    @pytest.mark.parametrize("mode", [MERGED, PRODUCT])
+    @pytest.mark.parametrize("k", [530, -530])
+    def test_oracles_scale_exactly_with_the_coefficients(self, mode, k):
+        """X and X_c times 2^k with the time times 2^-k leave every phase as it
+        was, so the finite-difference oracles agree bit for bit, including where
+        |X|^2 would overflow (k = 530) or underflow (k = -530)."""
+        rng = np.random.default_rng(2100)
+        for _ in range(40):
+            d = int(rng.integers(1, 4))
+            x0, grads = rng.uniform(-2.0, 2.0, 3), rng.uniform(-2.0, 2.0, (d, 3))
+            control = rng.uniform(-2.0, 2.0, 3) if rng.random() < 0.5 else np.zeros(3)
+            n = 1 if mode == MERGED else int(rng.integers(1, 41))
+            t = rng.uniform(0.1, 5.0) / n
+            x = rng.uniform(-1.0, 1.0, d)
+            plain = affine_scheme(x0, grads, control, t, n, mode)
+            scaled = affine_scheme(
+                np.ldexp(x0, k), np.ldexp(grads, k), np.ldexp(control, k), math.ldexp(t, -k), n, mode
+            )
+            for oracle in (entangled_qfim_fd, lambda s, p: numeric_generator(s, p, d - 1)):
+                assert oracle(scaled, x).tobytes() == oracle(plain, x).tobytes()
+
     def test_product_mode_segment_equals_two_one_vector_exponentials(self):
         """A product-mode total unitary is the matrix power of the control exponential
         times the encoding one, each a one-vector call, bit for bit."""
@@ -378,8 +400,9 @@ class TestGapProfile:
         "kwargs", [dict(t=1e300), dict(dx_norm=1e300), dict(x_norm=1e308, t=1e10)]
     )
     def test_overflowing_information_raises_without_a_warning(self, kwargs):
-        # RuntimeWarnings are errors in this suite, so a warning would fail the test
-        with pytest.raises(OverflowError):
+        # RuntimeWarnings are errors in this suite, so a warning would fail the test;
+        # a |dX| whose square overflows gets the table's message, not Python's errno
+        with pytest.raises(OverflowError, match=r"the information \(T \|dX\|\)\^2"):
             gap_profile([10], [0.5], **kwargs)
 
     def test_matches_direct_maximum(self):
