@@ -81,17 +81,19 @@ def angle_between(a, b) -> float:
     Evaluated as atan2(|a x b|, a.b), which resolves small angles to full
     relative precision; an arccos of the normalized dot product cannot
     resolve angles below about 1e-8.  Each vector is first scaled by the
-    exact power of two that brings its largest component into [1/2, 1), so
-    the angle does not depend on the vectors' lengths and no product
-    overflows.  A zero vector or a NaN or infinite component raises
-    ``DegenerateVectorError``, a ``ValueError``.
+    exact power of two that brings its largest component into
+    [2**255, 2**256), so the angle does not depend on the vectors' lengths,
+    no product overflows, and no product that a representable angle depends
+    on turns subnormal: an angle down to the smallest subnormal, 5e-324,
+    keeps the precision of its format.  A zero vector or a NaN or infinite
+    component raises ``DegenerateVectorError``, a ``ValueError``.
     """
     pair = []
     for v in (as_vec3(a), as_vec3(b)):
         components = v.tolist()
         if not (all(map(math.isfinite, components)) and any(components)):
             raise DegenerateVectorError(f"angle_between requires nonzero finite vectors, got {v}")
-        pair.append(np.ldexp(v, -math.frexp(max(map(abs, components)))[1]))
+        pair.append(np.ldexp(v, 256 - math.frexp(max(map(abs, components)))[1]))
     a, b = pair
     return math.atan2(euclidean_norm(cross(a, b)), float(np.dot(a, b)))
 

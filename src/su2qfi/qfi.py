@@ -56,11 +56,20 @@ def qfi_max_from_angle(x_norm, dx_norm, alpha, total_time):
     Evaluated as T^2 |dX|^2 [cos^2(a) + sin^2(a) sinc^2(T|X|/2)], which is
     exact for |X| > 0 and continuous at |X| = 0 where it reaches the ceiling
     T^2 |dX|^2.  The arguments broadcast against each other: array arguments
-    give an array, scalar arguments an ``np.float64``.
+    give an array, scalar arguments an ``np.float64``.  An entry that leaves
+    the float range, through the information (T |dX|)^2 or the phase T|X|,
+    raises ``OverflowError``.
     """
-    z_half = total_time * x_norm / 2.0
-    sinc = np.sinc(z_half / np.pi)  # sin(z_half)/z_half, exactly 1 at 0
-    return total_time**2 * dx_norm**2 * (np.cos(alpha) ** 2 + np.sin(alpha) ** 2 * sinc**2)
+    # a Python float's ** raises an errno OverflowError that names nothing; an
+    # np.float64 squares through the same libm pow and overflows to inf
+    total_time, dx_norm = np.float64(total_time), np.float64(dx_norm)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
+        z_half = total_time * x_norm / 2.0
+        sinc = np.sinc(z_half / np.pi)  # sin(z_half)/z_half, exactly 1 at 0
+        info = total_time**2 * dx_norm**2 * (np.cos(alpha) ** 2 + np.sin(alpha) ** 2 * sinc**2)
+    if not np.isfinite(info).all():
+        raise OverflowError("the information (T |dX|)^2 or the phase T|X| overflows")
+    return info
 
 
 def qfi_max(x_coeff, d_coeff, total_time: float) -> float:

@@ -237,11 +237,9 @@ def gap_profile(
         raise ValueError("gap_profile requires nonempty grids")
     n_col = np.repeat(n, alpha.size)
     alpha_col = np.tile(alpha, n.size)
-    dx_norm = np.float64(dx_norm)  # a Python float's square raises its own OverflowError
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
+    with np.errstate(over="ignore"):  # an infinite T raises in qfi_max_from_angle
         total_time = n_col * t
-        ceiling = total_time**2 * dx_norm**2
-        unc = qfi_max_from_angle(x_norm, dx_norm, alpha_col, total_time)
-    if not (np.isfinite(ceiling).all() and np.isfinite(unc).all()):
-        raise OverflowError("the information (T |dX|)^2 or the phase T|X| overflows")
+    unc = qfi_max_from_angle(x_norm, dx_norm, alpha_col, total_time)
+    # finite: unc is this ceiling times a positive factor at most 1
+    ceiling = total_time**2 * dx_norm**2
     return GapTable(n_col, alpha_col, unc, ceiling, ceiling - unc)

@@ -199,6 +199,20 @@ class TestAngleBetween:
     def test_extreme_magnitudes(self, a, b, expected):
         assert angle_between(a, b) == pytest.approx(expected, rel=1e-15)
 
+    @pytest.mark.parametrize("angle", [1e-300, 2.2250738585072014e-308, 1e-310, 5e-324])
+    def test_exact_down_to_subnormal_angles(self, angle):
+        # the scaled cross product stays normal, so a tiny angle, subnormal or
+        # not, comes out exactly
+        assert angle_between([1, 0, 0], [1, angle, 0]) == angle
+        assert angle_between([0, 0, -1], [0, angle, -1]) == angle
+
+    @pytest.mark.parametrize("angle", [1e-300, 1e-310, 5e-324])
+    @pytest.mark.parametrize("scale", [3.0, 1e-300, 1e300])
+    def test_within_two_ulps_of_subnormal_angles_at_any_scale(self, angle, scale):
+        b = [scale, angle * scale, 0.0]
+        expected = b[1] / b[0]  # atan(t) rounds to t this far below 1e-8
+        assert abs(angle_between([scale, 0, 0], b) - expected) <= 2 * math.ulp(expected)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_component_rejected(self, bad):
         for a, b in (([bad, 1, 0], [1, 0, 0]), ([1, 0, 0], [0, 1, bad])):

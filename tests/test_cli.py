@@ -9,6 +9,7 @@ import sys
 import tempfile
 import warnings
 from dataclasses import fields
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import su2qfi
-from su2qfi.cli import ConfigError, RunConfig, build_parser, main
+from su2qfi.cli import ConfigError, RunConfig, _csv, build_parser, main
 
 
 def run_main(capsys, *argv):
@@ -644,6 +645,93 @@ class TestCurves:
         code_e, out_e, _ = run_main(capsys, *argv, "entangled")
         assert code_p == code_e == 0
         assert out_p == out_e
+
+
+def percent_csv(header, columns):
+    """The CSV contract: Python's '%d' for the first column, '%.17g' for the rest."""
+    row_format = "%d" + ",%.17g" * (len(columns) - 1)
+    lines = [",".join(header)]
+    lines += [row_format % row for row in zip(*(col.tolist() for col in columns))]
+    return "\n".join(lines) + "\n"
+
+
+def assert_csv_contract(counts, *floats):
+    header = ["N"] + [f"c{j}" for j in range(len(floats))]
+    columns = [np.asarray(counts, dtype=np.int64)] + [np.asarray(c, dtype=float) for c in floats]
+    # cli.main formats inside np.errstate(over="raise", invalid="raise")
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        text = _csv(header, columns)
+    assert text == percent_csv(header, columns)
+
+
+def _fixed_tie(q, j, negative):
+    """An odd multiple of 2**-q whose decimal has 18 significant digits, the
+    last a 5: an exact tie at 17 digits, in %.17g's fixed-notation range."""
+    lo = -(-(2**q * 10**17) // 10**q)
+    hi = min(2**q * 10**18 // 10**q, 2**53)
+    value = (lo + j % (hi - lo)) | 1
+    return (-1) ** negative * value / 2**q
+
+
+# the doubles next to the ends of %.17g's fixed-notation range [1e-4, 1e17)
+# and next to every power of ten in it, with both signs
+_EDGES = sorted(
+    s * v
+    for p in [10.0**x for x in range(-5, 18)] + [9.99999999999999999e-5, 99999999999999999.0]
+    for v in (p, np.nextafter(p, 0.0), np.nextafter(p, np.inf), np.nextafter(np.nextafter(p, 0.0), 0.0))
+    for s in (1.0, -1.0)
+)
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(1e-4, 1e17) | st.floats(-1e17, -1e-4),
+    st.builds(_fixed_tie, st.integers(2, 21), st.integers(0, 2**60), st.booleans()),
+    st.sampled_from(_EDGES + [0.0, -0.0, 5e-324, 2.2250738585072014e-308]),
+)
+
+
+class TestCsvFormat:
+    """``cli._csv`` prints every cell exactly as the '%' operator would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_percent_formatting(self, data):
+        rows = data.draw(st.integers(1, 30))
+        k = data.draw(st.integers(1, 4))
+        counts = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(0, 2**53),
+                                    min_size=rows, max_size=rows))
+        floats = [data.draw(st.lists(_CELLS, min_size=rows, max_size=rows)) for _ in range(k)]
+        assert_csv_contract(counts, *floats)
+
+    def test_ties_round_half_to_even(self):
+        ties = [_fixed_tie(q, j, neg) for q in range(2, 22) for j in (0, 1, 12345) for neg in (0, 1)]
+        for tie in ties:
+            digits = Decimal(tie).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        assert "%.17g" % 1000000000000000.25 == "1000000000000000.2"
+        assert "%.17g" % 1000000000000000.75 == "1000000000000000.8"
+        assert_csv_contract(np.arange(len(ties)), ties)
+
+    def test_edges_of_fixed_notation(self):
+        # none of these rounds up to a power of ten at 17 digits; 1e-4 and
+        # 1e17 themselves print as 0.0001 and 1e+17
+        assert_csv_contract(np.arange(len(_EDGES)), _EDGES)
+
+    def test_powers_of_ten_and_negative_values(self):
+        powers = [10.0**x for x in range(-7, 20)]
+        assert_csv_contract(np.arange(len(powers)), powers, [-p for p in powers])
+
+    def test_largest_count_and_one_row(self):
+        assert_csv_contract([2**53], [0.1], [-1.5], [1e300])
+        assert_csv_contract([2**63 - 1, -(2**63), 0, -7], [np.nan, np.inf, -np.inf, -0.0])
+
+    def test_table_longer_than_a_block(self):
+        rows = 2 * su2qfi.cli._CSV_BLOCK_ROWS + 3
+        rng = np.random.default_rng(7)
+        fixed = rng.uniform(-3.0, 3.0, rows) * 10.0 ** rng.integers(-5, 18, rows)
+        bits = rng.integers(0, 2**64, rows, dtype=np.uint64).view(np.float64)
+        assert_csv_contract(np.arange(1, rows + 1), fixed, bits, np.round(fixed, 2))
 
 
 class TestVerify:

@@ -31,7 +31,7 @@ from su2qfi import (
     su2_element,
 )
 from su2qfi.algebra import check_bloch
-from su2qfi.qfi import weak_comm_matrix
+from su2qfi.qfi import qfi_max_from_angle, weak_comm_matrix
 from su2qfi.oracles import (
     BELL_PROJECTOR,
     _trace,
@@ -217,6 +217,21 @@ class TestQfiMax:
             t = RNG.uniform(0, 5)
             val = qfi_max(RNG.uniform(0.1, 5) * random_unit(), d, t)
             assert -1e-12 <= val <= t**2 * np.dot(d, d) + 1e-12
+
+    @pytest.mark.parametrize(
+        "args", [(2.0, 1e300, 0.5, 10.0), (2.0, 1.0, 0.5, 1e200), (1e308, 1.0, 0.5, 1e10)]
+    )
+    def test_overflow_from_angle_names_the_information(self, args):
+        # Python floats: no errno OverflowError from **, no RuntimeWarning
+        with pytest.raises(OverflowError, match=r"the information \(T \|dX\|\)\^2"):
+            qfi_max_from_angle(*args)
+
+    def test_from_angle_squares_a_scalar_as_python_does(self):
+        # a scalar |dX| goes through libm pow like a Python float, so the
+        # sweep-alpha tables keep their bytes
+        dx = 28.424977634132766
+        assert dx**2 != dx * dx
+        assert qfi_max_from_angle(0.0, dx, 0.0, 1.0) == dx**2
 
     def test_control_never_hurts_the_maximum(self):
         for _ in range(500):

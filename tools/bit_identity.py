@@ -1,6 +1,6 @@
-"""Fingerprints of the library's report and verify outputs, for bit-identity checks.
+"""Fingerprints of the library's report, verify and table outputs, for bit-identity checks.
 
-Prints three sha256 digests:
+Prints four sha256 digests:
 
 - ``report-mix``: over ``ReportMix.digest(ReportMix.run(op))`` for every op
   of the benchmark's report-mix pools of seeds 1, 2, 3, 7 and 17 (1024 ops
@@ -13,6 +13,10 @@ Prints three sha256 digests:
   ``oracles.entangled_qfim_fd`` on seeded random affine schemes, merged and
   product (d = 1..3, up to 40 segments, |x| from 1e-3 to 1e3), and on
   magnetometry schemes with and without control.
+- ``grid``: over ``GridSweep.digest`` of every op of the benchmark's
+  grid-sweep pools of seeds 1, 2, 3, 7 and 17 (100 ops each, in pool order):
+  the sha256 of the CSV bytes that in-process ``cli.main`` writes for the
+  op's ``sweep-alpha`` or ``curves`` table, plus its exit code.
 
 A change that claims bit-identical output must leave every digest as it
 was on its parent commit.  No value is pinned here: libm's sin and cos may
@@ -33,6 +37,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUME
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,7 +49,7 @@ import numpy as np  # noqa: E402
 from su2qfi import FieldPoint, magnetometry_scheme, verify  # noqa: E402
 from su2qfi.oracles import entangled_qfim_fd  # noqa: E402
 from su2qfi.scheme import MERGED, PRODUCT, affine_scheme, unitary_derivatives  # noqa: E402
-from workloads import ReportMix  # noqa: E402
+from workloads import GridSweep, ReportMix  # noqa: E402
 
 REPORT_SEEDS = (1, 2, 3, 7, 17)
 VERIFY_SEEDS = range(200)
@@ -52,6 +57,7 @@ VERIFY_SAMPLES = 5
 FD_SEED = 19
 FD_AFFINE = 1000
 FD_MAGNETOMETRY = 200
+GRID_SEEDS = (1, 2, 3, 7, 17)
 
 
 def report_mix_sha() -> str:
@@ -104,10 +110,21 @@ def fd_sha() -> str:
     return sha.hexdigest()
 
 
+def grid_sha() -> str:
+    sha = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        sweep = GridSweep(os.path.join(tmp, "table.csv"))
+        for seed in GRID_SEEDS:
+            for op in sweep.pool(seed):
+                sha.update(sweep.digest(sweep.output(op, sweep.run(op))))
+    return sha.hexdigest()
+
+
 def main() -> int:
     print(f"report-mix {report_mix_sha()}")
     print(f"verify {verify_sha()}")
     print(f"fd {fd_sha()}")
+    print(f"grid {grid_sha()}")
     return 0
 
 
