@@ -36,11 +36,15 @@ def _trace(m: np.ndarray):
     return np.trace(m, axis1=-2, axis2=-1)
 
 
-def variance_qfi_oracle(h_mat: np.ndarray, rho: np.ndarray) -> float:
-    """4 (Tr[H^2 rho] - Tr[H rho]^2) on explicit matrices."""
+def variance_qfi_oracle(h_mat: np.ndarray, rho: np.ndarray):
+    """4 (Tr[H^2 rho] - Tr[H rho]^2) on explicit matrices.
+
+    ``h_mat`` and ``rho`` broadcast over leading axes: one H and one state
+    give an ``np.float64``, stacks give an array of one value per sample.
+    """
     m1 = _trace(h_mat @ rho).real
     m2 = _trace(h_mat @ h_mat @ rho).real
-    return float(4.0 * (m2 - m1**2))
+    return 4.0 * (m2 - m1**2)
 
 
 def qfim_trace_oracle(h_mats, rho: np.ndarray) -> np.ndarray:
@@ -48,23 +52,29 @@ def qfim_trace_oracle(h_mats, rho: np.ndarray) -> np.ndarray:
 
     Exact for a pure ``rho``; works in any dimension.  The matrices are
     stacked as (d, n, n) and every pair (a, b) is formed by one broadcast
-    product.
+    product.  A leading sample axis, (s, d, n, n) with ``rho`` as (s, n, n),
+    gives the (s, d, d) stack of the samples' QFIMs.
     """
     h = np.asarray(h_mats)
-    pairs = h[:, None] @ h[None, :]  # H_a H_b at [a, b]
-    sym = 0.5 * _trace((pairs + pairs.transpose(1, 0, 2, 3)) @ rho)
-    h_rho = h @ rho
-    cross = _trace(h_rho[:, None] @ h_rho[None, :])
+    rho = np.asarray(rho)[..., None, None, :, :]
+    pairs = h[..., :, None, :, :] @ h[..., None, :, :, :]  # H_a H_b at [a, b]
+    sym = 0.5 * _trace((pairs + pairs.swapaxes(-3, -4)) @ rho)
+    h_rho = h[..., :, None, :, :] @ rho
+    cross = _trace(h_rho @ h_rho.swapaxes(-3, -4))
     return 4.0 * (sym - cross).real
 
 
 def weak_comm_trace_oracle(h_a: np.ndarray, h_b: np.ndarray, rho: np.ndarray):
-    """Tr[[H_a, H_b] rho] on explicit matrices, broadcast over stacks of H_a and H_b."""
+    """Tr[[H_a, H_b] rho] on explicit matrices, broadcast over stacks of H_a, H_b and rho."""
     return _trace((h_a @ h_b - h_b @ h_a) @ rho)
 
 
-def entangled_qfi_oracle(gen) -> float:
-    """Entangled-probe QFI of the generator Y through the 4x4 variance trace."""
+def entangled_qfi_oracle(gen):
+    """Entangled-probe QFI of the generator Y through the 4x4 variance trace.
+
+    ``gen`` is one 3-vector, giving an ``np.float64``, or a ``(s, 3)`` stack,
+    giving one value per row.
+    """
     return variance_qfi_oracle(algebra.lift(algebra.su2_element(gen)), BELL_PROJECTOR)
 
 
@@ -115,13 +125,12 @@ def sld_oracle(scheme: SchemeConfig, x, probe: np.ndarray) -> SldOracleResult:
         u, du, gens = algebra.lift(u), algebra.lift(du), algebra.lift(gens)
     rho_x = u @ probe @ u.conj().T
     slds = 2.0 * du @ u.conj().T
-    d = scheme.n_params
-    # entry (b, a) negates every operation of entry (a, b) exactly and the
-    # diagonal is exactly zero, so only a < b is evaluated
-    residuals = np.zeros((d, d))
-    for a in range(d):
-        for b in range(a + 1, d):
-            lhs = weak_comm_trace_oracle(slds[a], slds[b], rho_x)
-            rhs = -4.0 * weak_comm_trace_oracle(gens[a], gens[b], probe)
-            residuals[a, b] = residuals[b, a] = abs(lhs - rhs)
+    # every pair (a, b) in one broadcast: entry (b, a) negates every
+    # operation of entry (a, b) exactly, and the diagonal is exactly zero
+    lhs = weak_comm_trace_oracle(slds[:, None], slds[None, :], rho_x)
+    rhs = -4.0 * weak_comm_trace_oracle(gens[:, None], gens[None, :], probe)
+    gap = lhs - rhs
+    # |gap| as the scalar abs rounds it: numpy's vectorized absolute of a
+    # complex array may differ from it in the last bit
+    residuals = np.hypot(gap.real, gap.imag)
     return SldOracleResult(slds=slds, generators=gens, u_tot=u, residuals=residuals)

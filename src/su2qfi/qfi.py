@@ -19,7 +19,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import as_vec3, check_bloch
-from .errors import DimensionalityError, UnphysicalStateError
+from .errors import DegenerateVectorError, DimensionalityError, UnphysicalStateError
 from .generators import closed_form_generator
 from .scheme import SchemeConfig
 from .tolerances import ATTAINABILITY, PURITY
@@ -101,22 +101,29 @@ def _weak_comm(gens: np.ndarray, r: np.ndarray) -> np.ndarray:
     return 0.25 * (g.T - g)
 
 
-def entangled_weak_comm(gen_a, gen_b, probe: np.ndarray) -> complex:
+def entangled_weak_comm(gen_a, gen_b, probe: np.ndarray):
     """Weak-commutation trace on an explicit two-qubit probe.
 
     The generators act as H (x) I on the 4-dimensional probe.  For any probe
     whose reduced state is I/2 (maximal entanglement) the result is zero for
     every generator pair; product probes generically give a nonzero value.
-    A probe that is not a normalized 4-vector raises ``UnphysicalStateError``.
+    ``gen_a`` and ``gen_b`` are 3-vectors, giving a ``complex``, or
+    ``(s, 3)`` stacks of one shape, giving one trace per row.  A probe that
+    is not a normalized 4-vector raises ``UnphysicalStateError``.
     """
     probe = np.asarray(probe, dtype=complex).reshape(-1)
     if probe.shape != (4,):
         raise UnphysicalStateError("probe must be a 4-dimensional state vector")
     if not abs(np.vdot(probe, probe).real - 1.0) <= PURITY:  # then its projector is a state
         raise UnphysicalStateError("probe state vector is not normalized")
-    ha, hb = algebra.lift(algebra.su2_element(np.array([as_vec3(gen_a), as_vec3(gen_b)])))
+    gen_a, gen_b = np.asarray(gen_a, dtype=float), np.asarray(gen_b, dtype=float)
+    if gen_a.shape != gen_b.shape or gen_a.shape[-1:] != (3,) or gen_a.ndim > 2:
+        shapes = f"{gen_a.shape} and {gen_b.shape}"
+        raise DegenerateVectorError(f"expected two 3-vectors or two (s, 3) stacks, got {shapes}")
+    ha, hb = algebra.lift(algebra.su2_element(np.array([gen_a, gen_b])))
     projector = probe[:, None] * probe.conj()[None, :]  # np.outer's product
-    return complex(np.trace((ha @ hb - hb @ ha) @ projector))
+    traces = np.trace((ha @ hb - hb @ ha) @ projector, axis1=-2, axis2=-1)
+    return complex(traces) if gen_a.ndim == 1 else traces
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,16 +1,23 @@
 """Randomized oracle cross-check suites behind the ``verify`` command.
 
 Each suite samples random instances with a seeded generator and runs one of
-the closed forms against its independent matrix oracle.  A check is one
-``CheckResult``: the suite creates it with its name and tolerance, each
-sample records its deviation into it, and the record keeps the worst
-deviation and a label of the input that produced it.  The suite returns its
-records as they are, and ``run_all`` scales their tolerances in place.  A
-fixed seed makes the whole summary byte-reproducible.
+the closed forms against its independent matrix oracle.  A suite draws its
+samples in a few bulk calls, as arrays with a leading sample axis.  The
+closed forms under test take one sample per call, as a caller uses them.
+Each trace oracle runs once over the whole stack; the finite-difference
+oracles take one scheme per call.  A check is one ``CheckResult``: the
+suite creates it with its name and tolerance and records into it one
+deviation per sample, in sample order.  The record keeps the worst
+deviation and a label of the input that produced it, the first worst in
+sample order under a tie, and counts the samples it used and skipped.  The
+suite returns its records as they are, and ``run_all`` scales their
+tolerances in place.  A fixed seed makes the whole summary
+byte-reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +40,8 @@ from .scheme import MERGED, PRODUCT, affine_scheme, build_total_unitary
 
 @dataclass
 class CheckResult:
-    """One check: its tolerance, its worst deviation and the input behind it.
+    """One check: its tolerance, its worst deviation and the input behind it,
+    and how many of the run's samples it used and skipped.
 
     ``record`` keeps the formatter and the arguments of each new worst sample
     as they are, and ``worst_input`` formats them only when it is read; so a
@@ -43,6 +51,8 @@ class CheckResult:
     name: str
     tolerance: float
     max_deviation: float = 0.0
+    used: int = 0
+    skipped: int = 0
     _worst: tuple = field(default=(str, ("none",)), init=False, repr=False, compare=False)
 
     @property
@@ -57,19 +67,38 @@ class CheckResult:
 
     def record(self, value: float, formatter, *args):
         """Keep ``value`` if it is a new worst, with ``formatter`` and ``args``
-        for its label; nothing is formatted here."""
-        if value > self.max_deviation:
+        for its label; nothing is formatted here.  A NaN is worse than any
+        number: the first one fails the check and keeps its label."""
+        if math.isnan(self.max_deviation):
+            return
+        if not value <= self.max_deviation:
             self.max_deviation = float(value)
             self._worst = (formatter, args)
+
+    def record_samples(self, values: np.ndarray, formatter, *stacks):
+        """Count the deviations ``values``, one per sample, as used and
+        ``record`` them in sample order, each labelled by its row of every
+        stack in ``stacks``: under a tie the first worst keeps its label."""
+        self.used += len(values)
+        for i, value in enumerate(values.tolist()):
+            self.record(value, formatter, *[stack[i] for stack in stacks])
 
 
 def _fmt_vec(v) -> str:
     return "(" + ", ".join(f"{float(c):.6g}" for c in np.asarray(v).ravel()) + ")"
 
 
-def _random_unit(rng) -> np.ndarray:
-    v = rng.normal(size=3)
-    return v / algebra.euclidean_norm(v)
+def _random_units(rng, shape: tuple) -> np.ndarray:
+    """Random unit 3-vectors, uniform on the sphere, as an array of shape
+    ``shape + (3,)``: normal draws, each divided by its ``math.hypot`` length."""
+    v = rng.normal(size=shape + (3,))
+    lengths = [math.hypot(*row) for row in v.reshape(-1, 3).tolist()]
+    return v / np.reshape(lengths, shape + (1,))
+
+
+def _random_generators(rng, shape: tuple) -> np.ndarray:
+    """Random 3-vectors of length U(0, 5) and uniform direction, shape ``shape + (3,)``."""
+    return rng.uniform(0.0, 5.0, shape)[..., None] * _random_units(rng, shape)
 
 
 def _generator_label(x, d, total_time) -> str:
@@ -79,35 +108,39 @@ def _generator_label(x, d, total_time) -> str:
 def generator_three_way(seed: int, samples: int) -> list[CheckResult]:
     """Closed form vs nested-cross series vs finite-difference oracle.
 
-    The series refuses samples whose T|X| needs more terms than its cap; on
-    those the closed form and the numeric oracle still check each other.
+    The series refuses samples whose T|X| needs more terms than its cap; the
+    two series checks count those as skipped, and on them the closed form
+    and the numeric oracle still check each other.
     """
     rng = np.random.default_rng([seed, 1])
     closed_series = CheckResult("generator/closed-vs-series", 1e-12)
     closed_numeric = CheckResult("generator/closed-vs-numeric", 1e-6)
     series_numeric = CheckResult("generator/series-vs-numeric", 1e-6)
-    for _ in range(samples):
-        x = rng.uniform(0.1, 5.0) * _random_unit(rng)
-        d = rng.uniform(0.1, 5.0) * _random_unit(rng)
-        total_time = rng.uniform(0.0, 5.0)
-        while total_time == 0.0:  # the scheme needs t > 0; T = 0 is covered by unit tests
-            total_time = rng.uniform(0.0, 5.0)
-        closed = algebra.su2_element(closed_form_generator(x, d, total_time))
-        scheme = affine_scheme(x, d, np.zeros(3), total_time, 1, MERGED)
-        numeric = numeric_generator(scheme, [0.0], 0)
-        label = (_generator_label, x, d, total_time)
-        closed_numeric.record(np.abs(closed - numeric).max(), *label)
+    x = rng.uniform(0.1, 5.0, samples)[:, None] * _random_units(rng, (samples,))
+    d = rng.uniform(0.1, 5.0, samples)[:, None] * _random_units(rng, (samples,))
+    total_time = rng.uniform(0.0, 5.0, samples)
+    while not total_time.all():  # the scheme needs t > 0; T = 0 is covered by unit tests
+        zero = total_time == 0.0
+        total_time[zero] = rng.uniform(0.0, 5.0, np.count_nonzero(zero))
+    closed, numeric, series, kept = [], [], [], []
+    for i, (x_i, d_i, t_i) in enumerate(zip(x, d, total_time.tolist())):
+        closed.append(closed_form_generator(x_i, d_i, t_i))
+        scheme = affine_scheme(x_i, d_i, np.zeros(3), t_i, 1, MERGED)
+        numeric.append(numeric_generator(scheme, [0.0], 0))
         try:
-            series = series_generator(x, d, total_time)
+            series.append(series_generator(x_i, d_i, t_i))
         except SeriesDepthError:
             continue
-        closed_series.record(np.abs(closed - series).max(), *label)
-        series_numeric.record(np.abs(series - numeric).max(), *label)
+        kept.append(i)
+    closed, numeric = algebra.su2_element(np.array(closed)), np.array(numeric)
+    series = np.array(series).reshape(-1, 2, 2)
+    label = (_generator_label, x, d, total_time)
+    kept_label = (_generator_label, x[kept], d[kept], total_time[kept])
+    closed_numeric.record_samples(np.abs(closed - numeric).max(axis=(1, 2)), *label)
+    closed_series.record_samples(np.abs(closed[kept] - series).max(axis=(1, 2)), *kept_label)
+    series_numeric.record_samples(np.abs(series - numeric[kept]).max(axis=(1, 2)), *kept_label)
+    closed_series.skipped = series_numeric.skipped = samples - len(kept)
     return [closed_series, closed_numeric, series_numeric]
-
-
-def _random_generator(rng) -> np.ndarray:
-    return rng.uniform(0.0, 5.0) * _random_unit(rng)
 
 
 def _qfim_label(gens, r) -> str:
@@ -115,24 +148,28 @@ def _qfim_label(gens, r) -> str:
 
 
 def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:
-    """The pure-probe QFIM and residuals ``build_report`` evaluates vs the trace oracles."""
+    """The pure-probe QFIM and residuals ``build_report`` evaluates vs the trace oracles.
+
+    The closed forms take one sample per call, as a caller uses them; every
+    oracle takes the whole stack of samples at once.
+    """
     rng = np.random.default_rng([seed, 2])
     qfi_dev = CheckResult("qfim/qfi-vs-variance-oracle", 1e-12)
     qfim_dev = CheckResult("qfim/qfim-vs-trace-oracle", 1e-11)
     wc_dev = CheckResult("qfim/weak-comm-vs-trace-oracle", 1e-12)
-    for _ in range(samples):
-        gens = np.array([_random_generator(rng) for _ in range(3)])
-        r = _random_unit(rng)
-        rho = algebra.density(r)
-        mats = algebra.su2_element(gens)
-        label = (_qfim_label, gens, r)
-        qfim = qfim_pure(gens, r)
-        qfi_dev.record(abs(qfim[0, 0] - variance_qfi_oracle(mats[0], rho)), *label)
-        qfim_dev.record(np.abs(qfim - qfim_trace_oracle(mats, rho)).max(), *label)
-        # every pair at once: the diagonal is exactly 0 on both sides and the
-        # lower triangle mirrors the upper one exactly
-        oracle = weak_comm_trace_oracle(mats[:, None], mats[None, :], rho)
-        wc_dev.record(np.abs(1j * weak_comm_matrix(gens, r) - oracle).max(), *label)
+    gens = _random_generators(rng, (samples, 3))
+    r = _random_units(rng, (samples,))
+    qfim = np.array([qfim_pure(g, v) for g, v in zip(gens, r)])
+    wc = np.array([weak_comm_matrix(g, v) for g, v in zip(gens, r)])
+    rho = algebra.su2_element(r) + 0.5 * np.eye(2)  # I/2 + r.J, algebra.density of each r
+    mats = algebra.su2_element(gens)
+    label = (_qfim_label, gens, r)
+    qfi_dev.record_samples(np.abs(qfim[:, 0, 0] - variance_qfi_oracle(mats[:, 0], rho)), *label)
+    qfim_dev.record_samples(np.abs(qfim - qfim_trace_oracle(mats, rho)).max(axis=(1, 2)), *label)
+    # every pair at once: the diagonal is exactly 0 on both sides and the
+    # lower triangle mirrors the upper one exactly
+    oracle = weak_comm_trace_oracle(mats[:, :, None], mats[:, None, :], rho[:, None, None])
+    wc_dev.record_samples(np.abs(1j * wc - oracle).max(axis=(1, 2)), *label)
     return [qfi_dev, qfim_dev, wc_dev]
 
 
@@ -144,44 +181,52 @@ def entangled_probe_suite(seed: int, samples: int) -> list[CheckResult]:
     """Entangled-probe information and unconditional weak commutation.
 
     ``build_report`` evaluates the entangled probe as the pure-probe QFIM at
-    r = 0, the reduced state I/2; that is the quantity checked here.
+    r = 0, the reduced state I/2; that is the quantity checked here, one
+    sample per call.  The 4x4 oracle and the weak-commutation trace take the
+    whole stack of samples at once.
     """
     rng = np.random.default_rng([seed, 3])
     qfi_dev = CheckResult("entangled/qfi-vs-4x4-oracle", 1e-11)
     wc_dev = CheckResult("entangled/weak-comm-zero", 1e-12)
-    for _ in range(samples):
-        gen_a = _random_generator(rng)
-        gen_b = _random_generator(rng)
-        label = (_entangled_label, gen_a, gen_b)
-        qfi = qfim_pure(gen_a, np.zeros(3))[0, 0]
-        qfi_dev.record(abs(qfi - entangled_qfi_oracle(gen_a)), *label)
-        wc_dev.record(abs(entangled_weak_comm(gen_a, gen_b, BELL_PHI_PLUS)), *label)
+    gens = _random_generators(rng, (samples, 2))
+    gen_a, gen_b = gens[:, 0], gens[:, 1]
+    label = (_entangled_label, gen_a, gen_b)
+    qfi = np.array([qfim_pure(g, np.zeros(3))[0, 0] for g in gen_a])
+    qfi_dev.record_samples(np.abs(qfi - entangled_qfi_oracle(gen_a)), *label)
+    wc_dev.record_samples(np.abs(entangled_weak_comm(gen_a, gen_b, BELL_PHI_PLUS)), *label)
     return [qfi_dev, wc_dev]
 
 
 def sld_identity_suite(seed: int, samples: int) -> list[CheckResult]:
-    """SLD-vs-generator weak-commutation identity on random schemes and probes."""
+    """SLD-vs-generator weak-commutation identity on random schemes and probes.
+
+    Sample i has d_i = 1 to 3 parameters and uses the first d_i gradient rows
+    and point entries drawn for it.  Half of the schemes carry a control,
+    and half of the probes are qubit states in the Bloch ball, the others
+    pure states of qubit plus ancilla.
+    """
     rng = np.random.default_rng([seed, 4])
     dev = CheckResult("sld/commutation-identity", 1e-6)
-    for _ in range(samples):
-        d = int(rng.integers(1, 4))
-        x0 = rng.uniform(-2.0, 2.0, 3)
-        grads = rng.uniform(-2.0, 2.0, (d, 3))
-        x = rng.uniform(-1.0, 1.0, d)
-        control = rng.uniform(-2.0, 2.0, 3) if rng.random() < 0.5 else np.zeros(3)
-        total_time = rng.uniform(0.1, 5.0)
-        scheme = affine_scheme(x0, grads, control, total_time, 1, MERGED)
-        if rng.random() < 0.5:
-            r = rng.uniform(0.0, 1.0) * _random_unit(rng)
-            probe = algebra.density(r)
+    n_params = rng.integers(1, 4, samples)
+    x0 = rng.uniform(-2.0, 2.0, (samples, 3))
+    grads = rng.uniform(-2.0, 2.0, (samples, 3, 3))
+    x = rng.uniform(-1.0, 1.0, (samples, 3))
+    control = np.where(rng.random((samples, 1)) < 0.5, rng.uniform(-2.0, 2.0, (samples, 3)), 0.0)
+    total_time = rng.uniform(0.1, 5.0, samples)
+    qubit = rng.random(samples) < 0.5
+    r = rng.uniform(0.0, 1.0, samples)[:, None] * _random_units(rng, (samples,))
+    psi = rng.normal(size=(samples, 4)) + 1j * rng.normal(size=(samples, 4))
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    worst = []
+    for i, (d, t) in enumerate(zip(n_params.tolist(), total_time.tolist())):
+        scheme = affine_scheme(x0[i], grads[i, :d], control[i], t, 1, MERGED)
+        if qubit[i]:
+            probe = algebra.density(r[i])
         else:
-            psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-            psi /= np.linalg.norm(psi)
-            probe = psi[:, None] * psi.conj()[None, :]  # np.outer's product
-        result = sld_oracle(scheme, x, probe)
-        dev.record(
-            result.residuals.max(), "d={} T={:.6g} dim={}".format, d, total_time, probe.shape[0]
-        )
+            probe = psi[i, :, None] * psi[i].conj()[None, :]  # np.outer's product
+        worst.append(sld_oracle(scheme, x[i, :d], probe).residuals.max())
+    dims = np.where(qubit, 2, 4)
+    dev.record_samples(np.array(worst), "d={} T={:.6g} dim={}".format, n_params, total_time, dims)
     return [dev]
 
 
@@ -191,26 +236,28 @@ def trotter_gap_suite(seed: int, samples: int) -> list[CheckResult]:
     Deterministic configuration: negating control designed at the nominal
     field point, evaluated 0.1 radians away in colatitude, T = 5 fixed while
     t halves from 0.5 to 0.0625.  The distance must shrink by a factor close
-    to 2 per halving; the reported deviation is the worst |ratio - 2|.
+    to 2 per halving; the reported deviation is the worst |ratio - 2|.  The
+    merged unitary depends on t only through N t, which is exactly 5.0 for
+    every t, so it is built once.  The one configuration stands for every
+    sample of the run: the check counts them all as used.
     """
-    del seed, samples  # deterministic suite, kept uniform with the others
-    worst = CheckResult("trotter/gap-halving-ratio", 0.2)
+    del seed  # deterministic suite, kept uniform with the others
+    worst = CheckResult("trotter/gap-halving-ratio", 0.2, used=samples)
     point = FieldPoint(B=3.0, theta=np.pi / 6, phi=0.0)
     x = point.as_array() + np.array([0.0, 0.1, 0.0])
     total_time = 5.0
-    distances = []
-    for t in (0.5, 0.25, 0.125, 0.0625):
-        n = int(round(total_time / t))
-        merged = magnetometry_scheme(point, t, n, control="optimal", mode=MERGED)
-        product = magnetometry_scheme(point, t, n, control="optimal", mode=PRODUCT)
-        # the spectral norm, np.linalg.norm(., 2) without its dispatch
-        gap = np.linalg.svd(
-            build_total_unitary(product, x) - build_total_unitary(merged, x), compute_uv=False
-        ).max()
-        distances.append(gap)
-    for i in range(len(distances) - 1):
-        ratio = distances[i] / distances[i + 1]
-        worst.record(abs(ratio - 2.0), "t={:.6g} ratio={:.6g}".format, 0.5 / 2**i, ratio)
+    ts = (0.5, 0.25, 0.125, 0.0625)
+    merged = magnetometry_scheme(point, total_time, 1, control="optimal", mode=MERGED)
+    products = [
+        magnetometry_scheme(point, t, int(round(total_time / t)), control="optimal", mode=PRODUCT)
+        for t in ts
+    ]
+    gaps = np.array([build_total_unitary(p, x) for p in products]) - build_total_unitary(merged, x)
+    # the spectral norm of each difference, np.linalg.norm(., 2) without its dispatch
+    distances = np.linalg.svd(gaps, compute_uv=False).max(axis=-1)
+    ratios = (distances[:-1] / distances[1:]).tolist()
+    for t, ratio in zip(ts, ratios):
+        worst.record(abs(ratio - 2.0), "t={:.6g} ratio={:.6g}".format, t, ratio)
     return [worst]
 
 

@@ -14,6 +14,7 @@ from su2qfi import (
     BELL_PHI_PLUS,
     ENTANGLED_WITH_ANCILLA,
     PURE_QUBIT,
+    DegenerateVectorError,
     DimensionalityError,
     FieldPoint,
     SchemeConfig,
@@ -146,6 +147,80 @@ class TestQfimTraceOracle:
             got = qfim_trace_oracle(mats, rho)
             assert got.shape == (d, d)
             assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def _random_state(rng, n):
+    """A random mixed n x n density matrix: a normalized Gram matrix."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def _assert_rows_close(stacked, singles):
+    # stacked matmul need not round like the 2-D call: 1e-14 relative per sample
+    singles = np.array(singles)
+    assert stacked.shape == singles.shape
+    for got, expected in zip(stacked, singles):
+        scale = np.abs(expected).max()
+        assert np.abs(got - expected).max() <= 1e-14 * scale
+
+
+class TestStackedOracles:
+    """Each oracle over a leading sample axis agrees with its one-sample calls."""
+
+    @pytest.mark.parametrize("samples", [1, 2, 7])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_variance_oracle(self, samples, n):
+        rng = np.random.default_rng(31 + samples)
+        h = np.array([_random_hermitian(rng, n) for _ in range(samples)])
+        rho = np.array([_random_state(rng, n) for _ in range(samples)])
+        singles = [variance_qfi_oracle(h[i], rho[i]) for i in range(samples)]
+        _assert_rows_close(variance_qfi_oracle(h, rho), singles)
+
+    @pytest.mark.parametrize("samples", [1, 2, 7])
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_qfim_trace_oracle(self, samples, n, d):
+        rng = np.random.default_rng(37 + samples)
+        h = np.array([[_random_hermitian(rng, n) for _ in range(d)] for _ in range(samples)])
+        rho = np.array([_random_state(rng, n) for _ in range(samples)])
+        singles = [qfim_trace_oracle(h[i], rho[i]) for i in range(samples)]
+        _assert_rows_close(qfim_trace_oracle(h, rho), singles)
+
+    @pytest.mark.parametrize("samples", [1, 2, 7])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_weak_comm_trace_oracle_over_every_pair(self, samples, n):
+        rng = np.random.default_rng(41 + samples)
+        h = np.array([[_random_hermitian(rng, n) for _ in range(3)] for _ in range(samples)])
+        rho = np.array([_random_state(rng, n) for _ in range(samples)])
+        singles = [
+            [[weak_comm_trace_oracle(h[i, a], h[i, b], rho[i]) for b in range(3)] for a in range(3)]
+            for i in range(samples)
+        ]
+        stacked = weak_comm_trace_oracle(h[:, :, None], h[:, None, :], rho[:, None, None])
+        _assert_rows_close(stacked, singles)
+
+    @pytest.mark.parametrize("samples", [1, 2, 7])
+    def test_entangled_qfi_oracle(self, samples):
+        rng = np.random.default_rng(43 + samples)
+        gens = np.array([random_gen(rng) for _ in range(samples)])
+        _assert_rows_close(entangled_qfi_oracle(gens), [entangled_qfi_oracle(g) for g in gens])
+
+    @pytest.mark.parametrize("samples", [1, 2, 7])
+    def test_entangled_weak_comm(self, samples):
+        # a product probe, so the traces do not vanish
+        rng = np.random.default_rng(47 + samples)
+        probe = np.array([1.0, 0, 0, 0], dtype=complex)
+        a = np.array([random_gen(rng, min_mag=0.5) for _ in range(samples)])
+        b = np.array([random_gen(rng, min_mag=0.5) for _ in range(samples)])
+        singles = [entangled_weak_comm(a[i], b[i], probe) for i in range(samples)]
+        _assert_rows_close(entangled_weak_comm(a, b, probe), singles)
+
+    def test_entangled_weak_comm_refuses_mismatched_stacks(self):
+        with pytest.raises(DegenerateVectorError, match="two 3-vectors"):
+            entangled_weak_comm(np.ones((2, 3)), np.ones((3, 3)), BELL_PHI_PLUS)
+        with pytest.raises(DegenerateVectorError, match="two 3-vectors"):
+            entangled_weak_comm(np.ones(2), np.ones(2), BELL_PHI_PLUS)
 
 
 class TestOracleTrace:
@@ -423,6 +498,18 @@ class TestSldOracle:
                     result.generators[a], result.generators[b], probe
                 )
                 assert res[a, b] == abs(lhs - rhs)
+
+    def test_residuals_of_random_probes_are_exactly_symmetric_with_a_zero_diagonal(self):
+        rng = np.random.default_rng(53)
+        for k in range(60):
+            d = 1 + k % 3
+            scheme = linear_scheme(
+                rng.uniform(-2, 2, 3), rng.uniform(-2, 2, (d, 3)), t=rng.uniform(0.1, 5)
+            )
+            probe = _random_state(rng, (2, 4)[k % 2])
+            res = sld_oracle(scheme, rng.uniform(-1, 1, d), probe).residuals
+            assert np.array_equal(res, res.T)
+            assert np.all(np.diag(res) == 0.0)
 
     def test_constant_scheme_gives_zero_slds(self):
         scheme = SchemeConfig(
