@@ -19,6 +19,7 @@ from .algebra import (
 from .errors import (
     DegenerateVectorError,
     DimensionalityError,
+    InexactCompositionError,
     SeriesDepthError,
     Su2QfiError,
     UnphysicalStateError,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import check_bloch
-from .errors import Su2QfiError, UnphysicalStateError
+from .errors import InexactCompositionError, Su2QfiError, UnphysicalStateError
 from .magnetometry import (
     PARAMETER_NAMES,
     FieldPoint,
@@ -233,14 +233,6 @@ def _build_scheme(cfg: RunConfig) -> tuple[SchemeConfig, np.ndarray, tuple]:
         scheme = replace(scheme, control=cfg.control_vector)
     elif cfg.control == "optimal":
         scheme = replace(scheme, control=design_control(scheme.coefficients, cfg.x_tilde or x))
-    if cfg.mode == PRODUCT and np.any(scheme.control):
-        # the closed forms describe exp(-i N t (X + X_c).J); without control
-        # the segment product equals it exactly, with control it does not
-        raise ConfigError(
-            "product-mode-inexact",
-            "product mode with a nonzero control has no exact report yet; "
-            "use mode merged or control none",
-        )
     return scheme, x, names
 
 
@@ -616,7 +608,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return 2
     except Su2QfiError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        inexact = isinstance(exc, InexactCompositionError)
+        code = "product-mode-inexact" if inexact else type(exc).__name__
+        print(f"error[{code}]: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         # finite inputs whose results, such as the information (T |dX|)^2,

@@ -19,3 +19,7 @@ class UnphysicalStateError(Su2QfiError):
 
 class DimensionalityError(Su2QfiError):
     """More parameters were requested than the dynamics can encode."""
+
+
+class InexactCompositionError(Su2QfiError):
+    """The closed forms do not describe the scheme's composition exactly."""

@@ -5,7 +5,10 @@ matrix computation: variance/covariance traces for the information
 quantities, and central finite differences of the total unitary
 (``scheme.unitary_derivatives``) for the SLD operators and the
 entangled-probe QFIM.  The oracles deliberately share no algebra with the
-closed forms they check.
+closed forms they check.  Every trace is ``np.trace`` over the last two
+axes, so one call takes a whole stack of 2x2 or 4x4 samples.
+``qfi.entangled_weak_comm``, a 4x4 matrix check rather than a closed form,
+takes its trace from ``weak_comm_trace_oracle``.
 """
 
 from __future__ import annotations
@@ -23,27 +26,14 @@ BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 BELL_PROJECTOR = BELL_PHI_PLUS[:, None] * BELL_PHI_PLUS.conj()[None, :]
 
 
-def _trace(m: np.ndarray):
-    """Trace over the last two axes of a stack of 2x2 or 4x4 matrices.
-
-    A 2x2 trace is its two diagonal entries added, without ``np.trace``'s
-    dispatch; that rounds as ``np.trace`` does, except that two -0 entries give
-    -0 where ``np.trace`` gives +0.  A 4x4 trace keeps ``np.trace``, whose
-    summation order may depend on the SIMD width.
-    """
-    if m.shape[-1] == 2:
-        return m[..., 0, 0] + m[..., 1, 1]
-    return np.trace(m, axis1=-2, axis2=-1)
-
-
 def variance_qfi_oracle(h_mat: np.ndarray, rho: np.ndarray):
     """4 (Tr[H^2 rho] - Tr[H rho]^2) on explicit matrices.
 
     ``h_mat`` and ``rho`` broadcast over leading axes: one H and one state
     give an ``np.float64``, stacks give an array of one value per sample.
     """
-    m1 = _trace(h_mat @ rho).real
-    m2 = _trace(h_mat @ h_mat @ rho).real
+    m1 = np.trace(h_mat @ rho, axis1=-2, axis2=-1).real
+    m2 = np.trace(h_mat @ h_mat @ rho, axis1=-2, axis2=-1).real
     return 4.0 * (m2 - m1**2)
 
 
@@ -58,15 +48,15 @@ def qfim_trace_oracle(h_mats, rho: np.ndarray) -> np.ndarray:
     h = np.asarray(h_mats)
     rho = np.asarray(rho)[..., None, None, :, :]
     pairs = h[..., :, None, :, :] @ h[..., None, :, :, :]  # H_a H_b at [a, b]
-    sym = 0.5 * _trace((pairs + pairs.swapaxes(-3, -4)) @ rho)
+    sym = 0.5 * np.trace((pairs + pairs.swapaxes(-3, -4)) @ rho, axis1=-2, axis2=-1)
     h_rho = h[..., :, None, :, :] @ rho
-    cross = _trace(h_rho @ h_rho.swapaxes(-3, -4))
+    cross = np.trace(h_rho @ h_rho.swapaxes(-3, -4), axis1=-2, axis2=-1)
     return 4.0 * (sym - cross).real
 
 
 def weak_comm_trace_oracle(h_a: np.ndarray, h_b: np.ndarray, rho: np.ndarray):
     """Tr[[H_a, H_b] rho] on explicit matrices, broadcast over stacks of H_a, H_b and rho."""
-    return _trace((h_a @ h_b - h_b @ h_a) @ rho)
+    return np.trace((h_a @ h_b - h_b @ h_a) @ rho, axis1=-2, axis2=-1)
 
 
 def entangled_qfi_oracle(gen):

@@ -19,9 +19,11 @@ import numpy as np
 
 from . import algebra
 from .algebra import as_vec3, check_bloch
-from .errors import DegenerateVectorError, DimensionalityError, UnphysicalStateError
+from .errors import (DegenerateVectorError, DimensionalityError, InexactCompositionError,
+                     UnphysicalStateError)
 from .generators import closed_form_generator
-from .scheme import SchemeConfig
+from .oracles import weak_comm_trace_oracle
+from .scheme import PRODUCT, SchemeConfig
 from .tolerances import ATTAINABILITY, PURITY
 
 PURE_QUBIT = "pure_qubit"
@@ -122,7 +124,7 @@ def entangled_weak_comm(gen_a, gen_b, probe: np.ndarray):
         raise DegenerateVectorError(f"expected two 3-vectors or two (s, 3) stacks, got {shapes}")
     ha, hb = algebra.lift(algebra.su2_element(np.array([gen_a, gen_b])))
     projector = probe[:, None] * probe.conj()[None, :]  # np.outer's product
-    traces = np.trace((ha @ hb - hb @ ha) @ projector, axis1=-2, axis2=-1)
+    traces = weak_comm_trace_oracle(ha, hb, projector)
     return complex(traces) if gen_a.ndim == 1 else traces
 
 
@@ -157,8 +159,14 @@ def scheme_generators(scheme: SchemeConfig, x) -> np.ndarray:
 
     The control enters through S = X + X_c.  A partial that vanishes at
     ``x`` (for example the azimuth at a pole) gives Y_l = 0: zero
-    information.
+    information.  The closed forms describe exp(-i N t (X + X_c).J), which
+    the segment product equals only without control: a product-mode scheme
+    with a nonzero control raises ``InexactCompositionError``.
     """
+    if scheme.mode == PRODUCT and any(scheme.control.tolist()):  # -0.0 counts as zero
+        raise InexactCompositionError(
+            f"product mode with the nonzero control {scheme.control.tolist()} is not the merged "
+            "exponential the closed forms describe; use merged mode or a zero control")
     return closed_form_generator(
         scheme.effective_coefficients(x), scheme.partials_at(x), scheme.total_time
     )
@@ -207,9 +215,8 @@ def build_report(
     (``entangled_weak_comm`` checks this on 4x4 matrices).  Verdict and bounds
     take the slack ATTAINABILITY * largest maximum, free of the units of dX.
 
-    The closed forms evaluated here assume merged-exponential composition;
-    for a product-mode scheme they describe the small-t limit, and the
-    finite-difference oracles quantify the gap.
+    A controlled product-mode scheme, which the closed forms do not
+    describe, raises ``InexactCompositionError`` (see ``scheme_generators``).
     """
     if scheme.n_params > 3:
         raise DimensionalityError(

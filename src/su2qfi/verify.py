@@ -6,11 +6,11 @@ samples in a few bulk calls, as arrays with a leading sample axis.  The
 closed forms under test take one sample per call, as a caller uses them.
 Each trace oracle runs once over the whole stack; the finite-difference
 oracles take one scheme per call.  A check is one ``CheckResult``: the
-suite creates it with its name and tolerance and records into it one
-deviation per sample, in sample order.  The record keeps the worst
+suite creates it with its name and tolerance and records into it an array
+of deviations, one per sample, in sample order.  The check keeps the worst
 deviation and a label of the input that produced it, the first worst in
 sample order under a tie, and counts the samples it used and skipped.  The
-suite returns its records as they are, and ``run_all`` scales their
+suite returns its checks as they are, and ``run_all`` scales their
 tolerances in place.  A fixed seed makes the whole summary
 byte-reproducible.
 """
@@ -43,9 +43,9 @@ class CheckResult:
     """One check: its tolerance, its worst deviation and the input behind it,
     and how many of the run's samples it used and skipped.
 
-    ``record`` keeps the formatter and the arguments of each new worst sample
+    ``record`` keeps the formatter and the worst sample's row of each stack
     as they are, and ``worst_input`` formats them only when it is read; so a
-    caller must not mutate a recorded argument afterwards.
+    caller must not mutate a recorded stack afterwards.
     """
 
     name: str
@@ -65,23 +65,18 @@ class CheckResult:
         formatter, args = self._worst
         return formatter(*args)
 
-    def record(self, value: float, formatter, *args):
-        """Keep ``value`` if it is a new worst, with ``formatter`` and ``args``
-        for its label; nothing is formatted here.  A NaN is worse than any
-        number: the first one fails the check and keeps its label."""
-        if math.isnan(self.max_deviation):
-            return
-        if not value <= self.max_deviation:
-            self.max_deviation = float(value)
-            self._worst = (formatter, args)
-
-    def record_samples(self, values: np.ndarray, formatter, *stacks):
-        """Count the deviations ``values``, one per sample, as used and
-        ``record`` them in sample order, each labelled by its row of every
-        stack in ``stacks``: under a tie the first worst keeps its label."""
+    def record(self, values: np.ndarray, formatter, *stacks):
+        """Count the 1-D deviations ``values``, one per sample, as used, and
+        keep their worst if it beats the worst so far, labelled by
+        ``formatter`` and its row of every stack in ``stacks``.  A NaN is
+        worse than any number; under a tie the first worst keeps its label."""
         self.used += len(values)
-        for i, value in enumerate(values.tolist()):
-            self.record(value, formatter, *[stack[i] for stack in stacks])
+        if not len(values) or math.isnan(self.max_deviation):
+            return
+        i = int(np.argmax(values))  # the first NaN if there is one, else the first maximum
+        if not values[i] <= self.max_deviation:
+            self.max_deviation = float(values[i])
+            self._worst = (formatter, tuple(stack[i] for stack in stacks))
 
 
 def _fmt_vec(v) -> str:
@@ -136,9 +131,9 @@ def generator_three_way(seed: int, samples: int) -> list[CheckResult]:
     series = np.array(series).reshape(-1, 2, 2)
     label = (_generator_label, x, d, total_time)
     kept_label = (_generator_label, x[kept], d[kept], total_time[kept])
-    closed_numeric.record_samples(np.abs(closed - numeric).max(axis=(1, 2)), *label)
-    closed_series.record_samples(np.abs(closed[kept] - series).max(axis=(1, 2)), *kept_label)
-    series_numeric.record_samples(np.abs(series - numeric[kept]).max(axis=(1, 2)), *kept_label)
+    closed_numeric.record(np.abs(closed - numeric).max(axis=(1, 2)), *label)
+    closed_series.record(np.abs(closed[kept] - series).max(axis=(1, 2)), *kept_label)
+    series_numeric.record(np.abs(series - numeric[kept]).max(axis=(1, 2)), *kept_label)
     closed_series.skipped = series_numeric.skipped = samples - len(kept)
     return [closed_series, closed_numeric, series_numeric]
 
@@ -164,12 +159,12 @@ def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:
     rho = algebra.su2_element(r) + 0.5 * np.eye(2)  # I/2 + r.J, algebra.density of each r
     mats = algebra.su2_element(gens)
     label = (_qfim_label, gens, r)
-    qfi_dev.record_samples(np.abs(qfim[:, 0, 0] - variance_qfi_oracle(mats[:, 0], rho)), *label)
-    qfim_dev.record_samples(np.abs(qfim - qfim_trace_oracle(mats, rho)).max(axis=(1, 2)), *label)
+    qfi_dev.record(np.abs(qfim[:, 0, 0] - variance_qfi_oracle(mats[:, 0], rho)), *label)
+    qfim_dev.record(np.abs(qfim - qfim_trace_oracle(mats, rho)).max(axis=(1, 2)), *label)
     # every pair at once: the diagonal is exactly 0 on both sides and the
     # lower triangle mirrors the upper one exactly
     oracle = weak_comm_trace_oracle(mats[:, :, None], mats[:, None, :], rho[:, None, None])
-    wc_dev.record_samples(np.abs(1j * wc - oracle).max(axis=(1, 2)), *label)
+    wc_dev.record(np.abs(1j * wc - oracle).max(axis=(1, 2)), *label)
     return [qfi_dev, qfim_dev, wc_dev]
 
 
@@ -192,8 +187,8 @@ def entangled_probe_suite(seed: int, samples: int) -> list[CheckResult]:
     gen_a, gen_b = gens[:, 0], gens[:, 1]
     label = (_entangled_label, gen_a, gen_b)
     qfi = np.array([qfim_pure(g, np.zeros(3))[0, 0] for g in gen_a])
-    qfi_dev.record_samples(np.abs(qfi - entangled_qfi_oracle(gen_a)), *label)
-    wc_dev.record_samples(np.abs(entangled_weak_comm(gen_a, gen_b, BELL_PHI_PLUS)), *label)
+    qfi_dev.record(np.abs(qfi - entangled_qfi_oracle(gen_a)), *label)
+    wc_dev.record(np.abs(entangled_weak_comm(gen_a, gen_b, BELL_PHI_PLUS)), *label)
     return [qfi_dev, wc_dev]
 
 
@@ -226,7 +221,7 @@ def sld_identity_suite(seed: int, samples: int) -> list[CheckResult]:
             probe = psi[i, :, None] * psi[i].conj()[None, :]  # np.outer's product
         worst.append(sld_oracle(scheme, x[i, :d], probe).residuals.max())
     dims = np.where(qubit, 2, 4)
-    dev.record_samples(np.array(worst), "d={} T={:.6g} dim={}".format, n_params, total_time, dims)
+    dev.record(np.array(worst), "d={} T={:.6g} dim={}".format, n_params, total_time, dims)
     return [dev]
 
 
@@ -242,7 +237,7 @@ def trotter_gap_suite(seed: int, samples: int) -> list[CheckResult]:
     sample of the run: the check counts them all as used.
     """
     del seed  # deterministic suite, kept uniform with the others
-    worst = CheckResult("trotter/gap-halving-ratio", 0.2, used=samples)
+    worst = CheckResult("trotter/gap-halving-ratio", 0.2)
     point = FieldPoint(B=3.0, theta=np.pi / 6, phi=0.0)
     x = point.as_array() + np.array([0.0, 0.1, 0.0])
     total_time = 5.0
@@ -255,9 +250,9 @@ def trotter_gap_suite(seed: int, samples: int) -> list[CheckResult]:
     gaps = np.array([build_total_unitary(p, x) for p in products]) - build_total_unitary(merged, x)
     # the spectral norm of each difference, np.linalg.norm(., 2) without its dispatch
     distances = np.linalg.svd(gaps, compute_uv=False).max(axis=-1)
-    ratios = (distances[:-1] / distances[1:]).tolist()
-    for t, ratio in zip(ts, ratios):
-        worst.record(abs(ratio - 2.0), "t={:.6g} ratio={:.6g}".format, t, ratio)
+    ratios = distances[:-1] / distances[1:]
+    worst.record(np.abs(ratios - 2.0), "t={:.6g} ratio={:.6g}".format, ts, ratios)
+    worst.used = samples
     return [worst]
 
 

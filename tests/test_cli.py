@@ -102,6 +102,7 @@ class TestRunConfig:
             ({"scenario": "generic"}, "missing-gradients"),
             ({"t": 10**400}, "non-finite"),  # an integer too large to be a float
             ({"scenario": "generic", "gradients": [[1, 0, 0]], "x": [0, 0]}, "parameter-point"),
+            ({"control": "adaptive"}, "unknown-control"),
         ],
     )
     def test_distinct_error_codes(self, data, code):
@@ -512,6 +513,19 @@ class TestReport:
             "--control-vector", "0", "0", "0",
         )
         assert code == 0
+
+    def test_product_mode_with_negative_zero_control_reports_as_uncontrolled(self, capsys):
+        # -0.0 entries make a zero control: the report is the uncontrolled one
+        uncontrolled = json.loads(run_main(capsys, "report", "--mode", "product",
+                                           "--control", "none")[1])
+        code, out, _ = run_main(
+            capsys, "report", "--mode", "product", "--control", "custom",
+            "--control-vector", "-0.0", "0", "-0",
+        )
+        assert code == 0
+        got = json.loads(out)
+        del got["config"], uncontrolled["config"]
+        assert json.dumps(got) == json.dumps(uncontrolled)
 
     def test_pole_serializes_infinite_bound(self, capsys):
         code, out, _ = run_main(capsys, "report", "--theta", "0")

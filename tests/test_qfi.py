@@ -1,6 +1,5 @@
 """Tests for the QFI engine, its oracles and report assembly."""
 
-import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -17,6 +16,7 @@ from su2qfi import (
     DegenerateVectorError,
     DimensionalityError,
     FieldPoint,
+    InexactCompositionError,
     SchemeConfig,
     UnphysicalStateError,
     affine_scheme,
@@ -35,7 +35,6 @@ from su2qfi.algebra import check_bloch
 from su2qfi.qfi import qfi_max_from_angle, weak_comm_matrix
 from su2qfi.oracles import (
     BELL_PROJECTOR,
-    _trace,
     entangled_qfi_oracle,
     entangled_qfim_fd,
     qfim_trace_oracle,
@@ -45,7 +44,7 @@ from su2qfi.oracles import (
 )
 from su2qfi.algebra import lift
 from su2qfi.qfi import _precision_bounds, scheme_generators
-from su2qfi.scheme import build_total_unitary
+from su2qfi.scheme import MERGED, PRODUCT, build_total_unitary
 
 RNG = np.random.default_rng(404)
 
@@ -224,33 +223,14 @@ class TestStackedOracles:
 
 
 class TestOracleTrace:
-    def test_2x2_trace_equals_np_trace_on_random_stacks(self):
+    def test_entangled_weak_comm_is_the_trace_oracle_on_lifted_generators(self):
         rng = np.random.default_rng(1802)
-        for shape in [(), (3,), (3, 3), (5, 2)]:
-            for _ in range(200):
-                m = rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
-                m *= 10.0 ** rng.uniform(-10, 10, shape + (1, 1))
-                got = np.asarray(_trace(m))
-                assert got.tobytes() == np.asarray(np.trace(m, axis1=-2, axis2=-1)).tobytes()
-
-    def test_2x2_trace_differs_only_in_the_sign_of_a_zero_sum(self):
-        def negative_zero(v):
-            return v == 0.0 and math.copysign(1.0, v) < 0.0
-
-        values = (0.0, -0.0, 1.5, -2.5, np.inf)
-        for a, b, c, e in itertools.product(values, repeat=4):
-            m = np.array([[complex(a, c), 1.0], [2.0, complex(b, e)]])
-            got, ref = _trace(m), np.trace(m)
-            assert got == ref
-            # np.trace gives +0 for -0 + -0, the plain sum gives -0
-            real_sign = negative_zero(a) and negative_zero(b)
-            imag_sign = negative_zero(c) and negative_zero(e)
-            assert (got.tobytes() != ref.tobytes()) == (real_sign or imag_sign)
-
-    def test_4x4_trace_is_np_trace(self):
-        rng = np.random.default_rng(1804)
-        m = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-        assert _trace(m).tobytes() == np.trace(m, axis1=-2, axis2=-1).tobytes()
+        a, b = rng.uniform(-3, 3, (2, 5, 3))
+        probe = rng.normal(size=4) + 1j * rng.normal(size=4)
+        probe /= np.linalg.norm(probe)
+        ha, hb = lift(su2_element(a)), lift(su2_element(b))
+        expected = weak_comm_trace_oracle(ha, hb, np.outer(probe, probe.conj()))
+        assert entangled_weak_comm(a, b, probe).tobytes() == expected.tobytes()
 
     def test_bell_projector_is_the_outer_product(self):
         assert BELL_PROJECTOR.tobytes() == np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj()).tobytes()
@@ -886,6 +866,50 @@ class TestBuildReport:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(OverflowError, match="information .* overflows double precision"):
                 build_report(scheme, [0.0, 0.0], probe_kind, r=r)
+
+
+class TestInexactComposition:
+    """The closed forms describe the merged exponential, which a product-mode
+    scheme equals only without control: with a control the library refuses."""
+
+    POINT = FieldPoint(3.0, np.pi / 6, 0.0)
+
+    def _cases(self, mode, control):
+        """A magnetometry and an affine scheme, each with its point."""
+        magnetometry = magnetometry_scheme(self.POINT, 0.5, 3, mode=mode)
+        affine = affine_scheme([1.0, -0.5, 2.0], np.eye(3)[:2], np.zeros(3), 0.5, 3, mode)
+        return [
+            (replace(magnetometry, control=control), self.POINT.as_array()),
+            (replace(affine, control=control), np.array([0.3, -0.2])),
+        ]
+
+    @pytest.mark.parametrize("control", [[0.0, 0.0, 1e-300], [-1.0, 2.0, 0.5]])
+    def test_controlled_product_mode_is_refused(self, control):
+        for scheme, x in self._cases(PRODUCT, control):
+            with pytest.raises(InexactCompositionError, match="product mode"):
+                scheme_generators(scheme, x)
+            with pytest.raises(InexactCompositionError):
+                build_report(scheme, x, ENTANGLED_WITH_ANCILLA)
+            with pytest.raises(InexactCompositionError):
+                build_report(scheme, x, PURE_QUBIT, r=[0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("probe_kind,r", [(ENTANGLED_WITH_ANCILLA, None),
+                                              (PURE_QUBIT, [0.6, 0.0, 0.8])])
+    def test_merged_mode_with_control_reports(self, probe_kind, r):
+        for scheme, x in self._cases(MERGED, [-1.0, 2.0, 0.5]):
+            report = build_report(scheme, x, probe_kind, r=r)
+            assert np.isfinite(report.qfim).all()
+
+    @pytest.mark.parametrize("control", [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0]])
+    @pytest.mark.parametrize("probe_kind,r", [(ENTANGLED_WITH_ANCILLA, None),
+                                              (PURE_QUBIT, [0.6, 0.0, 0.8])])
+    def test_product_mode_with_a_zero_control_reports_the_merged_numbers(
+        self, control, probe_kind, r
+    ):
+        merged = self._cases(MERGED, np.zeros(3))
+        for (scheme, x), (merged_scheme, _) in zip(self._cases(PRODUCT, control), merged):
+            got = build_report(scheme, x, probe_kind, r=r).to_dict()
+            assert got == build_report(merged_scheme, x, probe_kind, r=r).to_dict()
 
 
 _COMPONENT = st.floats(-3.0, 3.0)

@@ -39,24 +39,46 @@ class TestCheckResultLabels:
 
         check = CheckResult("demo", 1.0)
         assert check.worst_input == "none"
-        for tag, value in [("a", 0.5), ("b", 0.25), ("c", 0.75), ("d", 0.75), ("e", 0.1)]:
-            check.record(value, label, tag, value)
+        values = np.array([0.5, 0.25, 0.75, 0.75, 0.1])
+        check.record(values, label, ["a", "b", "c", "d", "e"], values)
         assert calls == []
         assert check.max_deviation == 0.75
         # under a tie the first worst keeps its label
         assert check.worst_input == "c=0.75"
         assert calls == ["c"]
+        assert check.used == 5
 
     def test_the_first_nan_fails_the_check_and_keeps_its_label(self):
         check = CheckResult("demo", 1.0)
-        for tag, value in [("a", 0.5), ("b", float("nan")), ("c", 2.0), ("d", float("nan"))]:
-            check.record(value, str, tag)
+        nan = float("nan")
+        check.record(np.array([0.5, nan, 2.0, nan]), str, ["a", "b", "c", "d"])
         assert np.isnan(check.max_deviation) and not check.passed
         assert check.worst_input == "b"
+        # a later NaN, or a later larger number, keeps the first NaN's label
+        check.record(np.array([3.0, nan]), str, ["e", "f"])
+        assert np.isnan(check.max_deviation) and check.worst_input == "b"
+        assert check.used == 6
+
+    def test_a_later_call_that_does_not_beat_the_worst_keeps_its_label(self):
+        check = CheckResult("demo", 1.0)
+        check.record(np.array([0.25, 0.5]), str, ["a", "b"])
+        check.record(np.array([0.5, 0.125]), str, ["c", "d"])
+        assert (check.max_deviation, check.worst_input) == (0.5, "b")
+        check.record(np.array([0.0, 0.75]), str, ["e", "f"])
+        assert (check.max_deviation, check.worst_input) == (0.75, "f")
+        assert check.used == 6
+
+    def test_an_empty_record_counts_nothing(self):
+        check = CheckResult("demo", 1.0)
+        check.record(np.array([]), str, [])
+        assert (check.used, check.max_deviation, check.worst_input) == (0, 0.0, "none")
+        check.record(np.array([0.5]), str, ["a"])
+        check.record(np.array([]), str, [])
+        assert (check.used, check.max_deviation, check.worst_input) == (1, 0.5, "a")
 
     def test_a_check_with_no_positive_deviation_keeps_the_default_label(self):
         check = CheckResult("demo", 1.0)
-        check.record(0.0, str, "never")
+        check.record(np.array([0.0, 0.0]), str, ["never", "never"])
         assert (check.max_deviation, check.worst_input) == (0.0, "none")
 
     def test_failing_summary_prints_one_label_per_failure(self):
