@@ -631,6 +631,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error[internal]: {exc!r} at {where}", file=sys.stderr)
         return 3
 
-
-if __name__ == "__main__":
-    sys.exit(main())

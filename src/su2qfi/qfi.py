@@ -43,11 +43,7 @@ def qfim_pure(gens, r) -> np.ndarray:
     state of a maximally entangled probe, it is the entangled-probe QFIM.
     """
     r = check_bloch(r)
-    return _qfim(np.asarray(gens, dtype=float).reshape(-1, 3), r)
-
-
-def _qfim(gens: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``qfim_pure`` for a checked ``(d, 3)`` float stack and Bloch vector."""
+    gens = np.asarray(gens, dtype=float).reshape(-1, 3)
     proj = gens @ r
     return gens @ gens.T - proj[:, None] * proj[None, :]
 
@@ -94,11 +90,7 @@ def weak_comm_matrix(gens, r) -> np.ndarray:
     exactly antisymmetric, with a zero diagonal.
     """
     r = check_bloch(r)
-    return _weak_comm(np.asarray(gens, dtype=float).reshape(-1, 3), r)
-
-
-def _weak_comm(gens: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``weak_comm_matrix`` for a checked ``(d, 3)`` float stack and Bloch vector."""
+    gens = np.asarray(gens, dtype=float).reshape(-1, 3)
     g = gens @ algebra.cross_matrix(r) @ gens.T
     return 0.25 * (g.T - g)
 
@@ -210,10 +202,18 @@ def build_report(
 
     Every per-parameter number is read off the closed-form generators Y_l,
     built once; the maxima are |Y_l|^2.  A pure qubit probe needs a unit
-    Bloch vector ``r``.  The entangled probe needs none: its reduced state is
-    I/2, so it takes the same formulas with r = 0 and every residual vanishes
-    (``entangled_weak_comm`` checks this on 4x4 matrices).  Verdict and bounds
-    take the slack ATTAINABILITY * largest maximum, free of the units of dX.
+    Bloch vector ``r``: the QFIM is ``qfim_pure(Y, r)`` and the residuals are
+    the magnitudes of ``weak_comm_matrix(Y, r)``.  The entangled probe needs
+    none: its reduced state is I/2, so its QFIM is ``qfim_pure`` at r = 0 and
+    every residual vanishes (``entangled_weak_comm`` checks this on 4x4
+    matrices).  Verdict and bounds take the slack ATTAINABILITY * largest
+    maximum, free of the units of dX.
+
+    Scaling every gradient by a power of two c scales the QFIM, maxima and
+    residuals by c^2 and the bounds by 1/c, and keeps the verdict, exactly
+    unless a rounding in either report falls below 2^-1022: a subnormal
+    result keeps fewer bits, so where one occurs the two reports agree only
+    to the rounding error of the formulas.
 
     A controlled product-mode scheme, which the closed forms do not
     describe, raises ``InexactCompositionError`` (see ``scheme_generators``).
@@ -237,14 +237,13 @@ def build_report(
     else:
         raise ValueError(f"unknown probe kind {probe_kind!r}")
 
-    # r is checked once, here; the kernels below take it as it is
     maxima = _squared_norms(gens)
-    qfim = _qfim(gens, r)
+    qfim = qfim_pure(gens, r)
     largest = float(maxima.max(initial=0.0))  # NaN if any maximum is NaN
     if not (math.isfinite(largest) and np.isfinite(qfim).all()):
         raise OverflowError(f"the information |Y|^2 = {maxima.tolist()} overflows double precision")
     if probe_kind == PURE_QUBIT:
-        residuals = np.abs(_weak_comm(gens, r))
+        residuals = np.abs(weak_comm_matrix(gens, r))
     else:  # r = 0: every residual vanishes
         residuals = np.zeros(qfim.shape)
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from su2qfi import (
@@ -42,6 +42,7 @@ from su2qfi.oracles import (
     variance_qfi_oracle,
     weak_comm_trace_oracle,
 )
+from su2qfi import qfi
 from su2qfi.algebra import lift
 from su2qfi.qfi import _precision_bounds, scheme_generators
 from su2qfi.scheme import MERGED, PRODUCT, build_total_unitary
@@ -695,8 +696,8 @@ class TestReportKernelsBitForBit:
         assert _precision_bounds(past, slack).tobytes() != diagonal.tobytes()
 
     def test_entangled_report_matches_the_checked_kernels(self):
-        """build_report checks r once and skips the residual matrix at r = 0;
-        its QFIM and residuals equal the public, checked kernels at r = 0."""
+        """build_report skips the residual matrix at r = 0; its QFIM and
+        residuals equal the public, checked kernels at r = 0."""
         rng = np.random.default_rng(1410)
         for _ in range(500):
             d = int(rng.integers(1, 4))
@@ -711,6 +712,45 @@ class TestReportKernelsBitForBit:
                 report.weak_comm_residuals.tobytes()
                 == np.abs(weak_comm_matrix(gens, zero)).tobytes()
             )
+
+    def test_report_has_one_path_through_the_public_kernels(self, monkeypatch):
+        """A report's QFIM is ``qfim_pure``'s result and a pure probe's residuals
+        are the magnitudes of ``weak_comm_matrix``'s, each from a single call;
+        perturbing ``qfim_pure`` moves the report, so no second copy is left."""
+        kernels = {name: getattr(qfi, name) for name in ("qfim_pure", "weak_comm_matrix")}
+        results = {name: [] for name in kernels}
+        shift = 0.0
+
+        def spy(name):
+            def spied(gens, r):
+                result = kernels[name](gens, r)
+                if name == "qfim_pure" and shift:
+                    result = result + shift
+                results[name].append(result)
+                return result
+
+            return spied
+
+        for name in kernels:
+            monkeypatch.setattr(qfi, name, spy(name))
+        scheme = linear_scheme([0.4, -0.2, 0.9], [[1.0, 0.3, 0.0], [0.0, -0.5, 1.2]], 0.7, 3)
+        x = np.array([0.1, -0.3])
+        for probe_kind, r, residual_calls in ((PURE_QUBIT, random_unit(), 1),
+                                              (ENTANGLED_WITH_ANCILLA, None, 0)):
+            for calls in results.values():
+                calls.clear()
+            report = build_report(scheme, x, probe_kind, r=r)
+            assert len(results["qfim_pure"]) == 1
+            assert len(results["weak_comm_matrix"]) == residual_calls
+            assert report.qfim.tobytes() == results["qfim_pure"][0].tobytes()
+            if residual_calls:
+                residuals = np.abs(results["weak_comm_matrix"][0])
+                assert report.weak_comm_residuals.tobytes() == residuals.tobytes()
+            shift = 1e-9
+            moved = build_report(scheme, x, probe_kind, r=r).qfim
+            shift = 0.0
+            assert (moved != report.qfim).all()
+            assert moved.tobytes() == results["qfim_pure"][-1].tobytes()
 
     @pytest.mark.parametrize(
         "kernel",
@@ -931,8 +971,39 @@ class TestScaleFreeReport:
         st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
         st.integers(-40, 40),
     )
+    # qfim[0, 1] = -(Y_0.r)(Y_1.r) is the subnormal -4.45e-313; scaled, it is 1e-323 off 4x
+    @example(d=2, numbers=[0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0], t=1.0,
+             n=2, control="none", probe_kind=PURE_QUBIT, r=[1.0, 1.0, 2.2250738585e-313], k=1)
+    # Y_1.r = -3T r_z rounds to the subnormal grid; qfim[0, 1], normal, is 9.2e-319 off 64x
+    @example(d=2, numbers=[0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0],
+             t=9.9748894221029, n=260, control="none", probe_kind=PURE_QUBIT,
+             r=[1.0, 0.0, 5e-316], k=3)
     @settings(max_examples=300, deadline=None)
     def test_scaling_the_gradients(self, d, numbers, t, n, control, probe_kind, r, k):
+        """Byte-exact unless a rounding falls in the subnormal range.
+
+        The generators scale exactly (checked first), and a power of two c
+        commutes with every rounding of a normal result, so both formulas
+        scale exactly unless an intermediate of either report falls below
+        2^-1022, where fewer bits are kept; the examples pin two such cases.
+        Each intermediate is a sum of products of floats, which any order of
+        evaluation, with or without FMA, keeps on the grid of 2^-106 times its
+        smallest nonzero term.  With L = min(c, 1) m_Y m_r, where m_Y and m_r
+        are the smallest nonzero |components| of Y and r capped at 1, every
+        nonzero intermediate is then at least 2^-270 L^2, so L >= 2^-370 rules
+        subnormals out and the QFIM and residuals must match byte for byte.
+
+        Otherwise each report is held to the exact entry in the standard model
+        fl(a op b) = (a op b)(1 + d) + e, |d| <= u = 2^-53, |e| <= 2^-1075 and
+        e = 0 for sums.  With l = max_a |Y_a|_1 and |r_k| <= 1 every term is at
+        most l^2; to first order the relative roundings add at most 12 u l^2
+        to an entry and the subnormal ones, carried by factors of at most l,
+        at most 2^-1075 (7 + 6 l).  So E(l) = 17 u l^2 + 2^-1072 (1 + l) bounds
+        each report's error, and as the exact entries scale by c^2,
+        |scaled - c^2 base| <= E(c l) + c^2 E(l) <= 34 u (c l)^2
+        + 2^-1072 (1 + c)^2 (1 + l).  The bounds, read off the QFIM, are then
+        compared to 1e-12 relative.
+        """
         x0, control_vector = numbers[:3], numbers[9:]
         grads = np.reshape(numbers[3 : 3 + 3 * d], (d, 3))
         assume(np.linalg.norm(r) > 0.1)
@@ -941,17 +1012,27 @@ class TestScaleFreeReport:
         control = {"none": [0, 0, 0], "designed": -np.array(x0), "random": control_vector}[control]
         c = 2.0**k
 
-        def report(scale):
-            scheme = affine_scheme(x0, scale * grads, control, t, n, "merged")
-            return build_report(scheme, np.zeros(d), probe_kind, r=r)
+        def scheme(scale):
+            return affine_scheme(x0, scale * grads, control, t, n, "merged")
 
-        base, scaled = report(1.0), report(c)
-        for name in ("qfim", "qfi_max", "weak_comm_residuals"):
-            assert getattr(scaled, name).tobytes() == (c * c * getattr(base, name)).tobytes()
+        base, scaled = (build_report(scheme(s), np.zeros(d), probe_kind, r=r) for s in (1.0, c))
+        gens = scheme_generators(scheme(1.0), np.zeros(d))
+        assert scheme_generators(scheme(c), np.zeros(d)).tobytes() == (c * gens).tobytes()
+        assert scaled.qfi_max.tobytes() == (c * c * base.qfi_max).tobytes()
         assert scaled.attainable == base.attainable
+        exact = min(c, 1.0) * _smallest_nonzero(gens) * _smallest_nonzero(r) >= 2.0**-370
+        ell = np.abs(gens).sum(axis=1).max()
+        tol = 34 * 2.0**-53 * (c * ell) ** 2 + math.ldexp((1 + c) ** 2 * (1 + ell), -1072)
+        for name in ("qfim", "weak_comm_residuals"):
+            got, want = getattr(scaled, name), c * c * getattr(base, name)
+            if exact:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert (np.abs(got - want) <= tol).all(), (name, got, want)
         bounds = base.precision_bounds / c
         qfim = base.qfim
-        if np.all(np.abs(qfim - np.diag(qfim.diagonal())) <= 1e-10 * base.qfi_max.max()):
+        diagonal = np.all(np.abs(qfim - np.diag(qfim.diagonal())) <= 1e-10 * base.qfi_max.max())
+        if diagonal and exact:
             assert scaled.precision_bounds.tobytes() == bounds.tobytes()
         else:
             np.testing.assert_allclose(scaled.precision_bounds, bounds, rtol=1e-12)
@@ -989,6 +1070,12 @@ def affine_points(draw, max_params=3):
 
 def _unit(v):
     return v / np.linalg.norm(v)
+
+
+def _smallest_nonzero(values):
+    """The smallest nonzero |entry| of ``values``, at most 1; 1 for None."""
+    values = np.abs(np.zeros(0) if values is None else np.asarray(values, dtype=float))
+    return float(np.min(values[values > 0], initial=1.0))
 
 
 class TestAttainabilityVerdict:
