@@ -11,8 +11,9 @@ Configuration comes from a single flat JSON document (``--config``) with
 per-field flag overrides; ``--config``, ``--out``, ``--seed`` and
 ``--samples`` are the only global flags.  Exit codes: 0 success, 1
 verification failure, 2 invalid input, 3 an internal error.  Every CSV
-float cell is byte-identical to Python's ``'%.17g' % value``: 17 significant
-digits, round-trip exact, with inf/-inf/nan as literals.
+cell, the count N included, is byte-identical to Python's ``'%.17g'`` of a
+double: 17 significant digits, round-trip exact, with inf/-inf/nan as
+literals.
 """
 
 from __future__ import annotations
@@ -101,8 +102,9 @@ _FIELD_TYPES = {
 }
 
 # largest count a float64 holds exactly; past it numpy's arange and linspace
-# overflow and an n_values entry loses its value in the float grid, while a
-# smaller grid too large to allocate raises MemoryError
+# overflow, an n_values entry loses its value in the float grid and the CSV
+# formatter, which prints a count as a double, no longer prints its '%d',
+# while a smaller grid too large to allocate raises MemoryError
 _MAX_GRID_SIZE = 2**53
 
 # the argparse form of each field type that has a flag; an untyped field is a string
@@ -250,15 +252,14 @@ def _write_text(text: str, out_path: str | None):
 # instead of one Python format call per cell.  Every cell, led by its
 # separator, is laid out right-aligned in a 32-byte slot of four
 # little-endian uint64 words, padded with NUL bytes that are dropped at the
-# end.  The slot of a count, or of a float that %.17g prints in fixed
-# notation, is built from its decimal digits and a template; any other float
-# goes through '%.17g' itself.
+# end.  The slot of a value that %.17g prints in fixed notation is built
+# from its decimal digits and a template; any other value goes through
+# '%.17g' itself.
 
 _CSV_BLOCK_ROWS = 512  # bounds the formatter's working set
 _SLOT = 32
-_DIGITS_AT = 15  # a float's 17 significant digits fill bytes 15..31 of its slot
+_DIGITS_AT = 15  # a value's 17 significant digits fill bytes 15..31 of its slot
 _FIXED_X = range(-4, 17)  # the decimal exponents %.17g prints in fixed notation
-_COUNT_DIGITS = range(1, 20)  # an int64 magnitude has at most 19 digits
 _BYTE, _SEVEN_BYTES, _HALF_WORD = np.uint64(8), np.uint64(56), np.uint64(32)
 
 
@@ -271,16 +272,17 @@ def _mask(where: range) -> bytes:
     return bytes(where.start) + b"\xff" * len(where) + bytes(_SLOT - where.stop)
 
 
-def _cell_templates() -> tuple[np.ndarray, np.ndarray]:
-    """The slot words of every template, and its digit count after the point.
+def _cell_templates() -> np.ndarray:
+    """The slot words of every template.
 
-    Rows 0-3 hold the constant bytes (separator, sign, leading zeros, point),
+    Rows 0-3 hold the constant bytes (lead, sign, leading zeros, point),
     rows 4-7 the mask of the digits taken where they lie and rows 8-11 the
     mask of those taken shifted down one byte, which makes room for the
-    point.  Templates 0-41 are fixed-notation floats by (sign, X), 42-79
-    integers by (sign, number of digits).
+    point.  Template 21 k + X + 4 has the k-th of the prefixes ',', ',-',
+    newline and newline-minus, the decimal exponent X and 16 - X digits
+    after the point.
     """
-    consts, digit_masks, shifted_masks, fractions = [], [], [], []
+    consts, digit_masks, shifted_masks = [], [], []
 
     def template(prefix: bytes, digits: range, shifted: range = range(0), point=None):
         const = bytearray(_SLOT)
@@ -292,22 +294,16 @@ def _cell_templates() -> tuple[np.ndarray, np.ndarray]:
         digit_masks.append(_mask(digits))
         shifted_masks.append(_mask(shifted))
 
-    for sign in (b"", b"-"):
+    for prefix in (b",", b",-", b"\n", b"\n-"):
         for x in _FIXED_X:
             if x < 0:
-                template(b"," + sign + b"0." + b"0" * (-x - 1), range(_DIGITS_AT, _SLOT))
+                template(prefix + b"0." + b"0" * (-x - 1), range(_DIGITS_AT, _SLOT))
             elif x == 16:
-                template(b"," + sign, range(_DIGITS_AT, _SLOT))
+                template(prefix, range(_DIGITS_AT, _SLOT))
             else:
                 point = _DIGITS_AT + x
-                template(b"," + sign, range(point + 1, _SLOT), range(_DIGITS_AT - 1, point), point)
-            fractions.append(16 - x)
-    for sign in (b"\n", b"\n-"):
-        for nd in _COUNT_DIGITS:
-            template(sign, range(_SLOT - nd, _SLOT))
-            fractions.append(0)
-    words = [_slot_words(slots) for slots in (consts, digit_masks, shifted_masks)]
-    return np.concatenate(words), np.array(fractions)
+                template(prefix, range(point + 1, _SLOT), range(_DIGITS_AT - 1, point), point)
+    return np.concatenate([_slot_words(slots) for slots in (consts, digit_masks, shifted_masks)])
 
 
 def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -323,11 +319,10 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     return digits.view("<u4").ravel().astype(np.uint64), trailing
 
 
-_TEMPLATES, _FRACTIONS = _cell_templates()
+_TEMPLATES = _cell_templates()
 _QUADS, _TRAILING_ZEROS = _digit_tables()
 # keep-masks that clear the last t bytes of a slot, t = 0..17
 _TAILS = _slot_words([b"\xff" * (_SLOT - t) + bytes(t) for t in range(18)])
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.uint64)
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -371,27 +366,20 @@ def _significands(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p.astype(np.int64) + np.rint(e).astype(np.int64), x
 
 
-def _csv_block(counts: np.ndarray, floats: np.ndarray) -> bytes:
-    """CSV bytes of a block of rows, each led by its newline.
-
-    ``counts`` holds the first column and ``floats`` the others, column after
-    column, so the cells run in column-major order until the final transpose.
-    """
-    rows = counts.size
-    a = np.abs(floats)
-    fixed = (a >= 1e-4) & (a < 1e17)  # the floats %.17g prints in fixed notation
+def _csv_block(block: np.ndarray) -> bytes:
+    """CSV bytes of a (columns, rows) block of doubles, each row led by its
+    newline; the cells run in column-major order until the final transpose."""
+    rows = block.shape[1]
+    values = block.ravel()
+    a = np.abs(values)
+    fixed = (a >= 1e-4) & (a < 1e17)  # the values %.17g prints in fixed notation
     d, x = _significands(np.where(fixed, a, 1.0))
-    magnitude = np.abs(counts).view(np.uint64)
-    u = np.concatenate([magnitude, d.view(np.uint64)])
-    float_templates = (floats < 0) * len(_FIXED_X) + x - _FIXED_X.start
-    count_templates = (counts < 0) * len(_COUNT_DIGITS) + np.searchsorted(
-        _POWERS_OF_TEN, magnitude, "right"
-    )
-    template = np.concatenate([2 * len(_FIXED_X) + count_templates, float_templates])
-    # the 20-digit zero-padded decimal of u as five groups of four digits
+    template = (values < 0) * len(_FIXED_X) + x - _FIXED_X.start
+    template[:rows] += 2 * len(_FIXED_X)  # the first column leads with the newline
+    # the 17 digits of d as one digit and four groups of four
     # (numpy divides an integer array by a constant faster than it takes %)
-    top = u // np.uint64(10**16)
-    rest = (u - top * np.uint64(10**16)).view(np.int64)
+    top = d // 10**16
+    rest = d - top * 10**16
     hi = rest // 10**8
     lo = rest - hi * 10**8
     q1, q3 = hi // 10**4, lo // 10**4
@@ -401,12 +389,12 @@ def _csv_block(counts: np.ndarray, floats: np.ndarray) -> bytes:
     for q in (q3, q2, q1):
         trailing[more] += _TRAILING_ZEROS[q[more]]
         more = more[q[more] == 0]
-    fraction = _FRACTIONS[template]
+    fraction = 16 - x
     strip = np.minimum(trailing, fraction)
     strip += (strip == fraction) & (fraction > 0)  # no digits after the point: drop it
-    # the 20 digits fill bytes 12..31 of the slot, words 1-3; a shift down
-    # one byte takes the low byte of the next word into the top of each
-    w1 = _QUADS[top.view(np.int64)] << _HALF_WORD
+    # the digits fill bytes 15..31 of the slot, words 1-3; a shift down one
+    # byte takes the low byte of the next word into the top of each
+    w1 = _QUADS[top] << _HALF_WORD
     w2 = _QUADS[q1] | _QUADS[q2] << _HALF_WORD
     w3 = _QUADS[q3] | _QUADS[q4] << _HALF_WORD
     t = _TEMPLATES.take(template, axis=1)
@@ -417,25 +405,25 @@ def _csv_block(counts: np.ndarray, floats: np.ndarray) -> bytes:
     out &= _TAILS.take(strip, axis=1)
     other = np.flatnonzero(~fixed)
     if other.size:
-        text = [b",%.17g" % v for v in floats[other].tolist()]
-        out[:, rows + other] = _slot_words([s.ljust(_SLOT, b"\0") for s in text])
+        text = [(b"\n%.17g" if i < rows else b",%.17g") % v
+                for i, v in zip(other.tolist(), values[other].tolist())]
+        out[:, other] = _slot_words([s.ljust(_SLOT, b"\0") for s in text])
     slots = np.ascontiguousarray(out.reshape(4, -1, rows).T, dtype="<u8").view(np.uint8)
     return slots[slots != 0].tobytes()
 
 
 def _csv(header: list[str], columns: list[np.ndarray]) -> str:
-    """CSV text from an integer first column and float columns.
+    """CSV text of columns of doubles, the first a column of counts.
 
-    Every cell is byte-identical to Python's ``'%d'`` (the first column) or
-    ``'%.17g'`` (the others): 17 significant digits, round-trip exact, with
-    the non-finite values as the literals inf/-inf/nan.
+    Every cell is byte-identical to Python's ``'%.17g'``: 17 significant
+    digits, round-trip exact, with the non-finite values as the literals
+    inf/-inf/nan.  A count must satisfy |count| <= 2**53, the
+    ``_MAX_GRID_SIZE`` bound, where its double's ``'%.17g'`` is its ``'%d'``.
     """
-    counts = np.asarray(columns[0], dtype=np.int64)
-    floats = np.array(columns[1:], dtype=np.float64)
+    table = np.array(columns, dtype=np.float64)
     parts = [",".join(header).encode()]
-    for start in range(0, counts.size, _CSV_BLOCK_ROWS):
-        stop = start + _CSV_BLOCK_ROWS
-        parts.append(_csv_block(counts[start:stop], floats[:, start:stop].ravel()))
+    for start in range(0, table.shape[1], _CSV_BLOCK_ROWS):
+        parts.append(_csv_block(table[:, start:start + _CSV_BLOCK_ROWS]))
     parts.append(b"\n")
     return b"".join(parts).decode("ascii")
 

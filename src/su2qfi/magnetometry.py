@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnphysicalStateError
-from .scheme import MERGED, SchemeConfig, design_control
+from .scheme import MERGED, SchemeConfig, check_segment_time, design_control
 
 PARAMETER_NAMES = ("B", "theta", "phi")
 
@@ -148,8 +148,10 @@ def precision_curves(
     information (oscillation nulls, azimuth at a pole) are reported as
     infinite rather than raising; information that overflows double precision
     raises ``OverflowError``.  Each entry is attainable on its own with either
-    probe; only the entangled probe attains all three at once.
+    probe; only the entangled probe attains all three at once.  A segment
+    time that is not a finite, positive number raises ``ValueError``.
     """
+    check_segment_time(segment_time)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     n = np.arange(1, n_max + 1)

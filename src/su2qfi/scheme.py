@@ -28,6 +28,14 @@ PRODUCT = "product"
 _ZERO3 = np.zeros(3)
 
 
+def check_segment_time(time) -> None:
+    """``ValueError`` unless ``time`` is a finite, positive real number (not a bool)."""
+    if type(time) is not float and (type(time) is bool or not isinstance(time, numbers.Real)):
+        raise ValueError(f"segment_time must be a number, got {time!r}")
+    if not (math.isfinite(time) and time > 0):
+        raise ValueError("segment_time must be finite and positive")
+
+
 @dataclass(frozen=True, eq=False)
 class SchemeConfig:
     """Full description of a sequential estimation scheme.
@@ -61,11 +69,7 @@ class SchemeConfig:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.n_params < 1:
             raise ValueError("a scheme needs at least one parameter")
-        time = self.segment_time
-        if type(time) is not float and (type(time) is bool or not isinstance(time, numbers.Real)):
-            raise ValueError(f"segment_time must be a number, got {time!r}")
-        if not (math.isfinite(time) and time > 0):
-            raise ValueError("segment_time must be finite and positive")
+        check_segment_time(self.segment_time)
         count = self.segment_count
         if count < 1:
             raise ValueError(f"segment_count must be a positive integer, got {count!r}")
@@ -226,11 +230,13 @@ def gap_profile(
 
     Rows are ordered segment-count-major, then by the order of
     ``alpha_grid``.  The defaults match the landscape used throughout the
-    tests: t = 1, |X| = 2, |dX| = 1.  An entry that overflows double
-    precision raises ``OverflowError``.
+    tests: t = 1, |X| = 2, |dX| = 1.  A segment time ``t`` that is not a
+    finite, positive number raises ``ValueError``, and an entry that
+    overflows double precision ``OverflowError``.
     """
     from .qfi import qfi_max_from_angle
 
+    check_segment_time(t)
     n = np.asarray(n_values)
     alpha = np.asarray(alpha_grid, dtype=float)
     if n.size == 0 or alpha.size == 0:

@@ -103,6 +103,7 @@ class TestRunConfig:
             ({"t": 10**400}, "non-finite"),  # an integer too large to be a float
             ({"scenario": "generic", "gradients": [[1, 0, 0]], "x": [0, 0]}, "parameter-point"),
             ({"control": "adaptive"}, "unknown-control"),
+            ({"n_max": 0}, "invalid-segment-count"),
         ],
     )
     def test_distinct_error_codes(self, data, code):
@@ -211,6 +212,9 @@ class TestGridInputValidation:
             (("report", "--B", "1.7e308", "--control", "none"), "overflow"),
             (("report", "--x-tilde", "1e308", "0.5", "0"), "overflow"),
             (("report", "--B", "1.7e308", "--mode", "product", "--control", "none"), "overflow"),
+            # counts just past 2**53, which a float64 grid cannot hold exactly
+            (("curves", "--n-max", "9007199254740993"), "grid-too-large"),
+            (("sweep-alpha", "--n-values", "9007199254740993"), "grid-too-large"),
         ],
     )
     def test_rejected_with_one_error_line(self, capsys, argv, code):
@@ -618,6 +622,14 @@ class TestSweepAlpha:
             for cell in row[1:]:
                 assert f"{float(cell):.17g}" == cell
 
+    def test_largest_count_prints_exactly(self, capsys):
+        code, out, _ = run_main(
+            capsys, "sweep-alpha", "--n-values", "1", "9007199254740992", "--alpha-count", "2"
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["1", "1", "9007199254740992", "9007199254740992"]
+
     def test_empty_grid_exits_2(self, capsys):
         code, _, err = run_main(capsys, "sweep-alpha", "--alpha-count", "0")
         assert code == 2
@@ -713,7 +725,7 @@ class TestCsvFormat:
     def test_matches_percent_formatting(self, data):
         rows = data.draw(st.integers(1, 30))
         k = data.draw(st.integers(1, 4))
-        counts = data.draw(st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(0, 2**53),
+        counts = data.draw(st.lists(st.integers(-(2**53), 2**53),
                                     min_size=rows, max_size=rows))
         floats = [data.draw(st.lists(_CELLS, min_size=rows, max_size=rows)) for _ in range(k)]
         assert_csv_contract(counts, *floats)
@@ -738,7 +750,7 @@ class TestCsvFormat:
 
     def test_largest_count_and_one_row(self):
         assert_csv_contract([2**53], [0.1], [-1.5], [1e300])
-        assert_csv_contract([2**63 - 1, -(2**63), 0, -7], [np.nan, np.inf, -np.inf, -0.0])
+        assert_csv_contract([2**53, -(2**53), 0, -7], [np.nan, np.inf, -np.inf, -0.0])
 
     def test_table_longer_than_a_block(self):
         rows = 2 * su2qfi.cli._CSV_BLOCK_ROWS + 3

@@ -483,6 +483,9 @@ class TestPrecisionCurves:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             precision_curves(POINT, 1.0, 0, True)
+        for t in (0.0, -1.0, math.nan, math.inf, "1", True):
+            with pytest.raises(ValueError, match="segment_time"):
+                precision_curves(POINT, t, 3, True)
 
     @pytest.mark.parametrize(
         "p, t, controlled",

@@ -396,6 +396,11 @@ class TestGapProfile:
         with pytest.raises(ValueError):
             gap_profile([], [0.1])
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf, "1", True])
+    def test_bad_segment_time_rejected(self, t):
+        with pytest.raises(ValueError, match="segment_time"):
+            gap_profile([1, 2], [0.5], t=t)
+
     @pytest.mark.parametrize(
         "kwargs", [dict(t=1e300), dict(dx_norm=1e300), dict(x_norm=1e308, t=1e10)]
     )
