@@ -19,10 +19,12 @@ literals.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import re
+import stat
 import sys
 import traceback
 from dataclasses import asdict, dataclass, fields, replace
@@ -239,11 +241,35 @@ def _build_scheme(cfg: RunConfig) -> tuple[SchemeConfig, np.ndarray, tuple]:
 
 
 def _write_text(text: str, out_path: str | None):
+    """Print ``text``, or write its UTF-8 bytes to ``out_path``.
+
+    The file is rewritten in place and then cut to the written length,
+    instead of being truncated to zero when it is opened: on ext4,
+    truncating a file just written was the largest cost of an in-process
+    grid op outside its arithmetic.  A FIFO, ``/dev/null`` or a terminal
+    is not cut.  If a write fails, a regular file is cut back to zero, so
+    no row of an earlier, longer table is left after the bytes written.
+    """
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        return
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+            if regular:
+                os.ftruncate(fd, written)
+        except OSError:
+            if regular:
+                with contextlib.suppress(OSError):
+                    os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
 
 
 # --- CSV formatting ---------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnphysicalStateError
-from .scheme import MERGED, SchemeConfig, check_segment_time, design_control
+from .scheme import MERGED, SchemeConfig, check_segment_count, check_segment_time, design_control
 
 PARAMETER_NAMES = ("B", "theta", "phi")
 
@@ -149,11 +149,11 @@ def precision_curves(
     infinite rather than raising; information that overflows double precision
     raises ``OverflowError``.  Each entry is attainable on its own with either
     probe; only the entangled probe attains all three at once.  A segment
-    time that is not a finite, positive number raises ``ValueError``.
+    time that is not a finite, positive number, or an ``n_max`` that is not
+    an integer of at least 1, raises ``ValueError``.
     """
     check_segment_time(segment_time)
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    check_segment_count(n_max)
     n = np.arange(1, n_max + 1)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below instead
         total_time = n * segment_time

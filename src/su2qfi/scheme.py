@@ -36,6 +36,13 @@ def check_segment_time(time) -> None:
         raise ValueError("segment_time must be finite and positive")
 
 
+def check_segment_count(count) -> None:
+    """``ValueError`` unless ``count`` is an int or numpy integer (not a bool) of at least 1."""
+    kind = type(count)  # an int skips the slower abstract-class check
+    if (kind is not int and (kind is bool or not isinstance(count, numbers.Integral))) or count < 1:
+        raise ValueError(f"segment_count must be a positive integer, got {count!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SchemeConfig:
     """Full description of a sequential estimation scheme.
@@ -63,16 +70,14 @@ class SchemeConfig:
         if not all(map(math.isfinite, control.tolist())):
             raise ValueError(f"the control X_c = {control} is not finite")
         object.__setattr__(self, "control", control)
-        for name, value in (("n_params", self.n_params), ("segment_count", self.segment_count)):
-            kind = type(value)  # an int skips the slower abstract-class check
-            if kind is not int and (kind is bool or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        kind = type(self.n_params)  # an int skips the slower abstract-class check
+        if kind is not int and (kind is bool or not isinstance(self.n_params, numbers.Integral)):
+            raise ValueError(f"n_params must be a positive integer, got {self.n_params!r}")
         if self.n_params < 1:
             raise ValueError("a scheme needs at least one parameter")
         check_segment_time(self.segment_time)
         count = self.segment_count
-        if count < 1:
-            raise ValueError(f"segment_count must be a positive integer, got {count!r}")
+        check_segment_count(count)
         if not math.isfinite(float(count) * self.segment_time):
             raise OverflowError(f"the total time {count} * {self.segment_time:g} overflows")
         if self.mode not in (MERGED, PRODUCT):
@@ -231,12 +236,15 @@ def gap_profile(
     Rows are ordered segment-count-major, then by the order of
     ``alpha_grid``.  The defaults match the landscape used throughout the
     tests: t = 1, |X| = 2, |dX| = 1.  A segment time ``t`` that is not a
-    finite, positive number raises ``ValueError``, and an entry that
+    finite, positive number, or an entry of ``n_values`` that is not an
+    integer of at least 1, raises ``ValueError``, and an entry that
     overflows double precision ``OverflowError``.
     """
     from .qfi import qfi_max_from_angle
 
     check_segment_time(t)
+    for count in n_values:
+        check_segment_count(count)
     n = np.asarray(n_values)
     alpha = np.asarray(alpha_grid, dtype=float)
     if n.size == 0 or alpha.size == 0:

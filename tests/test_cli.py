@@ -1,9 +1,11 @@
 """CLI tests: subcommands, config handling, determinism, exit codes."""
 
 import contextlib
+import errno
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -671,6 +673,68 @@ class TestCurves:
         code_e, out_e, _ = run_main(capsys, *argv, "entangled")
         assert code_p == code_e == 0
         assert out_p == out_e
+
+
+class TestOutputFile:
+    """``--out`` is rewritten in place and cut to the written length."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("curves", "--n-max", "3"), ("sweep-alpha", "--alpha-count", "2"), ("report",),
+         ("--samples", "2", "verify")],
+    )
+    def test_shorter_output_leaves_no_stale_tail(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.csv"
+        assert main(["--out", str(path), "curves", "--n-max", "5000"]) == 0
+        assert path.read_bytes().count(b"\n") == 5001
+        _, expected, _ = run_main(capsys, *argv)
+        code, _, _ = run_main(capsys, "--out", str(path), *argv)
+        assert code == 0
+        assert path.read_bytes() == expected.encode()
+
+    def test_dev_null_is_accepted(self, capsys):
+        code, out, err = run_main(capsys, "--out", os.devnull, "sweep-alpha")
+        assert (code, out, err) == (0, "", "")
+
+    def test_new_file_gets_the_mode_of_open(self, tmp_path):
+        old_umask = os.umask(0o027)
+        try:
+            assert main(["--out", str(tmp_path / "new.csv"), "curves", "--n-max", "2"]) == 0
+            open(tmp_path / "reference.csv", "w").close()
+        finally:
+            os.umask(old_umask)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode)
+                 for name in ("new.csv", "reference.csv")]
+        assert modes[0] == modes[1] == 0o640
+
+    def test_directory_is_an_io_error(self, capsys, tmp_path):
+        code, out, err = run_main(capsys, "--out", str(tmp_path), "curves")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error[io]: ")
+        assert err.count("\n") == 1
+
+    def test_failed_write_leaves_no_byte_of_the_earlier_table(self, capsys, tmp_path,
+                                                               monkeypatch):
+        path = tmp_path / "out.csv"
+        assert main(["--out", str(path), "curves", "--n-max", "5000"]) == 0
+        real_write = os.write
+        calls = []
+
+        def write_then_fail(fd, data):
+            # the first call writes part of the table, the second finds the disk full
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write(fd, data[:100])
+
+        monkeypatch.setattr(os, "write", write_then_fail)
+        code, out, err = run_main(capsys, "--out", str(path), "curves", "--n-max", "3")
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert code == 2
+        assert err.startswith("error[io]: ") and "No space left on device" in err
+        assert path.read_bytes() == b""
 
 
 def percent_csv(header, columns):

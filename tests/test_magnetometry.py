@@ -481,11 +481,17 @@ class TestPrecisionCurves:
         assert all(np.isfinite(table.delta_theta[k]) for k in range(3))
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            precision_curves(POINT, 1.0, 0, True)
+        for n_max in (0, -3, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="segment_count must be a positive integer"):
+                precision_curves(POINT, 1.0, n_max, True)
         for t in (0.0, -1.0, math.nan, math.inf, "1", True):
             with pytest.raises(ValueError, match="segment_time"):
                 precision_curves(POINT, t, 3, True)
+
+    def test_accepts_numpy_integer_n_max(self):
+        table = precision_curves(POINT, 1.0, np.int64(4), True)
+        assert table.n_segments.tolist() == [1, 2, 3, 4]
+        assert table.delta_b.tolist() == precision_curves(POINT, 1.0, 4, True).delta_b.tolist()
 
     @pytest.mark.parametrize(
         "p, t, controlled",

@@ -1069,7 +1069,9 @@ def affine_points(draw, max_params=3):
 
 
 def _unit(v):
-    return v / np.linalg.norm(v)
+    # hypot, not np.linalg.norm: a tiny generator's squares are subnormal, and
+    # their square root is then off by up to 1e-12, past check_bloch's slack
+    return v / math.hypot(*v.tolist())
 
 
 def _smallest_nonzero(values):

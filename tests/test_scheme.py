@@ -55,7 +55,7 @@ class TestSchemeConfig:
         with pytest.raises(ValueError, match="at least one parameter"):
             replace(linear_scheme([1, 0, 0], [0, 1, 0]), n_params=0)
 
-    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, "3", -3, 0])
     def test_rejects_non_integer_segment_count(self, n):
         with pytest.raises(ValueError, match="segment_count must be a positive integer"):
             linear_scheme([1, 0, 0], [0, 1, 0], n=n)
@@ -400,6 +400,16 @@ class TestGapProfile:
     def test_bad_segment_time_rejected(self, t):
         with pytest.raises(ValueError, match="segment_time"):
             gap_profile([1, 2], [0.5], t=t)
+
+    @pytest.mark.parametrize("n", [2.5, -3, 0, True, np.float64(2.0), "3"])
+    def test_bad_segment_count_rejected(self, n):
+        with pytest.raises(ValueError, match="segment_count must be a positive integer"):
+            gap_profile([1, n], [0.5])
+
+    def test_accepts_numpy_integer_segment_counts(self):
+        table = gap_profile(np.array([3, 5]), [0.0, 1.0])
+        assert table.n_segments.tolist() == [3, 3, 5, 5]
+        assert gap_profile([np.int32(5)], [1.0]).gap[0] == gap_profile([5], [1.0]).gap[0]
 
     @pytest.mark.parametrize(
         "kwargs", [dict(t=1e300), dict(dx_norm=1e300), dict(x_norm=1e308, t=1e10)]

@@ -16,7 +16,9 @@ Prints four sha256 digests:
 - ``grid``: over ``GridSweep.digest`` of every op of the benchmark's
   grid-sweep pools of seeds 1, 2, 3, 7 and 17 (100 ops each, in pool order):
   the sha256 of the CSV bytes that in-process ``cli.main`` writes for the
-  op's ``sweep-alpha`` or ``curves`` table, plus its exit code.
+  op's ``sweep-alpha`` or ``curves`` table, plus its exit code.  Every op
+  writes to one path, in pool order, so a stale tail that a longer earlier
+  table left behind would move the digest.
 
 A change that claims bit-identical output must leave every digest as it
 was on its parent commit.  No value is pinned here: libm's sin and cos may
