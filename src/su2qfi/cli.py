@@ -243,18 +243,25 @@ def _build_scheme(cfg: RunConfig) -> tuple[SchemeConfig, np.ndarray, tuple]:
 def _write_text(text: str, out_path: str | None):
     """Print ``text``, or write its UTF-8 bytes to ``out_path``.
 
-    The file is rewritten in place and then cut to the written length,
-    instead of being truncated to zero when it is opened: on ext4,
-    truncating a file just written was the largest cost of an in-process
-    grid op outside its arithmetic.  A FIFO, ``/dev/null`` or a terminal
-    is not cut.  If a write fails, a regular file is cut back to zero, so
-    no row of an earlier, longer table is left after the bytes written.
+    An existing file is rewritten in place and then cut to the written
+    length, instead of being truncated to zero when it is opened: on ext4,
+    truncating frees the file's blocks, and that was most of the cost of
+    rewriting an existing table, whether or not its earlier write had
+    reached the disk (``tools/out_write_cost.py`` prices it).  A new file
+    gains nothing.  A FIFO, ``/dev/null`` or a terminal is not cut.  If the
+    write or the cut raises anything, ``KeyboardInterrupt`` included, a
+    regular file is cut back to zero.  The price of skipping the truncation:
+    a process killed between the write and the cut, or a crash before the
+    data reach the disk, can leave the new rows followed by, or mixed with,
+    rows of the earlier table, where a truncating open left at worst a
+    short or empty file.
     """
     if out_path is None:
         sys.stdout.write(text)
         return
     data = memoryview(text.encode("utf-8"))
-    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+    # O_BINARY, where it exists, keeps os.write from translating newlines
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     try:
         regular = stat.S_ISREG(os.fstat(fd).st_mode)
         try:
@@ -263,7 +270,7 @@ def _write_text(text: str, out_path: str | None):
                 written += os.write(fd, data[written:])
             if regular:
                 os.ftruncate(fd, written)
-        except OSError:
+        except BaseException:
             if regular:
                 with contextlib.suppress(OSError):
                     os.ftruncate(fd, 0)

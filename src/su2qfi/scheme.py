@@ -36,11 +36,16 @@ def check_segment_time(time) -> None:
         raise ValueError("segment_time must be finite and positive")
 
 
+def _check_positive_int(value, message: str) -> None:
+    """``ValueError`` unless ``value`` is an int or numpy integer (not a bool) of at least 1."""
+    kind = type(value)  # an int skips the slower abstract-class check
+    if (kind is not int and (kind is bool or not isinstance(value, numbers.Integral))) or value < 1:
+        raise ValueError(f"{message}, got {value!r}")
+
+
 def check_segment_count(count) -> None:
     """``ValueError`` unless ``count`` is an int or numpy integer (not a bool) of at least 1."""
-    kind = type(count)  # an int skips the slower abstract-class check
-    if (kind is not int and (kind is bool or not isinstance(count, numbers.Integral))) or count < 1:
-        raise ValueError(f"segment_count must be a positive integer, got {count!r}")
+    _check_positive_int(count, "segment_count must be a positive integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,11 +75,9 @@ class SchemeConfig:
         if not all(map(math.isfinite, control.tolist())):
             raise ValueError(f"the control X_c = {control} is not finite")
         object.__setattr__(self, "control", control)
-        kind = type(self.n_params)  # an int skips the slower abstract-class check
-        if kind is not int and (kind is bool or not isinstance(self.n_params, numbers.Integral)):
-            raise ValueError(f"n_params must be a positive integer, got {self.n_params!r}")
-        if self.n_params < 1:
-            raise ValueError("a scheme needs at least one parameter")
+        _check_positive_int(
+            self.n_params, "n_params must be a positive integer: a scheme needs at least one parameter"
+        )
         check_segment_time(self.segment_time)
         count = self.segment_count
         check_segment_count(count)

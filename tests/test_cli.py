@@ -736,6 +736,38 @@ class TestOutputFile:
         assert err.startswith("error[io]: ") and "No space left on device" in err
         assert path.read_bytes() == b""
 
+    def test_interrupted_write_leaves_no_byte_of_the_earlier_table(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        assert main(["--out", str(path), "curves", "--n-max", "5000"]) == 0
+        real_write = os.write
+
+        def write_then_interrupt(fd, data):
+            # Ctrl-C arrives after part of the shorter table is written
+            real_write(fd, data[:100])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "write", write_then_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["--out", str(path), "curves", "--n-max", "3"])
+        monkeypatch.undo()
+        assert path.read_bytes() == b""
+
+    def test_opens_in_binary_mode_where_the_os_has_one(self, tmp_path, monkeypatch):
+        # on Windows, os.open without O_BINARY writes each newline as \r\n
+        o_binary = 0x8000
+        monkeypatch.setattr(os, "O_BINARY", o_binary, raising=False)
+        real_open = os.open
+        flags = []
+
+        def record_flags(path, flag, mode=0o777):
+            flags.append(flag)
+            return real_open(path, flag & ~o_binary, mode)
+
+        monkeypatch.setattr(os, "open", record_flags)
+        assert main(["--out", str(tmp_path / "out.csv"), "curves", "--n-max", "2"]) == 0
+        monkeypatch.undo()
+        assert len(flags) == 1 and flags[0] & o_binary
+
 
 def percent_csv(header, columns):
     """The CSV contract: Python's '%d' for the first column, '%.17g' for the rest."""
