@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import check_bloch
-from .errors import InexactCompositionError, Su2QfiError, UnphysicalStateError
+from .errors import Su2QfiError, UnphysicalStateError
 from .magnetometry import (
     PARAMETER_NAMES,
     FieldPoint,
@@ -243,18 +243,12 @@ def _build_scheme(cfg: RunConfig) -> tuple[SchemeConfig, np.ndarray, tuple]:
 def _write_text(text: str, out_path: str | None):
     """Print ``text``, or write its UTF-8 bytes to ``out_path``.
 
-    An existing file is rewritten in place and then cut to the written
-    length, instead of being truncated to zero when it is opened: on ext4,
-    truncating frees the file's blocks, and that was most of the cost of
-    rewriting an existing table, whether or not its earlier write had
-    reached the disk (``tools/out_write_cost.py`` prices it).  A new file
-    gains nothing.  A FIFO, ``/dev/null`` or a terminal is not cut.  If the
-    write or the cut raises anything, ``KeyboardInterrupt`` included, a
-    regular file is cut back to zero.  The price of skipping the truncation:
-    a process killed between the write and the cut, or a crash before the
-    data reach the disk, can leave the new rows followed by, or mixed with,
-    rows of the earlier table, where a truncating open left at worst a
-    short or empty file.
+    The file is rewritten in place and cut to the written length; a file
+    that is not regular, such as a FIFO, ``/dev/null`` or a terminal, is not
+    cut.  Any exception during the write or the cut, ``KeyboardInterrupt``
+    included, cuts a regular file to zero.  A crash between the write and
+    the cut, or before the data reach the disk, can leave rows of the
+    earlier table.  ``tools/out_write_cost.py`` prices the rewrite.
     """
     if out_path is None:
         sys.stdout.write(text)
@@ -472,44 +466,36 @@ def _json_safe(obj):
     return obj
 
 
-def cmd_report(cfg: RunConfig, out_path: str | None) -> int:
+def cmd_report(cfg: RunConfig) -> str:
     scheme, x, names = _build_scheme(cfg)
     probe_kind = ENTANGLED_WITH_ANCILLA if cfg.probe == "entangled" else PURE_QUBIT
     r = np.asarray(cfg.r, dtype=float) if cfg.probe == "pure" else None
     report = build_report(scheme, x, probe_kind, r=r, parameter_names=names)
     document = {"version": __version__, "config": cfg.to_dict()}
     document.update(report.to_dict())
-    _write_text(json.dumps(_json_safe(document), indent=2) + "\n", out_path)
-    return 0
+    return json.dumps(_json_safe(document), indent=2) + "\n"
 
 
-def cmd_sweep_alpha(cfg: RunConfig, out_path: str | None) -> int:
+def cmd_sweep_alpha(cfg: RunConfig) -> str:
     alphas = np.linspace(0.0, np.pi, cfg.alpha_count)
     table = gap_profile(cfg.n_values, alphas, cfg.t, cfg.x_norm, cfg.dx_norm)
     columns = [table.n_segments, table.alpha, table.uncontrolled_max, table.controlled_limit,
                table.gap]
-    _write_text(
-        _csv(["N", "alpha", "uncontrolled_max", "controlled_limit", "gap"], columns), out_path
-    )
-    return 0
+    return _csv(["N", "alpha", "uncontrolled_max", "controlled_limit", "gap"], columns)
 
 
-def cmd_curves(cfg: RunConfig, out_path: str | None) -> int:
+def cmd_curves(cfg: RunConfig) -> str:
     point = FieldPoint(cfg.B, cfg.theta, cfg.phi)
     table = precision_curves(point, cfg.t, cfg.n_max, cfg.controlled)
     columns = [table.n_segments, table.total_time, table.delta_b, table.delta_theta,
                table.delta_phi]
-    _write_text(_csv(["N", "T", "dB", "dtheta", "dphi"], columns), out_path)
-    return 0
+    return _csv(["N", "T", "dB", "dtheta", "dphi"], columns)
 
 
-def cmd_verify(seed: int, samples: int, tolerance_scale: float, out_path: str | None) -> int:
+def cmd_verify(seed: int, samples: int, tolerance_scale: float) -> tuple[str, int]:
+    """The summary and the exit status: 1 if any check failed."""
     results = run_all(seed, samples, tolerance_scale)
-    text = summarize(results, seed)
-    _write_text(text, out_path)
-    if out_path is not None:
-        sys.stdout.write(text)
-    return 0 if all(r.passed for r in results) else 1
+    return summarize(results, seed), 0 if all(r.passed for r in results) else 1
 
 
 def _add_override_flags(parser: argparse.ArgumentParser, names: list[str]):
@@ -561,7 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum Fisher information for su(2) parametrization processes",
     )
     parser.add_argument("--config", default=None, help="flat JSON config file")
-    parser.add_argument("--out", default=None, help="output path (default stdout)")
+    parser.add_argument(
+        "--out", default=None, help="output path (default stdout; verify also prints its summary)"
+    )
     parser.add_argument("--seed", type=int, default=20220, help="seed for randomized suites")
     parser.add_argument("--samples", type=int, default=200, help="samples per randomized suite")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -618,20 +606,20 @@ def main(argv: list[str] | None = None) -> int:
                     "invalid-tolerance-scale",
                     f"--tolerance-scale must be nonnegative, got {args.tolerance_scale}",
                 )
-            return cmd_verify(args.seed, args.samples, args.tolerance_scale, args.out)
-        # looked up per call, so a replaced cmd_* function is the one that runs
-        command = {"report": cmd_report, "sweep-alpha": cmd_sweep_alpha, "curves": cmd_curves}
-        cfg = _load_config(args)
-        # a value that leaves the float range raises instead of printing inf or nan
-        with np.errstate(over="raise", invalid="raise"):
-            return command[args.command](cfg, args.out)
-    except ConfigError as exc:
+            text, status = cmd_verify(args.seed, args.samples, args.tolerance_scale)
+        else:
+            # looked up per call, so a replaced cmd_* function is the one that runs
+            command = {"report": cmd_report, "sweep-alpha": cmd_sweep_alpha, "curves": cmd_curves}
+            cfg = _load_config(args)
+            # a value that leaves the float range raises instead of printing inf or nan
+            with np.errstate(over="raise", invalid="raise"):
+                text, status = command[args.command](cfg), 0
+        _write_text(text, args.out)
+        if args.command == "verify" and args.out is not None:
+            sys.stdout.write(text)
+        return status
+    except (ConfigError, Su2QfiError) as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
-        return 2
-    except Su2QfiError as exc:
-        inexact = isinstance(exc, InexactCompositionError)
-        code = "product-mode-inexact" if inexact else type(exc).__name__
-        print(f"error[{code}]: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         # finite inputs whose results, such as the information (T |dX|)^2,

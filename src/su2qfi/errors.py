@@ -4,6 +4,11 @@
 class Su2QfiError(ValueError):
     """Base class for all su2qfi errors."""
 
+    @property
+    def code(self) -> str:
+        """The name the CLI prints in ``error[code]:``; the class name by default."""
+        return type(self).__name__
+
 
 class DegenerateVectorError(Su2QfiError):
     """A zero-length vector was given where a direction is required."""
@@ -23,3 +28,5 @@ class DimensionalityError(Su2QfiError):
 
 class InexactCompositionError(Su2QfiError):
     """The closed forms do not describe the scheme's composition exactly."""
+
+    code = "product-mode-inexact"

@@ -21,6 +21,13 @@ from hypothesis import strategies as st
 
 import su2qfi
 from su2qfi.cli import ConfigError, RunConfig, _csv, build_parser, main
+from su2qfi.errors import InexactCompositionError, Su2QfiError
+
+# every error class the library defines, the base class included
+_SU2QFI_ERRORS = [
+    cls for cls in vars(su2qfi.errors).values()
+    if isinstance(cls, type) and issubclass(cls, Su2QfiError)
+]
 
 
 def run_main(capsys, *argv):
@@ -169,7 +176,7 @@ class TestConfigFileErrors:
         assert err.count("\n") == 1
 
     def test_unexpected_exception_is_internal_error(self, capsys, monkeypatch):
-        def broken(cfg, out):
+        def broken(cfg):
             raise RuntimeError("injected\ndefect")
 
         monkeypatch.setattr(su2qfi.cli, "cmd_report", broken)
@@ -178,6 +185,23 @@ class TestConfigFileErrors:
         assert out == ""
         assert err.startswith("error[internal]: RuntimeError(")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "error,code",
+        [(cls("injected"), "product-mode-inexact" if cls is InexactCompositionError
+          else cls.__name__) for cls in _SU2QFI_ERRORS]
+        + [(ConfigError("some-code", "injected"), "some-code")],
+        ids=lambda value: value if isinstance(value, str) else type(value).__name__,
+    )
+    def test_every_library_error_is_one_coded_line(self, capsys, monkeypatch, error, code):
+        def raising(cfg):
+            raise error
+
+        monkeypatch.setattr(su2qfi.cli, "cmd_report", raising)
+        exit_code, out, err = run_main(capsys, "report")
+        assert exit_code == 2
+        assert out == ""
+        assert err == f"error[{code}]: injected\n"
 
 
 class TestGridInputValidation:
@@ -681,16 +705,20 @@ class TestOutputFile:
     @pytest.mark.parametrize(
         "argv",
         [("curves", "--n-max", "3"), ("sweep-alpha", "--alpha-count", "2"), ("report",),
-         ("--samples", "2", "verify")],
+         ("--samples", "2", "verify"),
+         # a failing verify exits 1 after its summary is written
+         ("--samples", "2", "verify", "--tolerance-scale", "0")],
     )
     def test_shorter_output_leaves_no_stale_tail(self, capsys, tmp_path, argv):
         path = tmp_path / "out.csv"
         assert main(["--out", str(path), "curves", "--n-max", "5000"]) == 0
         assert path.read_bytes().count(b"\n") == 5001
-        _, expected, _ = run_main(capsys, *argv)
-        code, _, _ = run_main(capsys, "--out", str(path), *argv)
-        assert code == 0
+        status, expected, _ = run_main(capsys, *argv)
+        code, out, _ = run_main(capsys, "--out", str(path), *argv)
+        assert code == status == (1 if "--tolerance-scale" in argv else 0)
         assert path.read_bytes() == expected.encode()
+        # only verify also prints what it writes to --out
+        assert out == (expected if "verify" in argv else "")
 
     def test_dev_null_is_accepted(self, capsys):
         code, out, err = run_main(capsys, "--out", os.devnull, "sweep-alpha")
