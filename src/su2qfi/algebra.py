@@ -182,20 +182,31 @@ def check_bloch(r) -> np.ndarray:
 
 
 def check_density(probe) -> np.ndarray:
-    """``probe`` as a complex 2x2 or 4x4 matrix; ``UnphysicalStateError``
-    unless it has unit trace, is Hermitian and has no eigenvalue below
-    ``-PURITY``, the first two each within ``PURITY`` (NaN fails)."""
+    """``probe`` as a complex 2x2 or 4x4 matrix, or a stack of them with
+    leading sample axes; ``UnphysicalStateError`` unless each has unit trace,
+    is Hermitian and has no eigenvalue below ``-PURITY``, the first two each
+    within ``PURITY`` (NaN fails).  The error names the first failing sample
+    of a stack, as ``probe[i]``, and its first failing rule."""
     probe = np.asarray(probe, dtype=complex)
-    if probe.ndim != 2 or probe.shape[0] != probe.shape[1] or probe.shape[0] not in (2, 4):
+    if probe.ndim < 2 or probe.shape[-1] != probe.shape[-2] or probe.shape[-1] not in (2, 4):
         raise UnphysicalStateError("probe must be a 2x2 or 4x4 density matrix")
-    if not abs(np.trace(probe) - 1.0) <= PURITY:
-        raise UnphysicalStateError(f"probe trace {np.trace(probe)} is not 1")
-    if not np.abs(probe - probe.conj().T).max() <= PURITY:
-        raise UnphysicalStateError("probe is not Hermitian")
-    smallest = np.linalg.eigvalsh(probe)[0]
-    if not smallest >= -PURITY:
-        raise UnphysicalStateError(f"probe has the negative eigenvalue {smallest}")
-    return probe
+    traces = np.trace(probe, axis1=-2, axis2=-1)
+    trace_ok = np.abs(traces - 1.0) <= PURITY
+    hermitian = np.abs(probe - probe.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= PURITY
+    smallest = np.zeros(traces.shape)
+    ok = trace_ok & hermitian
+    # eigvalsh reads one triangle; a NaN must not reach it
+    smallest[ok] = np.linalg.eigvalsh(probe[ok])[..., 0]
+    ok &= smallest >= -PURITY
+    if ok.all():
+        return probe
+    first = np.unravel_index(np.argmin(ok), ok.shape)
+    name = f"probe[{', '.join(map(str, first))}]" if first else "probe"
+    if not trace_ok[first]:
+        raise UnphysicalStateError(f"{name} trace {traces[first]} is not 1")
+    if not hermitian[first]:
+        raise UnphysicalStateError(f"{name} is not Hermitian")
+    raise UnphysicalStateError(f"{name} has the negative eigenvalue {smallest[first]}")
 
 
 def density(r) -> np.ndarray:

@@ -172,8 +172,9 @@ def series_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
 
 def generators_from_derivatives(u: np.ndarray, du: np.ndarray) -> np.ndarray:
     """Hermitian part of i (dU^dag) U for each derivative dU of the unitary ``u``
-    stacked in ``du``: the one form of the generator finite differences measure."""
-    gen = 1j * du.conj().swapaxes(-1, -2) @ u
+    stacked in ``du``: the one form of the generator finite differences measure.
+    ``u`` is ``(..., 2, 2)`` and ``du`` ``(..., d, 2, 2)``, leading axes one per sample."""
+    gen = 1j * du.conj().swapaxes(-1, -2) @ u[..., None, :, :]
     return (gen + gen.conj().swapaxes(-1, -2)) / 2.0
 
 

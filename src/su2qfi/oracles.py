@@ -5,8 +5,10 @@ matrix computation: variance/covariance traces for the information
 quantities, and central finite differences of the total unitary
 (``scheme.unitary_derivatives``) for the SLD operators and the
 entangled-probe QFIM.  The oracles deliberately share no algebra with the
-closed forms they check.  Every trace is ``np.trace`` over the last two
-axes, so one call takes a whole stack of 2x2 or 4x4 samples.
+closed forms they check.  Every oracle but ``entangled_qfim_fd`` works on
+explicit matrices with leading sample axes, so one call takes a whole stack
+of 2x2 or 4x4 samples; ``sld_oracle`` takes U and dU, which
+``unitary_derivatives`` builds one scheme at a time.
 ``qfi.entangled_weak_comm``, a 4x4 matrix check rather than a closed form,
 takes its trace from ``weak_comm_trace_oracle``.
 """
@@ -54,9 +56,22 @@ def qfim_trace_oracle(h_mats, rho: np.ndarray) -> np.ndarray:
     return 4.0 * (sym - cross).real
 
 
-def weak_comm_trace_oracle(h_a: np.ndarray, h_b: np.ndarray, rho: np.ndarray):
-    """Tr[[H_a, H_b] rho] on explicit matrices, broadcast over stacks of H_a, H_b and rho."""
-    return np.trace((h_a @ h_b - h_b @ h_a) @ rho, axis1=-2, axis2=-1)
+def weak_comm_trace_oracle(h: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Tr[[H_a, H_b] rho] for every pair (a, b) of the ``(..., d, n, n)`` stack ``h``.
+
+    ``rho`` is ``(..., n, n)`` and broadcasts against the leading axes of
+    ``h``; the result is ``(..., d, d)``.  P_ab = Tr[H_a H_b rho] comes from
+    one stacked ``h @ rho`` and one ``(d, n^2) @ (n^2, d)`` product, and the
+    traces are P - P^T: exactly antisymmetric, with a zero diagonal.
+    """
+    h = np.asarray(h)
+    h_rho = h @ np.asarray(rho)[..., None, :, :]
+    n2 = h.shape[-1] * h.shape[-2]
+    # P_ab = sum_ij (H_a)_ij (H_b rho)_ji, so H_b rho enters transposed
+    left = h.reshape(h.shape[:-2] + (n2,))
+    right = h_rho.swapaxes(-1, -2).reshape(h_rho.shape[:-2] + (n2,))
+    pairs = left @ right.swapaxes(-1, -2)
+    return pairs - pairs.swapaxes(-1, -2)
 
 
 def entangled_qfi_oracle(gen):
@@ -99,27 +114,30 @@ class SldOracleResult:
     residuals: np.ndarray
 
 
-def sld_oracle(scheme: SchemeConfig, x, probe: np.ndarray) -> SldOracleResult:
-    """SLD operators L = 2 (dU) U^dag by central differences.
+def sld_oracle(u: np.ndarray, du: np.ndarray, probe: np.ndarray) -> SldOracleResult:
+    """SLD operators L = 2 (dU) U^dag from the central differences dU of U.
 
-    U and dU come from ``scheme.unitary_derivatives``.  The probe may live on
-    the bare qubit (2x2) or on qubit plus ancilla (4x4), where the dynamics
-    acts as U (x) I.  The generators i (dU^dag) U, symmetrized, are read off
-    the same differences, and the weak-commutation consistency residual is
-    evaluated for every pair.
+    ``u`` is ``(..., 2, 2)``, ``du`` the ``(..., d, 2, 2)`` stack of its
+    differences and ``probe`` ``(..., n, n)``, leading axes one per sample,
+    as ``scheme.unitary_derivatives`` returns them for one scheme.  Every
+    probe passes ``algebra.check_density``, and all live on the bare qubit
+    (2x2) or all on qubit plus ancilla (4x4), where the dynamics acts as
+    U (x) I.  The generators i (dU^dag) U, symmetrized, are read off the same
+    differences, and the weak-commutation consistency residual is evaluated
+    for every pair.  A zero row of ``du``, such as the padding that stacks
+    samples with fewer parameters, gives zero SLD, generator and residual
+    rows and columns.
     """
     probe = algebra.check_density(probe)
-    u, du = unitary_derivatives(scheme, x)
     gens = generators_from_derivatives(u, du)
-    if probe.shape[0] == 4:
+    if probe.shape[-1] == 4:
         u, du, gens = algebra.lift(u), algebra.lift(du), algebra.lift(gens)
-    rho_x = u @ probe @ u.conj().T
-    slds = 2.0 * du @ u.conj().T
-    # every pair (a, b) in one broadcast: entry (b, a) negates every
-    # operation of entry (a, b) exactly, and the diagonal is exactly zero
-    lhs = weak_comm_trace_oracle(slds[:, None], slds[None, :], rho_x)
-    rhs = -4.0 * weak_comm_trace_oracle(gens[:, None], gens[None, :], probe)
-    gap = lhs - rhs
+    u_dag = u.conj().swapaxes(-1, -2)
+    rho_x = u @ probe @ u_dag
+    slds = 2.0 * du @ u_dag[..., None, :, :]
+    # entry (b, a) of each trace is exactly minus entry (a, b), and the
+    # diagonal is exactly zero
+    gap = weak_comm_trace_oracle(slds, rho_x) + 4.0 * weak_comm_trace_oracle(gens, probe)
     # |gap| as the scalar abs rounds it: numpy's vectorized absolute of a
     # complex array may differ from it in the last bit
     residuals = np.hypot(gap.real, gap.imag)

@@ -13,6 +13,7 @@ idle ancilla makes every residual vanish and the ceiling unconditional.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -25,6 +26,8 @@ from .generators import closed_form_generator
 from .oracles import weak_comm_trace_oracle
 from .scheme import PRODUCT, SchemeConfig
 from .tolerances import ATTAINABILITY, PURITY
+
+_TINY = sys.float_info.min  # the smallest normal double
 
 PURE_QUBIT = "pure_qubit"
 ENTANGLED_WITH_ANCILLA = "entangled_with_ancilla"
@@ -48,26 +51,48 @@ def qfim_pure(gens, r) -> np.ndarray:
     return gens @ gens.T - proj[:, None] * proj[None, :]
 
 
+def _information(total_time, dx_norm, factor=1.0):
+    """T^2 |dX|^2 times ``factor``, a factor in [0, 1], broadcast over the arguments.
+
+    Evaluated as (T^2 |dX|^2) factor.  An entry where T^2 or |dX|^2 is not a
+    normal double, while (T |dX|)^2 may well be, is recomputed from the
+    mantissas of T = m_T 2^e_T and |dX| = m_dX 2^e_dX as
+    m_T^2 m_dX^2 factor 2^(2 e_T + 2 e_dX), an exact rescale that rounds once
+    more.  An entry that is not finite raises ``OverflowError``.
+    """
+    # a Python float's ** raises an errno OverflowError that names nothing; an
+    # np.float64 squares through the same libm pow and overflows to inf
+    total_time, dx_norm = np.float64(total_time), np.float64(dx_norm)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
+        t2, d2 = total_time**2, dx_norm**2
+        info = t2 * d2 * factor
+        normal = (_TINY <= t2) & (t2 < math.inf) & (_TINY <= d2) & (d2 < math.inf)
+        if not normal.all():
+            (m_t, e_t), (m_d, e_d) = np.frexp(total_time), np.frexp(dx_norm)
+            rescaled = np.ldexp(m_t * m_t * (m_d * m_d) * factor, 2 * (e_t + e_d))
+            info = np.where(normal, info, rescaled)[()]
+    if not np.isfinite(info).all():
+        raise OverflowError("the information (T |dX|)^2 or the phase T|X| overflows")
+    return info
+
+
 def qfi_max_from_angle(x_norm, dx_norm, alpha, total_time):
     """Maximal QFI given |X|, |dX|, their angle and the total time.
 
     Evaluated as T^2 |dX|^2 [cos^2(a) + sin^2(a) sinc^2(T|X|/2)], which is
     exact for |X| > 0 and continuous at |X| = 0 where it reaches the ceiling
     T^2 |dX|^2.  The arguments broadcast against each other: array arguments
-    give an array, scalar arguments an ``np.float64``.  An entry that leaves
-    the float range, through the information (T |dX|)^2 or the phase T|X|,
-    raises ``OverflowError``.
+    give an array, scalar arguments an ``np.float64``.  Where T^2 or |dX|^2
+    alone leaves the normal range the entry is rescaled exactly (see
+    ``_information``); an entry that leaves the float range, through the
+    information (T |dX|)^2 or the phase T|X|, raises ``OverflowError``.
     """
-    # a Python float's ** raises an errno OverflowError that names nothing; an
-    # np.float64 squares through the same libm pow and overflows to inf
-    total_time, dx_norm = np.float64(total_time), np.float64(dx_norm)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
+    total_time = np.float64(total_time)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN factor raises in _information
         z_half = total_time * x_norm / 2.0
         sinc = np.sinc(z_half / np.pi)  # sin(z_half)/z_half, exactly 1 at 0
-        info = total_time**2 * dx_norm**2 * (np.cos(alpha) ** 2 + np.sin(alpha) ** 2 * sinc**2)
-    if not np.isfinite(info).all():
-        raise OverflowError("the information (T |dX|)^2 or the phase T|X| overflows")
-    return info
+        factor = np.cos(alpha) ** 2 + np.sin(alpha) ** 2 * sinc**2
+    return _information(total_time, dx_norm, factor)
 
 
 def qfi_max(x_coeff, d_coeff, total_time: float) -> float:
@@ -114,9 +139,9 @@ def entangled_weak_comm(gen_a, gen_b, probe: np.ndarray):
     if gen_a.shape != gen_b.shape or gen_a.shape[-1:] != (3,) or gen_a.ndim > 2:
         shapes = f"{gen_a.shape} and {gen_b.shape}"
         raise DegenerateVectorError(f"expected two 3-vectors or two (s, 3) stacks, got {shapes}")
-    ha, hb = algebra.lift(algebra.su2_element(np.array([gen_a, gen_b])))
+    pair = algebra.lift(algebra.su2_element(np.stack([gen_a, gen_b], axis=-2)))
     projector = probe[:, None] * probe.conj()[None, :]  # np.outer's product
-    traces = weak_comm_trace_oracle(ha, hb, projector)
+    traces = weak_comm_trace_oracle(pair, projector)[..., 0, 1]
     return complex(traces) if gen_a.ndim == 1 else traces
 
 

@@ -243,7 +243,7 @@ def gap_profile(
     integer of at least 1, raises ``ValueError``, and an entry that
     overflows double precision ``OverflowError``.
     """
-    from .qfi import qfi_max_from_angle
+    from .qfi import _information, qfi_max_from_angle
 
     check_segment_time(t)
     for count in n_values:
@@ -257,6 +257,5 @@ def gap_profile(
     with np.errstate(over="ignore"):  # an infinite T raises in qfi_max_from_angle
         total_time = n_col * t
     unc = qfi_max_from_angle(x_norm, dx_norm, alpha_col, total_time)
-    # finite: unc is this ceiling times a positive factor at most 1
-    ceiling = total_time**2 * dx_norm**2
+    ceiling = _information(total_time, dx_norm)
     return GapTable(n_col, alpha_col, unc, ceiling, ceiling - unc)

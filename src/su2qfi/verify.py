@@ -4,8 +4,9 @@ Each suite samples random instances with a seeded generator and runs one of
 the closed forms against its independent matrix oracle.  A suite draws its
 samples in a few bulk calls, as arrays with a leading sample axis.  The
 closed forms under test take one sample per call, as a caller uses them.
-Each trace oracle runs once over the whole stack; the finite-difference
-oracles take one scheme per call.  A check is one ``CheckResult``: the
+Each trace oracle runs once over the whole stack.  The finite differences
+take one scheme per call, but the SLD oracle takes their stacked U and dU,
+once per probe dimension.  A check is one ``CheckResult``: the
 suite creates it with its name and tolerance and records into it an array
 of deviations, one per sample, in sample order.  The check keeps the worst
 deviation and a label of the input that produced it, the first worst in
@@ -35,7 +36,7 @@ from .oracles import (
     weak_comm_trace_oracle,
 )
 from .qfi import entangled_weak_comm, qfim_pure, weak_comm_matrix
-from .scheme import MERGED, PRODUCT, affine_scheme, build_total_unitary
+from .scheme import MERGED, PRODUCT, affine_scheme, build_total_unitary, unitary_derivatives
 
 
 @dataclass
@@ -163,7 +164,7 @@ def qfim_oracle_equivalence(seed: int, samples: int) -> list[CheckResult]:
     qfim_dev.record(np.abs(qfim - qfim_trace_oracle(mats, rho)).max(axis=(1, 2)), *label)
     # every pair at once: the diagonal is exactly 0 on both sides and the
     # lower triangle mirrors the upper one exactly
-    oracle = weak_comm_trace_oracle(mats[:, :, None], mats[:, None, :], rho[:, None, None])
+    oracle = weak_comm_trace_oracle(mats, rho)
     wc_dev.record(np.abs(1j * wc - oracle).max(axis=(1, 2)), *label)
     return [qfi_dev, qfim_dev, wc_dev]
 
@@ -198,7 +199,9 @@ def sld_identity_suite(seed: int, samples: int) -> list[CheckResult]:
     Sample i has d_i = 1 to 3 parameters and uses the first d_i gradient rows
     and point entries drawn for it.  Half of the schemes carry a control,
     and half of the probes are qubit states in the Bloch ball, the others
-    pure states of qubit plus ancilla.
+    pure states of qubit plus ancilla.  Each scheme's U and dU, dU padded
+    with zero rows to d = 3, are stacked, and the oracle runs once over the
+    qubit probes and once over the others.
     """
     rng = np.random.default_rng([seed, 4])
     dev = CheckResult("sld/commutation-identity", 1e-6)
@@ -212,16 +215,21 @@ def sld_identity_suite(seed: int, samples: int) -> list[CheckResult]:
     r = rng.uniform(0.0, 1.0, samples)[:, None] * _random_units(rng, (samples,))
     psi = rng.normal(size=(samples, 4)) + 1j * rng.normal(size=(samples, 4))
     psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
-    worst = []
+    u = np.empty((samples, 2, 2), dtype=complex)
+    du = np.zeros((samples, 3, 2, 2), dtype=complex)
     for i, (d, t) in enumerate(zip(n_params.tolist(), total_time.tolist())):
         scheme = affine_scheme(x0[i], grads[i, :d], control[i], t, 1, MERGED)
-        if qubit[i]:
-            probe = algebra.density(r[i])
-        else:
-            probe = psi[i, :, None] * psi[i].conj()[None, :]  # np.outer's product
-        worst.append(sld_oracle(scheme, x[i, :d], probe).residuals.max())
+        u[i], du[i, :d] = unitary_derivatives(scheme, x[i, :d])
+    worst = np.empty(samples)
+    # I/2 + r.J, algebra.density of each r, and np.outer's product of each psi
+    for mask, probes in (
+        (qubit, algebra.su2_element(r[qubit]) + 0.5 * np.eye(2)),
+        (~qubit, psi[~qubit, :, None] * psi[~qubit].conj()[:, None, :]),
+    ):
+        if mask.any():
+            worst[mask] = sld_oracle(u[mask], du[mask], probes).residuals.max(axis=(1, 2))
     dims = np.where(qubit, 2, 4)
-    dev.record(np.array(worst), "d={} T={:.6g} dim={}".format, n_params, total_time, dims)
+    dev.record(worst, "d={} T={:.6g} dim={}".format, n_params, total_time, dims)
     return [dev]
 
 

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -626,6 +627,19 @@ class TestSweepAlpha:
         row = next(r for r in rows if int(r[0]) == 5 and abs(float(r[1]) - np.pi / 2) < 1e-12)
         assert float(row[4]) == pytest.approx(25.0 - np.sin(5.0) ** 2, abs=1e-12)
         assert float(row[2]) == pytest.approx(np.sin(5.0) ** 2, abs=1e-13)
+
+    def test_information_whose_factors_overflow_when_squared(self, capsys):
+        # |dX|^2 overflows and T^2 underflows, but (T |dX|)^2 is about 1
+        code, out, _ = run_main(
+            capsys, "sweep-alpha", "--n-values", "1", "--alpha-count", "2",
+            "--t", "1e-200", "--dx-norm", "1e200",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 2
+        for row in rows:
+            assert float(row[3]) == pytest.approx(1.0, rel=1e-15)
+            assert all(math.isfinite(float(c)) for c in row)
 
     def test_colinear_rows_have_zero_gap(self, capsys):
         code, out, _ = run_main(capsys, "sweep-alpha")

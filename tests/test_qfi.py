@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from su2qfi import (
     qfim_pure,
     su2_element,
 )
-from su2qfi.algebra import check_bloch
+from su2qfi.algebra import check_bloch, check_density
 from su2qfi.qfi import qfi_max_from_angle, weak_comm_matrix
 from su2qfi.oracles import (
     BELL_PROJECTOR,
@@ -45,7 +46,7 @@ from su2qfi.oracles import (
 from su2qfi import qfi
 from su2qfi.algebra import lift
 from su2qfi.qfi import _precision_bounds, scheme_generators
-from su2qfi.scheme import MERGED, PRODUCT, build_total_unitary
+from su2qfi.scheme import MERGED, PRODUCT, build_total_unitary, unitary_derivatives
 
 RNG = np.random.default_rng(404)
 
@@ -190,15 +191,53 @@ class TestStackedOracles:
     @pytest.mark.parametrize("samples", [1, 2, 7])
     @pytest.mark.parametrize("n", [2, 4])
     def test_weak_comm_trace_oracle_over_every_pair(self, samples, n):
+        # every pair against its explicit trace, and the stack against its samples
         rng = np.random.default_rng(41 + samples)
         h = np.array([[_random_hermitian(rng, n) for _ in range(3)] for _ in range(samples)])
         rho = np.array([_random_state(rng, n) for _ in range(samples)])
-        singles = [
-            [[weak_comm_trace_oracle(h[i, a], h[i, b], rho[i]) for b in range(3)] for a in range(3)]
+        explicit = [
+            [[np.trace((a @ b - b @ a) @ rho[i]) for b in h[i]] for a in h[i]]
             for i in range(samples)
         ]
-        stacked = weak_comm_trace_oracle(h[:, :, None], h[:, None, :], rho[:, None, None])
-        _assert_rows_close(stacked, singles)
+        stacked = weak_comm_trace_oracle(h, rho)
+        _assert_rows_close(stacked, explicit)
+        _assert_rows_close(stacked, [weak_comm_trace_oracle(h[i], rho[i]) for i in range(samples)])
+        assert np.array_equal(stacked, -stacked.swapaxes(-1, -2))
+        assert np.all(np.diagonal(stacked, axis1=-2, axis2=-1) == 0.0)
+
+    @pytest.mark.parametrize("samples", [1, 2, 7])
+    def test_sld_oracle_over_mixed_parameter_counts(self, samples):
+        # d = 1 to 3, dU padded with zero rows to d = 3, then one call per probe dimension
+        rng = np.random.default_rng(59 + samples)
+        schemes = [
+            linear_scheme(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, (1 + k % 3, 3)), t=1.1)
+            for k in range(samples)
+        ]
+        points = [rng.uniform(-1, 1, sch.n_params) for sch in schemes]
+        singles = [unitary_derivatives(sch, x) for sch, x in zip(schemes, points)]
+        u = np.array([one[0] for one in singles])
+        du = np.zeros((samples, 3, 2, 2), dtype=complex)
+        for i, (_, du_i) in enumerate(singles):
+            du[i, : len(du_i)] = du_i
+        for n in (2, 4):
+            probes = np.array([_random_state(rng, n) for _ in range(samples)])
+            stacked = sld_oracle(u, du, probes)
+            for i, ((u_i, du_i), probe) in enumerate(zip(singles, probes)):
+                d = len(du_i)
+                one = sld_oracle(u_i, du_i, probe)
+                # a padded parameter gives exactly zero operators and residual rows and columns
+                res = stacked.residuals[i]
+                assert not res[d:].any() and not res[:, d:].any()
+                for got, expected in (
+                    (stacked.slds[i, :d], one.slds),
+                    (stacked.generators[i, :d], one.generators),
+                ):
+                    assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+                # a residual is rounding noise: relative to its terms Tr[L_a L_b rho_x]
+                terms = np.abs(one.slds).max() ** 2
+                assert np.abs(res[:d, :d] - one.residuals).max() <= 1e-14 * terms
+                assert not stacked.slds[i, d:].any() and not stacked.generators[i, d:].any()
+                assert np.abs(stacked.u_tot[i] - one.u_tot).max() <= 1e-14
 
     @pytest.mark.parametrize("samples", [1, 2, 7])
     def test_entangled_qfi_oracle(self, samples):
@@ -229,8 +268,8 @@ class TestOracleTrace:
         a, b = rng.uniform(-3, 3, (2, 5, 3))
         probe = rng.normal(size=4) + 1j * rng.normal(size=4)
         probe /= np.linalg.norm(probe)
-        ha, hb = lift(su2_element(a)), lift(su2_element(b))
-        expected = weak_comm_trace_oracle(ha, hb, np.outer(probe, probe.conj()))
+        pair = lift(su2_element(np.stack([a, b], axis=1)))
+        expected = weak_comm_trace_oracle(pair, np.outer(probe, probe.conj()))[:, 0, 1]
         assert entangled_weak_comm(a, b, probe).tobytes() == expected.tobytes()
 
     def test_bell_projector_is_the_outer_product(self):
@@ -282,6 +321,18 @@ class TestQfiMax:
         with pytest.raises(OverflowError, match=r"the information \(T \|dX\|\)\^2"):
             qfi_max_from_angle(*args)
 
+    def test_from_angle_rescales_only_the_entries_with_a_square_out_of_range(self):
+        # T = 1e-160 squares to a subnormal; the other entries keep the bits
+        # of (T^2 |dX|^2) times the angle factor
+        t = np.array([1e-160, 0.7, 3.0, 1e-200])
+        dx = np.array([1e150, 2.5, 1e-3, 1e200])
+        got = qfi_max_from_angle(0.0, dx, 0.0, t)
+        assert got[1:3].tobytes() == (t[1:3] ** 2 * dx[1:3] ** 2 * 1.0).tobytes()
+        for value, t_i, dx_i in zip(got[::3], t[::3], dx[::3]):
+            exact = float((Fraction(t_i) * Fraction(dx_i)) ** 2)
+            assert value == pytest.approx(exact, rel=1e-15, abs=0.0)
+        assert isinstance(qfi_max_from_angle(0.0, 1e150, 0.0, 1e-160), np.float64)
+
     def test_from_angle_squares_a_scalar_as_python_does(self):
         # a scalar |dX| goes through libm pow like a Python float, so the
         # sweep-alpha tables keep their bytes
@@ -325,7 +376,7 @@ class TestWeakCommResidual:
         r = np.array([0.0, 0, 1])
         closed = 1j * weak_comm_matrix([a, b], r)[0, 1]
         assert closed == pytest.approx(0.5j, abs=1e-15)
-        oracle = weak_comm_trace_oracle(su2_element(a), su2_element(b), density(r))
+        oracle = weak_comm_trace_oracle(su2_element([a, b]), density(r))[0, 1]
         assert closed == pytest.approx(oracle, abs=1e-13)
 
     def test_matrix_is_antisymmetric_and_matches_the_trace_oracle(self):
@@ -335,12 +386,8 @@ class TestWeakCommResidual:
             r = random_unit(rng) * rng.uniform(0, 1)
             w = weak_comm_matrix(gens, r)
             assert np.array_equal(w, -w.T)
-            for a in range(3):
-                for b in range(3):
-                    oracle = weak_comm_trace_oracle(
-                        su2_element(gens[a]), su2_element(gens[b]), density(r)
-                    )
-                    assert abs(1j * w[a, b] - oracle) < 1e-12
+            oracle = weak_comm_trace_oracle(su2_element(gens), density(r))
+            assert np.abs(1j * w - oracle).max() < 1e-12
 
     def test_purely_imaginary_and_matches_oracle(self):
         for _ in range(300):
@@ -348,7 +395,7 @@ class TestWeakCommResidual:
             r = random_unit() * RNG.uniform(0, 1)
             closed = 1j * weak_comm_matrix([a, b], r)[0, 1]
             assert abs(closed.real) < 1e-13
-            oracle = weak_comm_trace_oracle(su2_element(a), su2_element(b), density(r))
+            oracle = weak_comm_trace_oracle(su2_element([a, b]), density(r))[0, 1]
             assert abs(closed - oracle) < 1e-12
 
 
@@ -391,10 +438,9 @@ class TestEntangledProbe:
             # independent 4x4 trace
             eye = np.eye(2)
             oracle = weak_comm_trace_oracle(
-                np.kron(su2_element(a), eye),
-                np.kron(su2_element(b), eye),
+                np.array([np.kron(su2_element(a), eye), np.kron(su2_element(b), eye)]),
                 np.outer(probe, probe.conj()),
-            )
+            )[0, 1]
             assert val == pytest.approx(oracle, abs=1e-14)
 
     def test_self_commutator_vanishes(self):
@@ -433,7 +479,7 @@ class TestSldOracle:
                 psi = RNG.normal(size=4) + 1j * RNG.normal(size=4)
                 psi /= np.linalg.norm(psi)
                 probe = np.outer(psi, psi.conj())
-            worst = max(worst, sld_oracle(scheme, x, probe).residuals.max())
+            worst = max(worst, sld_oracle(*unitary_derivatives(scheme, x), probe).residuals.max())
         assert worst < 1e-6
 
     def test_conjugated_sld_is_2i_times_generator(self):
@@ -441,7 +487,7 @@ class TestSldOracle:
             np.array([1.0, -0.5, 0.8]), np.array([[0.7, 0.2, -0.4]]), t=2.0
         )
         x = np.array([0.3])
-        result = sld_oracle(scheme, x, density([0, 0, 1]))
+        result = sld_oracle(*unitary_derivatives(scheme, x), density([0, 0, 1]))
         conjugated = result.u_tot.conj().T @ result.slds[0] @ result.u_tot
         assert np.abs(conjugated - 2j * result.generators[0]).max() < 1e-6
 
@@ -451,7 +497,7 @@ class TestSldOracle:
         scheme = linear_scheme([0.4, -1.1, 0.9], RNG.uniform(-1, 1, (3, 3)), t=0.7, n=3)
         x = RNG.uniform(-1, 1, 3)
         probe = density([0, 0, 1]) if dim == 2 else np.eye(4) / 4
-        result = sld_oracle(scheme, x, probe)
+        result = sld_oracle(*unitary_derivatives(scheme, x), probe)
         for ell, gen in enumerate(result.generators):
             expected = numeric_generator(scheme, x, ell)
             if dim == 4:
@@ -465,20 +511,30 @@ class TestSldOracle:
         scheme = linear_scheme(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, (3, 3)), t=1.3)
         x = rng.uniform(-1, 1, 3)
         probe = density([0.6, 0.0, 0.8]) if dim == 2 else np.eye(4) / 4
-        result = sld_oracle(scheme, x, probe)
+        result = sld_oracle(*unitary_derivatives(scheme, x), probe)
         res = result.residuals
         assert res.shape == (3, 3)
         assert np.array_equal(res, res.T)
         assert np.all(np.diag(res) == 0.0)
         u0 = result.u_tot
         rho_x = u0 @ probe @ u0.conj().T
+        slds, gens = result.slds, result.generators
+
+        def commutator_traces(h, rho):
+            # P_ab = Tr[H_a H_b rho] from one h @ rho and one (d, n^2) @ (n^2, d) product
+            pairs = h.reshape(3, -1) @ (h @ rho).swapaxes(-1, -2).reshape(3, -1).T
+            return pairs - pairs.T
+
+        lhs, rhs = commutator_traces(slds, rho_x), commutator_traces(gens, probe)
         for a in range(3):
             for b in range(3):
-                lhs = weak_comm_trace_oracle(result.slds[a], result.slds[b], rho_x)
-                rhs = -4.0 * weak_comm_trace_oracle(
-                    result.generators[a], result.generators[b], probe
-                )
-                assert res[a, b] == abs(lhs - rhs)
+                assert res[a, b] == abs(lhs[a, b] + 4.0 * rhs[a, b])
+        # and each trace against the commutator written out pair by pair, within
+        # 1e-14 of its terms Tr[H_a H_b rho]: on I/4 the traces themselves vanish
+        for traces, h, rho in ((lhs, slds, rho_x), (rhs, gens, probe)):
+            explicit = np.array([[np.trace((a @ b - b @ a) @ rho) for b in h] for a in h])
+            terms = np.array([[np.trace(a @ b @ rho) for b in h] for a in h])
+            assert np.abs(traces - explicit).max() <= 1e-14 * np.abs(terms).max()
 
     def test_residuals_of_random_probes_are_exactly_symmetric_with_a_zero_diagonal(self):
         rng = np.random.default_rng(53)
@@ -488,7 +544,7 @@ class TestSldOracle:
                 rng.uniform(-2, 2, 3), rng.uniform(-2, 2, (d, 3)), t=rng.uniform(0.1, 5)
             )
             probe = _random_state(rng, (2, 4)[k % 2])
-            res = sld_oracle(scheme, rng.uniform(-1, 1, d), probe).residuals
+            res = sld_oracle(*unitary_derivatives(scheme, rng.uniform(-1, 1, d)), probe).residuals
             assert np.array_equal(res, res.T)
             assert np.all(np.diag(res) == 0.0)
 
@@ -499,25 +555,45 @@ class TestSldOracle:
             n_params=1,
             segment_time=1.5,
         )
-        result = sld_oracle(scheme, [0.0], density([1, 0, 0]))
+        result = sld_oracle(*unitary_derivatives(scheme, [0.0]), density([1, 0, 0]))
         assert np.abs(result.slds[0]).max() < 1e-9
 
     def test_invalid_probe_rejected(self):
         scheme = linear_scheme([1, 0, 0], [[0, 1, 0]])
         with pytest.raises(UnphysicalStateError):
-            sld_oracle(scheme, [0.0], np.eye(2))  # trace 2
+            sld_oracle(*unitary_derivatives(scheme, [0.0]), np.eye(2))  # trace 2
 
     def test_three_level_probe_rejected(self):
         scheme = linear_scheme([1, 0, 0], [[0, 1, 0]])
         with pytest.raises(UnphysicalStateError, match="2x2 or 4x4"):
-            sld_oracle(scheme, [0.0], np.eye(3) / 3)
+            sld_oracle(*unitary_derivatives(scheme, [0.0]), np.eye(3) / 3)
 
     @pytest.mark.parametrize("diagonal", [(1.5, -0.5), (1.5, -0.5, 0.0, 0.0)])
     def test_negative_eigenvalue_rejected(self, diagonal):
         # unit trace and Hermitian, but not a state: the qubit one is r = (0, 0, 2)
         scheme = linear_scheme([1, 0, 0], [[0, 1, 0]])
         with pytest.raises(UnphysicalStateError, match="negative eigenvalue"):
-            sld_oracle(scheme, [0.0], np.diag(diagonal))
+            sld_oracle(*unitary_derivatives(scheme, [0.0]), np.diag(diagonal))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.eye(2), r"probe\[3\] trace \(2\+0j\) is not 1"),
+            (np.array([[0.5, 1.0], [0.0, 0.5]]), r"probe\[3\] is not Hermitian"),
+            (np.diag([1.5, -0.5]), r"probe\[3\] has the negative eigenvalue -0.5"),
+        ],
+        ids=["trace", "hermitian", "eigenvalue"],
+    )
+    def test_stacked_check_names_the_failing_sample(self, bad, message):
+        probes = np.array([density([0.0, 0.6, 0.8 * k / 5]) for k in range(6)])
+        probes[3] = bad
+        probes[5] = np.diag([np.nan, 1.0])  # a later failure is not the one named
+        with pytest.raises(UnphysicalStateError, match=message):
+            check_density(probes)
+        scheme = linear_scheme([1, 0, 0], [[0, 1, 0]])
+        u, du = unitary_derivatives(scheme, [0.0])
+        with pytest.raises(UnphysicalStateError, match=message):
+            sld_oracle(np.array([u] * 6), np.array([du] * 6), probes)
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
     def test_nan_density_rejected(self, entry):
@@ -526,7 +602,7 @@ class TestSldOracle:
         probe = density([0, 0, 1])
         probe[entry] = np.nan
         with pytest.raises(UnphysicalStateError):
-            sld_oracle(scheme, [0.0], probe)
+            sld_oracle(*unitary_derivatives(scheme, [0.0]), probe)
 
 
 def four_state_entangled_qfim_fd(scheme, x):
@@ -594,7 +670,7 @@ class TestOraclesAtLargeCoordinates:
         scale = np.abs(closed).max()
         numeric = numeric_generator(scheme, point, 0)
         assert np.abs(numeric - closed).max() <= 1e-6 * scale
-        sld_gen = sld_oracle(scheme, point, density([0, 0, 1])).generators[0]
+        sld_gen = sld_oracle(*unitary_derivatives(scheme, point), density([0, 0, 1])).generators[0]
         assert np.abs(sld_gen - closed).max() <= 1e-6 * scale
         qfim = build_report(scheme, point, ENTANGLED_WITH_ANCILLA).qfim
         assert np.abs(entangled_qfim_fd(scheme, point) - qfim).max() <= 1e-6 * np.abs(qfim).max()

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from su2qfi import (
     su2_exp,
 )
 from su2qfi.generators import numeric_generator
-from su2qfi.oracles import entangled_qfim_fd, sld_oracle
+from su2qfi.oracles import entangled_qfim_fd
 from su2qfi.qfi import ENTANGLED_WITH_ANCILLA, PURE_QUBIT, build_report, scheme_generators
 from su2qfi.scheme import MERGED, PRODUCT, affine_scheme, unitary_derivatives
 
@@ -248,7 +249,6 @@ class TestUnitaryDerivatives:
             lambda: unitary_derivatives(scheme, x),
             lambda: numeric_generator(scheme, x, 0),
             lambda: entangled_qfim_fd(scheme, x),
-            lambda: sld_oracle(scheme, x, np.eye(2) / 2),
             lambda: build_total_unitary(scheme, x),
             lambda: scheme_generators(scheme, x),
             lambda: build_report(scheme, x, ENTANGLED_WITH_ANCILLA),
@@ -419,6 +419,20 @@ class TestGapProfile:
         # a |dX| whose square overflows gets the table's message, not Python's errno
         with pytest.raises(OverflowError, match=r"the information \(T \|dX\|\)\^2"):
             gap_profile([10], [0.5], **kwargs)
+
+    @pytest.mark.parametrize(
+        "t, dx_norm, alpha",
+        [(1e-200, 1e200, 0.5), (1e-160, 1e150, 0.0), (1e-170, 3e160, 1.2), (1e200, 1e-200, 0.5)],
+    )
+    def test_information_whose_squared_factors_leave_the_normal_range(self, t, dx_norm, alpha):
+        # T^2 or |dX|^2 overflows or turns subnormal while (T |dX|)^2 is a normal
+        # double: neither a refusal nor the few bits of a subnormal square
+        table = gap_profile([1], [alpha], t=t, dx_norm=dx_norm)
+        exact = float(Fraction(t) ** 2 * Fraction(dx_norm) ** 2)
+        assert table.controlled_limit[0] == pytest.approx(exact, rel=1e-15, abs=0.0)
+        # |X| = 2: the phase T|X|/2 is T
+        factor = math.cos(alpha) ** 2 + math.sin(alpha) ** 2 * float(np.sinc(t / np.pi)) ** 2
+        assert table.uncontrolled_max[0] == pytest.approx(exact * factor, rel=1e-15, abs=0.0)
 
     def test_matches_direct_maximum(self):
         # table entries agree with the generic maximum on explicit vectors
