@@ -5,10 +5,10 @@ matrix computation: variance/covariance traces for the information
 quantities, and central finite differences of the total unitary
 (``scheme.unitary_derivatives``) for the SLD operators and the
 entangled-probe QFIM.  The oracles deliberately share no algebra with the
-closed forms they check.  Every oracle but ``entangled_qfim_fd`` works on
-explicit matrices with leading sample axes, so one call takes a whole stack
-of 2x2 or 4x4 samples; ``sld_oracle`` takes U and dU, which
-``unitary_derivatives`` builds one scheme at a time.
+closed forms they check.  Every oracle but ``entangled_qfim_fd`` takes
+leading sample axes, so one call takes a whole stack of 2x2 or 4x4 samples;
+``sld_oracle`` takes U and dU, which ``unitary_derivatives`` builds one
+scheme at a time.
 ``qfi.entangled_weak_comm``, a 4x4 matrix check rather than a closed form,
 takes its trace from ``weak_comm_trace_oracle``.
 """
