@@ -152,7 +152,7 @@ class QfimReport:
     ``qfi_max`` holds |Y_l|^2, read off the generators the QFIM is built from;
     ``weak_comm_residuals`` holds the magnitudes |Tr[[H_a, H_b] rho]|;
     ``precision_bounds`` is the single-shot standard-deviation floor per
-    parameter (infinite where the information vanishes); ``attainable``
+    parameter (infinite where the parameter is not identifiable); ``attainable``
     states whether all per-parameter maxima and all residual conditions are
     met simultaneously, within a slack relative to the largest maximum.
     """
@@ -189,39 +189,43 @@ def scheme_generators(scheme: SchemeConfig, x) -> np.ndarray:
     )
 
 
-def _precision_bounds(qfim: np.ndarray, slack: float) -> np.ndarray:
-    """Single-shot standard-deviation floor per parameter of a finite QFIM.
+def _precision_bounds(gens: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Single-shot standard-deviation floor per parameter: 1/dist(Y_l, span O_l).
 
-    1/sqrt of the diagonal when every off-diagonal entry is within ``slack``,
-    else sqrt of the pseudo-inverse's diagonal, which drops singular values at
-    or below ``slack``.  For a parameter with a component in the null space
-    of a rank-deficient QFIM these are not Cramer-Rao bounds: no unbiased
-    estimator of it has finite variance.
+    O_l holds the other rows of ``gens`` and then r, read as a direction (|r|
+    may miss 1 by ``PURITY``): the entangled probe's r = 0 drops out like a
+    zero row.  Scaled by a power of two into [1/2, 1), a vector joins the basis
+    a, b where its cross or triple product with it is not exactly 0; a third
+    spans R^3: dist = 0.  Else dist is |Y_l.(a x b)|/|a x b|, |Y_l x a|/|a| or
+    |Y_l|: Cramer's rule where the QFIM F is invertible, else e_l^T F^+ e_l
+    where e_l lies in range(F), and inf where it does not.
     """
-    # at most nine entries: Python floats round like numpy's and skip its dispatch
-    rows = qfim.tolist()
-    diag = [row[a] for a, row in enumerate(rows)]
-    if all(abs(v) <= slack for a, row in enumerate(rows) for b, v in enumerate(row) if a != b):
-        return np.array([1.0 / math.sqrt(v) if v > 0.0 else math.inf for v in diag])
-    # np.linalg.pinv's arithmetic with the report's cutoff, on the QFIM scaled
-    # by 4**j so its largest entry lies in [1/4, 1): exact, and the reciprocal
-    # of a subnormal singular value cannot overflow; sqrt undoes it as 2**j
-    j = -(math.frexp(max(abs(v) for row in rows for v in row))[1] // 2)
-    u, s, vt = np.linalg.svd(np.ldexp(qfim, 2 * j), full_matrices=False)
-    cutoff = math.ldexp(slack, 2 * j)
-    inv_s = np.array([1.0 / v if v > cutoff else 0.0 for v in s.tolist()])
-    inv_diag = (vt.T @ (inv_s[:, None] * u.T)).diagonal()
-    return np.array(
-        [math.ldexp(math.sqrt(v), j) if v > 0.0 else math.inf for v in inv_diag.tolist()]
-    )
+    rows, bounds = gens.tolist(), []
+    spanning = [[math.ldexp(c, -e) for c in v] for v in rows + [r.tolist()]
+                for e in [math.frexp(max(map(abs, v)))[1]]]
+    for ell, y in enumerate(rows):
+        a = w = None  # the basis so far: a, then w = a x b
+        for v in [u for k, u in enumerate(spanning) if k != ell and any(u)]:
+            if a is None:
+                a = v
+            elif w is None:
+                w = normal if any(normal := algebra.cross(a, v).tolist()) else None
+            elif sum(p * q for p, q in zip(w, v)) != 0.0:  # O_l spans R^3
+                bounds.append(math.inf)
+                break
+        else:
+            if w is not None:
+                dist = abs(sum(p * q for p, q in zip(y, w))) / math.hypot(*w)
+            elif a is not None:
+                dist = math.hypot(*algebra.cross(y, a).tolist()) / math.hypot(*a)
+            else:
+                dist = math.hypot(*y)
+            bounds.append(1.0 / dist if dist > 0.0 else math.inf)
+    return np.array(bounds)
 
 
 def build_report(
-    scheme: SchemeConfig,
-    x,
-    probe_kind: str,
-    r=None,
-    parameter_names: tuple = (),
+    scheme: SchemeConfig, x, probe_kind: str, r=None, parameter_names: tuple = ()
 ) -> QfimReport:
     """Assemble the QFIM, maxima, residuals, bounds and attainability verdict.
 
@@ -231,14 +235,13 @@ def build_report(
     the magnitudes of ``weak_comm_matrix(Y, r)``.  The entangled probe needs
     none: its reduced state is I/2, so its QFIM is ``qfim_pure`` at r = 0 and
     every residual vanishes (``entangled_weak_comm`` checks this on 4x4
-    matrices).  Verdict and bounds take the slack ATTAINABILITY * largest
-    maximum, free of the units of dX.
+    matrices).  The slack ATTAINABILITY * largest maximum, free of the units
+    of dX, is the verdict's only: ``_precision_bounds`` takes none.
 
     Scaling every gradient by a power of two c scales the QFIM, maxima and
     residuals by c^2 and the bounds by 1/c, and keeps the verdict, exactly
-    unless a rounding in either report falls below 2^-1022: a subnormal
-    result keeps fewer bits, so where one occurs the two reports agree only
-    to the rounding error of the formulas.
+    unless a rounding in either report falls below 2^-1022, where fewer bits
+    are kept and the two reports agree only to the formulas' rounding error.
 
     A controlled product-mode scheme, which the closed forms do not
     describe, raises ``InexactCompositionError`` (see ``scheme_generators``).
@@ -253,10 +256,8 @@ def build_report(
             raise UnphysicalStateError("a pure qubit probe requires a Bloch vector r")
         r = check_bloch(r)
         if not abs(algebra.euclidean_norm(r) - 1.0) <= PURITY:
-            raise UnphysicalStateError(
-                "pure-probe analysis requires |r| = 1; the variance formula is "
-                "not the QFI for mixed probes"
-            )
+            raise UnphysicalStateError("pure-probe analysis requires |r| = 1; the variance "
+                                       "formula is not the QFI for mixed probes")
     elif probe_kind == ENTANGLED_WITH_ANCILLA:
         r = np.zeros(3)
     else:
@@ -280,7 +281,7 @@ def build_report(
         qfim=qfim,
         qfi_max=maxima,
         weak_comm_residuals=residuals,
-        precision_bounds=_precision_bounds(qfim, slack),
+        precision_bounds=_precision_bounds(gens, r),
         attainable=attainable,
         probe_kind=probe_kind,
         parameter_names=tuple(parameter_names),

@@ -3,9 +3,8 @@
 The values are calibrated for double precision on dense 2x2 / 4x4 matrices.
 """
 
-# relative slack: a quantity that scales like |Y|^2 (a weak-commutation residual,
-# an off-diagonal QFIM entry, the gap between a diagonal entry and its maximum)
-# counts as zero at or below this times the largest maximum, free of the units of dX
+# relative slack: a weak-commutation residual or the gap between a diagonal entry and its
+# maximum, which scale like |Y|^2, counts as zero at or below this times the largest maximum
 ATTAINABILITY = 1e-10
 # |r| may exceed 1 by at most this before a state is rejected
 BLOCH_NORM_SLACK = 1e-12

@@ -683,20 +683,6 @@ def outer_qfim_pure(gens, r):
     return gens @ gens.T - np.outer(proj, proj)
 
 
-def errstate_precision_bounds(qfim, slack):
-    """_precision_bounds with np.diag copies and np.errstate blocks: the earlier
-    expressions, kept as the bit-for-bit reference."""
-    diag = np.diag(qfim)
-    if np.abs(qfim - np.diag(diag)).max(initial=0.0) <= slack:
-        with np.errstate(divide="ignore"):
-            return np.where(diag > 0.0, 1.0 / np.sqrt(np.maximum(diag, 0.0)), np.inf)
-    u, s, vt = np.linalg.svd(qfim, full_matrices=False)
-    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > slack)
-    inv_diag = np.diag(vt.T @ (inv_s[:, None] * u.T))
-    with np.errstate(divide="ignore"):
-        return np.where(inv_diag > 0.0, np.sqrt(np.maximum(inv_diag, 0.0)), np.inf)
-
-
 class TestReportKernelsBitForBit:
     def _gens(self, rng):
         """A stack of 1 to 3 generators, some rows +-0 or parallel to another."""
@@ -721,55 +707,56 @@ class TestReportKernelsBitForBit:
         return random_unit(rng)
 
     def test_qfim_and_bounds_over_random_stacks(self):
+        """The QFIM bit for bit against ``outer_qfim_pure``; the bounds bit for
+        bit unchanged by a sign flip of any row or of r and by a power-of-two
+        rescale of r, which the rule reads as a direction."""
         rng = np.random.default_rng(1408)
-        branches = {"diagonal": 0, "pinv": 0, "rank-deficient": 0, "zero-diagonal": 0}
+        kinds = {"finite": 0, "inf": 0}
         for _ in range(3000):
             gens = self._gens(rng)
             r = self._probe(rng, gens)
             qfim = qfim_pure(gens, r)
             assert qfim.tobytes() == outer_qfim_pure(gens, r).tobytes()
-            slack = 1e-10 * max(1.0, float((gens * gens).sum(axis=1).max()))
-            bounds = _precision_bounds(qfim, slack)
-            assert bounds.tobytes() == errstate_precision_bounds(qfim, slack).tobytes()
-            off = np.abs(qfim - np.diag(np.diag(qfim))).max(initial=0.0)
-            branches["diagonal" if off <= slack else "pinv"] += 1
-            branches["rank-deficient"] += np.linalg.svd(qfim)[1].min() <= slack
-            branches["zero-diagonal"] += (np.diag(qfim) <= 0.0).any()
-        assert min(branches.values()) >= 100, branches
+            bounds = _precision_bounds(gens, r)
+            signs = rng.choice([1.0, -1.0], size=(len(gens), 1))
+            assert _precision_bounds(signs * gens, -r).tobytes() == bounds.tobytes()
+            assert _precision_bounds(gens, np.ldexp(r, rng.integers(-60, 60))).tobytes() == (
+                bounds.tobytes()
+            )
+            kinds["finite"] += np.isfinite(bounds).sum()
+            kinds["inf"] += np.isinf(bounds).sum()
+        assert min(kinds.values()) >= 1000, kinds
 
+    # qfim0 to qfim6 name the QFIM edge cases from the time the bounds were read off
+    # the QFIM; each is written here as generator rows and a probe that give it
     @pytest.mark.parametrize(
-        "qfim",
+        "gens,r,want",
         [
-            [[0.0]],
-            [[-0.0]],
-            [[-1e-300]],
-            [[4.0, 0.0], [0.0, 0.0]],
-            [[4.0, -0.0], [-0.0, -1e-17]],
-            [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]],
-            [[2.0, 1e-3, 0.0], [1e-3, 3.0, 0.0], [0.0, 0.0, -1e-18]],
+            # F = [[0]]: no information
+            ([[0.0, 0.0, 0.0]], None, [math.inf]),
+            # F = [[-0.0]] from -0 components
+            ([[-0.0, 0.0, -0.0]], None, [math.inf]),
+            # F = [[0]] from |Y|^2 - (Y.r)^2: a generator along a pure probe
+            ([[3.0, 0.0, 0.0]], [1.0, 0.0, 0.0], [math.inf]),
+            # F = diag(4, 0): a zero row is inf, the other row solved without it
+            ([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0]], None, [0.5, math.inf]),
+            # the same with a -0 row and a pure probe orthogonal to the first row
+            ([[0.0, 2.0, 0.0], [-0.0, 0.0, -0.0]], [0.0, 0.0, 1.0], [0.5, math.inf]),
+            # F = [[1, 1, 0], [1, 1, 0], [0, 0, 0]]: parallel rows are not identifiable
+            ([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], None, [math.inf] * 3),
+            # F = diag(0, 1, 1): three pure-probe parameters where D_mn = (Y_m x Y_n).r
+            # is 0 for the pairs (1, 2) and (1, 3) but not for (2, 3), so only x_1 is lost
+            (np.eye(3), [1.0, 0.0, 0.0], [math.inf, 1.0, 1.0]),
+            # a turn of 1e-13 off that probe is information, not rounding: D_23 = 1 and
+            # D_13 = -1e-13 are nonzero, so x_1 and x_2 are lost and only x_3 is bounded
+            (np.eye(3), [1.0, 1e-13, 0.0], [math.inf, math.inf, 1.0]),
         ],
+        ids=[f"qfim{k}" for k in range(8)],
     )
-    def test_bounds_edge_cases(self, qfim):
-        qfim = np.array(qfim)
-        for slack in (1e-10, 1e-2):
-            assert (
-                _precision_bounds(qfim, slack).tobytes()
-                == errstate_precision_bounds(qfim, slack).tobytes()
-            )
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_off_diagonal_at_the_slack_takes_the_diagonal_branch(self, sign):
-        slack = 1e-2
-        at = np.array([[2.0, sign * slack], [sign * slack, 3.0]])
-        past = np.array([[2.0, sign * np.nextafter(slack, 1.0)], [sign * slack, 3.0]])
-        for qfim in (at, past):
-            assert (
-                _precision_bounds(qfim, slack).tobytes()
-                == errstate_precision_bounds(qfim, slack).tobytes()
-            )
-        diagonal = np.array([1.0 / np.sqrt(2.0), 1.0 / np.sqrt(3.0)])
-        assert _precision_bounds(at, slack).tobytes() == diagonal.tobytes()
-        assert _precision_bounds(past, slack).tobytes() != diagonal.tobytes()
+    def test_bounds_edge_cases(self, gens, r, want):
+        r = np.zeros(3) if r is None else np.array(r)
+        bounds = _precision_bounds(np.array(gens), r)
+        assert bounds.tobytes() == np.array(want).tobytes()
 
     def test_entangled_report_matches_the_checked_kernels(self):
         """build_report skips the residual matrix at r = 0; its QFIM and
@@ -933,24 +920,31 @@ class TestBuildReport:
         assert report.attainable is True
 
     @pytest.mark.parametrize(
-        "x_tilde,probe_kind,r",
-        [(None, PURE_QUBIT, [0.6, 0.0, 0.8]), ([3.0, 3.1, 0.0], ENTANGLED_WITH_ANCILLA, None)],
+        "x_tilde,probe_kind,r,want",
+        [
+            (None, PURE_QUBIT, [0.6, 0.0, 0.8], [math.inf] * 3),
+            # sin(float(pi)) = 1.2e-16 leaves the azimuth generator tiny but nonzero; these are
+            # the correctly rounded values of tools/report_bounds_reference.py for this theta
+            ([3.0, 3.1, 0.0], ENTANGLED_WITH_ANCILLA, None,
+             [0.10679062711797183, 0.03333434580151782, 290678290423584.2]),
+        ],
         ids=["uncontrolled-pure", "misestimated-control-entangled"],
     )
-    def test_south_pole_bounds_raise_no_warning(self, x_tilde, probe_kind, r):
-        # the pseudo-inverse diagonal holds tiny negative rounding there
+    def test_south_pole_bounds_raise_no_warning(self, x_tilde, probe_kind, r, want):
+        # theta = float(pi): a rank-2 pure-probe QFIM of three parameters bounds none of
+        # them, and the entangled probe's tiny azimuth information is finite and real
         point = FieldPoint(3.0, np.pi, 0.0)
         control = "none" if x_tilde is None else "optimal"
         scheme = magnetometry_scheme(point, 1.0, 5, control=control, x_tilde=x_tilde)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report = build_report(scheme, point.as_array(), probe_kind, r=r)
-        assert report.precision_bounds[2] == np.inf
-        assert np.all(np.isfinite(report.precision_bounds[:2]))
+        np.testing.assert_array_max_ulp(report.precision_bounds, np.array(want), maxulp=4)
 
     def test_pure_probe_bounds_ignore_the_rounding_noise_null_direction(self):
-        # three parameters on a pure qubit give a rank-2 QFIM whose null
-        # eigenvalue is rounding noise: a 1e-13 turn of r must not move the bounds
+        # three parameters on a pure qubit give the QFIM Y (I - r r^T) Y^T of rank 2, so
+        # its null eigenvalue is exact, whatever rounding the float QFIM shows: no
+        # parameter has a finite bound, and a 1e-13 turn of r does not change that
         rng = np.random.default_rng(409)
         for _ in range(200):
             t, n = rng.uniform(0.05, 1.0), int(rng.integers(1, 41))
@@ -960,12 +954,34 @@ class TestBuildReport:
             x = rng.uniform(-1, 1, 3)
             r = random_unit(rng)
             turned = _unit(r + 1e-13 * random_unit(rng))
-            bounds = build_report(scheme, x, PURE_QUBIT, r=r).precision_bounds
-            assert np.all(np.isfinite(bounds))
-            np.testing.assert_allclose(
-                build_report(scheme, x, PURE_QUBIT, r=turned).precision_bounds, bounds, rtol=1e-6
-            )
+            for probe in (r, turned):
+                bounds = build_report(scheme, x, PURE_QUBIT, r=probe).precision_bounds
+                assert np.isinf(bounds).all(), bounds
 
+    def test_two_parameter_pure_bounds_near_weak_commutation(self):
+        # F has the eigenvalues 4.97e-9 and 72.3, and det F = D_12^2 with D_12 = (Y_1 x Y_2).r:
+        # the small eigenvalue is information, and the bounds |Y_m x r| / |D_12| are
+        # within 1e-10 of 60-digit values (a cut-off pseudo-inverse read 0.117 and 0.0080)
+        scheme = affine_scheme(
+            [1.7876266659736295, -0.6024625645116175, 1.020886306645656],
+            [[-1.7384041385533329, -1.3351793376281154, -0.89146666051204],
+             [0.20127300680296667, 0.2296355203636402, -0.004054190771940469]],
+            np.zeros(3), 0.7142153627048728, 8, "merged",
+        )
+        r = [-0.558420963175741, -0.8139139685319088, 0.16034363010271654]
+        report = build_report(scheme, np.zeros(2), PURE_QUBIT, r=r)
+        np.testing.assert_allclose(
+            report.precision_bounds, [964.2082217043694, 14157.311272746801], rtol=1e-10
+        )
+        gens = scheme_generators(scheme, np.zeros(2))
+        d12 = float(np.dot(cross(gens[0], gens[1]), r))
+        np.testing.assert_allclose(2.0 * report.weak_comm_residuals[0, 1], abs(d12), rtol=1e-12)
+        np.testing.assert_allclose(
+            report.precision_bounds,
+            [np.linalg.norm(cross(gens[1], r)) / abs(d12),
+             np.linalg.norm(cross(gens[0], r)) / abs(d12)],
+            rtol=1e-9,
+        )
 
     @pytest.mark.parametrize(
         "gradients,probe_kind,r",
@@ -1031,6 +1047,178 @@ class TestInexactComposition:
 _COMPONENT = st.floats(-3.0, 3.0)
 
 
+_U = 2.0**-53  # the unit roundoff
+
+
+def _exact_bound_rule(gens, r):
+    """The rule of ``_precision_bounds`` in exact arithmetic on the same float inputs.
+
+    Per row: ``(dist2, err, ambiguous)``, with dist^2 as a ``Fraction`` (0 where
+    the bound is inf) and ``err`` a bound on |fl(dist) - dist| that is twice
+    its first-order terms, so that it also holds where they are below 1/2:
+
+    - no basis: dist = |Y_l|, and hypot errs by at most 2 u dist;
+    - basis a: each component of Y_l x a loses at most 2 u (|p| + |q|) of its
+      two products p, q, so with S the vector of those sums
+      err = 2 (2 u |S| / |a| + 3 u dist);
+    - basis a, b with w = a x b and the triple product D = Y_l.w: D loses at
+      most 5 u T, T = sum of its six |Y_l a b| terms, and |w| at most
+      2 u |S_w| + u |w|, so err = 2 (5 u T / |w| + (2 u |S_w| / |w| + 2 u) dist);
+    - a third vector off the plane of a, b: dist = 0 and err = 0.
+
+    ``ambiguous`` marks a row where a zero test may go either way, because the
+    exact cross or triple product lies within its own rounding error: an
+    exact 0 rounds to 0 in a cross product, a nonzero one may too.
+    """
+    rows = [[Fraction(c) for c in row] for row in np.asarray(gens, dtype=float).tolist()]
+    probe = [Fraction(c) for c in np.asarray(r, dtype=float).tolist()]
+
+    def cross_terms(p, q):
+        terms = [(p[1] * q[2], p[2] * q[1]), (p[2] * q[0], p[0] * q[2]), (p[0] * q[1], p[1] * q[0])]
+        return [s - t for s, t in terms], [abs(s) + abs(t) for s, t in terms]
+
+    def norm(v):
+        return math.hypot(*map(float, v))
+
+    out = []
+    for ell, y in enumerate(rows):
+        a = w = s_w = None
+        full = ambiguous = False
+        for v in [u for k, u in enumerate(rows + [probe]) if k != ell and any(u)]:
+            if a is None:
+                a = v
+            elif w is None:
+                normal, sums = cross_terms(a, v)
+                if any(normal):
+                    ambiguous |= all(abs(n) <= 2 * _U * s for n, s in zip(normal, sums))
+                    w, s_w = normal, sums
+            else:
+                triple = sum(wi * vi for wi, vi in zip(w, v))
+                ambiguous |= abs(triple) <= 5 * _U * sum(s * abs(vi) for s, vi in zip(s_w, v))
+                if triple:
+                    full = True
+                    break
+        if full:
+            out.append((Fraction(0), 0.0, ambiguous))
+        elif w is not None:
+            d = sum(yi * wi for yi, wi in zip(y, w))
+            dist2 = d * d / sum(wi * wi for wi in w)
+            t = float(sum(abs(yi) * s for yi, s in zip(y, s_w)))
+            spread = 2 * _U * norm(s_w) / norm(w) + 2 * _U
+            out.append((dist2, 2 * (5 * _U * t / norm(w) + spread * math.sqrt(dist2)), ambiguous))
+        elif a is not None:
+            c, sums = cross_terms(y, a)
+            dist2 = sum(ci * ci for ci in c) / sum(ai * ai for ai in a)
+            out.append((dist2, 2 * (2 * _U * norm(sums) / norm(a)
+                                    + 3 * _U * math.sqrt(dist2)), ambiguous))
+        else:
+            dist2 = sum(yi * yi for yi in y)
+            out.append((dist2, 4 * _U * math.sqrt(dist2), ambiguous))
+    return out
+
+
+_MAGNITUDE = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def bound_inputs(draw):
+    """1 to 3 generator rows and a probe: r = 0, a unit vector, an axis, or near a row.
+
+    Rows may be 0, share zero components, or be another row times a power of
+    two (exactly parallel) or times any float (parallel up to rounding).  Every
+    nonzero component has a magnitude in [1e-6, 1e6] before r is normalised,
+    so no product of the rule leaves the normal doubles.
+    """
+    d = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["free", "zero", "twice", "times"])) if rows else "free"
+        if kind == "free":
+            rows.append(draw(st.lists(_MAGNITUDE, min_size=3, max_size=3)))
+        elif kind == "zero":
+            rows.append([0.0, 0.0, 0.0])
+        else:
+            factor = 2.0 ** draw(st.integers(-8, 8)) if kind == "twice" else draw(
+                st.floats(0.01, 100.0))
+            rows.append([factor * c for c in draw(st.sampled_from(rows))])
+    gens = np.array(rows)
+    kind = draw(st.sampled_from(["entangled", "unit", "axis", "row", "near"]))
+    if kind == "entangled":
+        return gens, np.zeros(3)
+    if kind == "axis":
+        return gens, np.eye(3)[draw(st.integers(0, 2))]
+    v = np.array(draw(st.lists(_MAGNITUDE, min_size=3, max_size=3)))
+    if kind in ("row", "near"):
+        # r along a row, or turned off it by 1e-14 to 1e-4 of a random vector
+        turn = 10.0 ** -draw(st.floats(4.0, 14.0)) if kind == "near" else 0.0
+        v = np.array(draw(st.sampled_from(rows))) + turn * v
+    assume(np.abs(v).max() > 1e-3)
+    return gens, _unit(v)
+
+
+class TestPrecisionBoundRule:
+    """sigma_l = 1/dist(Y_l, span of the other rows and r) against exact arithmetic,
+    a change of units and the regularised inverse it is the limit of."""
+
+    @given(bound_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_every_bound_against_the_rule_in_exact_arithmetic(self, inputs):
+        gens, r = inputs
+        bounds = _precision_bounds(gens, r).tolist()
+        for sigma, (dist2, err, ambiguous) in zip(bounds, _exact_bound_rule(gens, r)):
+            if ambiguous:  # the float zero test may decide either way
+                continue
+            # sigma = fl(1/dist) adds at most u dist; compare the squares exactly
+            dist = Fraction(0) if sigma == math.inf else 1 / Fraction(sigma)
+            slack = Fraction(err) + _U * dist
+            assert max(dist - slack, 0) ** 2 <= dist2 <= (dist + slack) ** 2, (
+                sigma, float(dist2) ** 0.5, err)
+
+    @given(bound_inputs(), st.integers(0, 2), st.integers(-60, 60), st.integers(-800, 800))
+    @settings(max_examples=300, deadline=None)
+    def test_a_power_of_two_on_one_row_scales_only_its_bound(self, inputs, row, k, k_all):
+        gens, r = inputs
+        row %= len(gens)
+        scaled = gens.copy()
+        scaled[row] *= 2.0**k
+        before, after = _precision_bounds(gens, r), _precision_bounds(scaled, r)
+        want = before.copy()
+        want[row] = before[row] / 2.0**k  # inf stays inf
+        assert after.tobytes() == want.tobytes()
+        # every row at once by up to 2^+-800: the cross product of two such rows leaves
+        # the doubles, and that of their rescaled copies does not
+        everywhere = _precision_bounds(np.ldexp(gens, k_all), r)
+        assert everywhere.tobytes() == np.ldexp(before, -k_all).tobytes()
+
+    def test_three_pure_probe_bounds_are_the_divergent_limit_of_regularised_inverses(self):
+        # F = Y (I - r r^T) Y^T has the exact null vector n = Y^-T r, whose l-th
+        # component is D_mn / det Y.  With 0 < lam the smaller nonzero eigenvalue,
+        # eps (F + eps I)^-1_ll = n_l^2 / |n|^2 + O(eps / lam): it grows like 1/eps
+        # wherever n_l != 0, which is where the bound is inf.  The float F moves
+        # the null eigenvalue off 0 by its rounding, well below 1e-13 tr F
+        rng = np.random.default_rng(2001)
+        cases = [(np.eye(3), np.array([1.0, 0.0, 0.0]))]  # n = e_1: only x_1 is lost
+        cases += [(rng.uniform(-2, 2, (3, 3)), random_unit(rng)) for _ in range(200)]
+        for gens, r in cases:
+            bounds = _precision_bounds(gens, r)
+            qfim = qfim_pure(gens, r)
+            null = np.linalg.solve(gens.T, r)
+            null /= np.linalg.norm(null)
+            np.testing.assert_array_equal(np.isinf(bounds), null != 0.0)
+            lam = np.linalg.eigvalsh(qfim)[1]
+            noise = 1e-13 * np.trace(qfim)
+            for eps in (1e-4 * lam, 1e-6 * lam):
+                limit = eps * np.linalg.inv(qfim + eps * np.eye(3)).diagonal()
+                np.testing.assert_allclose(limit, null**2, rtol=0, atol=3 * (eps + noise) / lam
+                                           + noise / eps)
+            finite = np.isfinite(bounds)
+            regularised = np.linalg.inv(qfim + 1e-12 * lam * np.eye(3)).diagonal()
+            np.testing.assert_allclose(bounds[finite] ** 2, regularised[finite], rtol=1e-9)
+            # the entangled probe's F = Y Y^T: sigma_l is the norm of column l of Y^-1
+            entangled = np.linalg.norm(np.linalg.inv(gens), axis=0)
+            np.testing.assert_allclose(_precision_bounds(gens, np.zeros(3)), entangled, rtol=1e-9)
+
+
 class TestScaleFreeReport:
     """A report depends on the geometry of X, dX and r, not on the units of dX:
     scaling every gradient by c scales the information by c^2 and the bounds
@@ -1077,7 +1265,15 @@ class TestScaleFreeReport:
         at most 2^-1075 (7 + 6 l).  So E(l) = 17 u l^2 + 2^-1072 (1 + l) bounds
         each report's error, and as the exact entries scale by c^2,
         |scaled - c^2 base| <= E(c l) + c^2 E(l) <= 34 u (c l)^2
-        + 2^-1072 (1 + c)^2 (1 + l).  The bounds, read off the QFIM, are then
+        + 2^-1072 (1 + c)^2 (1 + l).
+
+        The bounds come from Y_l and from the other rows and r, each rescaled
+        into [1/2, 1) by a power of two, which gives both reports the same
+        rescaled vectors.  Their products hold at most three components, each
+        at least 2^-14 m of its vector's largest with m = min(m_Y, m_r) (here
+        |Y| < 2^14), so with min(c, 1) m^3 >= 2^-800 every nonzero
+        intermediate stays above 2^-1022 by the grid argument above, and the
+        bounds match byte for byte as well (inf included).  Elsewhere they are
         compared to 1e-12 relative.
         """
         x0, control_vector = numbers[:3], numbers[9:]
@@ -1106,9 +1302,8 @@ class TestScaleFreeReport:
             else:
                 assert (np.abs(got - want) <= tol).all(), (name, got, want)
         bounds = base.precision_bounds / c
-        qfim = base.qfim
-        diagonal = np.all(np.abs(qfim - np.diag(qfim.diagonal())) <= 1e-10 * base.qfi_max.max())
-        if diagonal and exact:
+        m = min(_smallest_nonzero(gens), _smallest_nonzero(r))
+        if exact and min(c, 1.0) * m**3 >= 2.0**-800:
             assert scaled.precision_bounds.tobytes() == bounds.tobytes()
         else:
             np.testing.assert_allclose(scaled.precision_bounds, bounds, rtol=1e-12)
@@ -1120,12 +1315,15 @@ class TestScaleFreeReport:
         assert report.qfim[0, 0] < 1e-24 and report.qfi_max[0] > 0.9e-12
         assert report.attainable is False
 
-    def test_subnormal_rank_deficient_qfim_has_finite_bounds(self):
-        # a * ones((2, 2)) has pseudo-inverse diagonal 1/(4a); at a subnormal a
-        # the reciprocal of its singular value 2a overflows unless rescaled
-        a = 1.355805159888723e-309
-        bounds = _precision_bounds(np.array([[a, a], [a, a]]), 1e-10 * a)
-        np.testing.assert_allclose(bounds, 0.5 / math.sqrt(a), rtol=1e-12)
+    def test_subnormal_parallel_rows_have_infinite_bounds(self):
+        # rows s e_1 and s e_1 give the QFIM s^2 ones((2, 2)) with s^2 subnormal: it
+        # is singular and neither e_l is in its range, so neither parameter has a
+        # finite bound; rows s e_1 and s e_2 give the exact 1/s for both
+        s = math.sqrt(1.355805159888723e-309)
+        parallel = np.array([[s, 0.0, 0.0], [s, 0.0, 0.0]])
+        assert _precision_bounds(parallel, np.zeros(3)).tolist() == [math.inf, math.inf]
+        orthogonal = np.array([[s, 0.0, 0.0], [0.0, s, 0.0]])
+        assert _precision_bounds(orthogonal, np.zeros(3)).tolist() == [1.0 / s, 1.0 / s]
 
 
 @st.composite

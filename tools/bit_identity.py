@@ -1,11 +1,14 @@
 """Fingerprints of the library's report, verify and table outputs, for bit-identity checks.
 
-Prints four sha256 digests:
+Prints five sha256 digests:
 
 - ``report-mix``: over ``ReportMix.digest(ReportMix.run(op))`` for every op
   of the benchmark's report-mix pools of seeds 1, 2, 3, 7 and 17 (1024 ops
   each, in pool order).  The digest holds the QFIM, the maxima, the
   residuals and the bounds as raw float64 bytes, plus the verdict.
+- ``report-fields``: over the same reports, with the same bytes except the
+  bounds: the QFIM, the maxima, the residuals and the verdict.  A change to
+  the bounds alone moves ``report-mix`` and leaves this one.
 - ``verify``: over ``verify.summarize(verify.run_all(s, 5), s)`` for
   s = 0..199, each summary UTF-8 encoded.  A summary prints every deviation
   with 17 significant digits.
@@ -71,6 +74,19 @@ def report_mix_sha() -> str:
     return sha.hexdigest()
 
 
+def report_fields_sha() -> str:
+    mix = ReportMix()
+    sha = hashlib.sha256()
+    for seed in REPORT_SEEDS:
+        for op in mix.pool(seed):
+            out = mix.run(op)
+            sha.update(b"".join(
+                np.ascontiguousarray(a, dtype=float).tobytes()
+                for a in (out.qfim, out.qfi_max, out.weak_comm_residuals)
+            ) + bytes([out.attainable]))
+    return sha.hexdigest()
+
+
 def verify_sha() -> str:
     sha = hashlib.sha256()
     for seed in VERIFY_SEEDS:
@@ -124,6 +140,7 @@ def grid_sha() -> str:
 
 def main() -> int:
     print(f"report-mix {report_mix_sha()}")
+    print(f"report-fields {report_fields_sha()}")
     print(f"verify {verify_sha()}")
     print(f"fd {fd_sha()}")
     print(f"grid {grid_sha()}")
