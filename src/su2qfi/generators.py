@@ -38,6 +38,9 @@ _B_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7))
 
 # with T and |X| in this band every power the closed form takes is a normal double
 _BAND_LOW, _BAND_HIGH = 2.0**-300, 2.0**300
+# below this max(T, 1) |dX| (dX a partial or a stack of them), six times it
+# is still a double: the map's application cannot overflow, so it runs unchecked
+_SAFE_REACH = 2.0**1020
 
 
 def _series_weights(z: float) -> tuple[float, float, float]:
@@ -58,23 +61,31 @@ def _series_weights(z: float) -> tuple[float, float, float]:
     return sin_z / z, 2.0 * (math.sin(0.5 * z) / z) ** 2, (z - sin_z) / z**3
 
 
-def _checked_inputs(x_coeff, d_coeff, total_time) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """X and dX as float arrays, |X| and the phase z = T|X|, for both analytic routes.
+def _checked_inputs(
+    x_coeff, d_coeff, total_time
+) -> tuple[np.ndarray, np.ndarray, float, float, bool]:
+    """X and dX as float arrays, |X|, the phase z = T|X| and whether the map
+    dX -> Y is sure to stay finite, for both analytic routes.
     ``ValueError`` for a negative, NaN or infinite T or a non-finite X or dX;
     ``OverflowError`` for finite inputs whose phase z or z^3 is not finite."""
     if not 0.0 <= total_time < math.inf:
         raise ValueError(f"total_time must be nonnegative and finite, got {total_time}")
     x_coeff = as_vec3(x_coeff)
     d_coeff = np.asarray(d_coeff, dtype=float)
-    if not all(map(math.isfinite, x_coeff.tolist())):
+    x_list, d_list = x_coeff.tolist(), d_coeff.ravel().tolist()
+    if not all(map(math.isfinite, x_list)):
         raise ValueError(f"the coefficients X = {x_coeff} are not finite")
-    if not np.isfinite(d_coeff).all():
+    if not all(map(math.isfinite, d_list)):
         raise ValueError(f"the partial dX = {d_coeff} is not finite")
-    norm = math.hypot(*x_coeff.tolist())
+    norm = math.hypot(*x_list)
     z = total_time * norm
     try:
         if math.isfinite(z**3):  # a Python float power raises where numpy's reads inf
-            return x_coeff, d_coeff, norm, z
+            # every entry of the map is at most 3 max(T, 1) in size (3 T unscaled,
+            # 3 at T scaled into [1/2, 1)), so no product or sum of its
+            # application, and no Y, reaches 6 max(T, 1) |dX|
+            reach = (total_time if total_time > 1.0 else 1.0) * math.hypot(*d_list)
+            return x_coeff, d_coeff, norm, z, reach < _SAFE_REACH
     except OverflowError:
         pass
     raise OverflowError(f"the phase T|X| or (T|X|)^3 overflows: T = {total_time:g}, |X| = {norm:g}")
@@ -102,9 +113,12 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     its shape.  The maximal information is |Y|^2.  A negative, NaN or
     infinite time and a non-finite X or dX raise ``ValueError``; finite inputs
     raise ``OverflowError`` only where the phase z or z^3 is not finite (z
-    above about 5.6e102).
+    above about 5.6e102) or where Y, at most T|dX| in size, overflows on its
+    way out, which needs max(T, 1) |dX| of at least 2^1020 (no warning is
+    raised: below that bound the map's application runs unchecked, since it
+    cannot overflow, and above it under an overflow check).
     """
-    x_coeff, d_coeff, norm, z = _checked_inputs(x_coeff, d_coeff, total_time)
+    x_coeff, d_coeff, norm, z, safe = _checked_inputs(x_coeff, d_coeff, total_time)
     t, scale = total_time, 0
     if not (_BAND_LOW < t < _BAND_HIGH and norm < _BAND_HIGH):
         # t in [1/2, 1) makes the scaled |X| at most 2z; at T = 0, where Y = 0, X is scaled
@@ -124,6 +138,19 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
             [off + c2 * -x2 - c3 * (x3 * x1), off + c2 * x1 - c3 * (x3 * x2), on - c3 * (x3 * x3)],
         ]
     )
+    if safe:
+        return _apply_map(d_coeff, generator_map, scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
+        generator = _apply_map(d_coeff, generator_map, scale)
+    if not np.isfinite(generator).all():
+        size = max(math.hypot(*row) for row in d_coeff.reshape(-1, 3).tolist())
+        raise OverflowError(f"the generator Y, at most T|dX| in size, overflows: "
+                            f"T = {total_time:g}, |dX| = {size:g}")
+    return generator
+
+
+def _apply_map(d_coeff, generator_map, scale):
+    """Y = 2^scale (map dX) for the partial or stack of partials ``d_coeff``."""
     # applied row by row so a stack rounds like its rows
     generator = np.add.reduce(d_coeff[..., None, :] * generator_map, axis=-1)
     return np.ldexp(generator, scale) if scale else generator
@@ -142,7 +169,7 @@ def series_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     the closed form's ``ValueError`` or ``OverflowError``, and so does a sum
     that overflows double precision.
     """
-    x_coeff, d_coeff, _, z = _checked_inputs(x_coeff, as_vec3(d_coeff), total_time)
+    x_coeff, d_coeff, _, z, _ = _checked_inputs(x_coeff, as_vec3(d_coeff), total_time)
     # Python floats: a product past double precision reads inf without a warning
     x1, x2, x3 = [-total_time * v for v in x_coeff.tolist()]
     w1, w2, w3 = [-total_time * v for v in d_coeff.tolist()]
@@ -160,7 +187,7 @@ def series_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
         s2 += w2
         s3 += w3
         n += 1
-        # w <- -(T X) x w / n, the cross written out as in algebra.cross
+        # w <- -(T X) x w / n, the cross written out as in algebra.cross3
         w1, w2, w3 = (x2 * w3 - x3 * w2) / n, (x3 * w1 - x1 * w3) / n, (x1 * w2 - x2 * w1) / n
         if not (w1 or w2 or w3):
             break

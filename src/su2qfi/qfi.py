@@ -198,26 +198,34 @@ def _precision_bounds(gens: np.ndarray, r: np.ndarray) -> np.ndarray:
     a, b where its cross or triple product with it is not exactly 0; a third
     spans R^3: dist = 0.  Else dist is |Y_l.(a x b)|/|a x b|, |Y_l x a|/|a| or
     |Y_l|: Cramer's rule where the QFIM F is invertible, else e_l^T F^+ e_l
-    where e_l lies in range(F), and inf where it does not.
+    where e_l lies in range(F), and inf where it does not.  The rule runs on
+    Python floats throughout, with ``algebra.cross3`` for the cross products
+    and the three-term dot products written out, and builds one array: the
+    result.
     """
-    rows, bounds = gens.tolist(), []
-    spanning = [[math.ldexp(c, -e) for c in v] for v in rows + [r.tolist()]
-                for e in [math.frexp(max(map(abs, v)))[1]]]
+    rows, bounds, spanning = gens.tolist(), [], []
+    # the nonzero vectors of O_1, ..., O_d, scaled, with their row indices (r is index d)
+    for k, (v1, v2, v3) in enumerate(rows + [r.tolist()]):
+        if v1 or v2 or v3:
+            e = -math.frexp(max(abs(v1), abs(v2), abs(v3)))[1]
+            spanning.append((k, [math.ldexp(v1, e), math.ldexp(v2, e), math.ldexp(v3, e)]))
     for ell, y in enumerate(rows):
         a = w = None  # the basis so far: a, then w = a x b
-        for v in [u for k, u in enumerate(spanning) if k != ell and any(u)]:
+        for k, v in spanning:
+            if k == ell:
+                continue
             if a is None:
                 a = v
             elif w is None:
-                w = normal if any(normal := algebra.cross(a, v).tolist()) else None
-            elif sum(p * q for p, q in zip(w, v)) != 0.0:  # O_l spans R^3
+                w = normal if any(normal := algebra.cross3(a, v)) else None
+            elif w[0] * v[0] + w[1] * v[1] + w[2] * v[2] != 0.0:  # O_l spans R^3
                 bounds.append(math.inf)
                 break
         else:
             if w is not None:
-                dist = abs(sum(p * q for p, q in zip(y, w))) / math.hypot(*w)
+                dist = abs(y[0] * w[0] + y[1] * w[1] + y[2] * w[2]) / math.hypot(*w)
             elif a is not None:
-                dist = math.hypot(*algebra.cross(y, a).tolist()) / math.hypot(*a)
+                dist = math.hypot(*algebra.cross3(y, a)) / math.hypot(*a)
             else:
                 dist = math.hypot(*y)
             bounds.append(1.0 / dist if dist > 0.0 else math.inf)

@@ -1,5 +1,6 @@
 """Tests for the 3-vector / su(2) substrate."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su2qfi.algebra import PAULI_X, PAULI_Y, PAULI_Z, cross_matrix, euclidean_norm, lift
+from su2qfi.algebra import PAULI_X, PAULI_Y, PAULI_Z, cross3, cross_matrix, euclidean_norm, lift
 from su2qfi import (
     DegenerateVectorError,
     UnphysicalStateError,
@@ -73,6 +74,8 @@ def half_angle_su2_exp(v, tau):
 _MAGNITUDES = st.floats(1e-150, 1e150)
 _COMPONENTS = st.one_of(st.just(0.0), _MAGNITUDES, _MAGNITUDES.map(lambda m: -m))
 _VECTORS = st.lists(_COMPONENTS, min_size=3, max_size=3).map(np.array)
+_SIGNED_ZERO_VECTORS = st.lists(st.one_of(_COMPONENTS, st.just(-0.0)), min_size=3,
+                                max_size=3).map(np.array)
 # magnitudes that stay normal after a scaling by 2^k, |k| <= 1000
 _MODERATE = st.floats(1e-5, 1e5)
 _SIGNED_MODERATE = st.one_of(_MODERATE, _MODERATE.map(lambda m: -m))
@@ -121,6 +124,23 @@ class TestCross:
     @settings(max_examples=500)
     def test_bit_identical_to_numpy(self, a, b):
         assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+    # the Python-float form that cross wraps, on float lists, rounds like np.cross
+    @given(_SIGNED_ZERO_VECTORS, _SIGNED_ZERO_VECTORS)
+    @settings(max_examples=500)
+    def test_triple_form_bit_identical_to_numpy(self, a, b):
+        out = cross3(a.tolist(), b.tolist())
+        assert type(out) is list and [type(c) for c in out] == [float] * 3
+        assert np.array(out).tobytes() == np.cross(a, b).tobytes()
+
+    def test_triple_form_keeps_every_sign_of_zero(self):
+        # every pair over {+0, -0, +1, -1}^3: each product and difference of a
+        # zero component takes the sign np.cross gives it
+        values = (0.0, -0.0, 1.0, -1.0)
+        for a in itertools.product(values, repeat=3):
+            for b in itertools.product(values, repeat=3):
+                want = np.cross(np.array(a), np.array(b)).tobytes()
+                assert np.array(cross3(a, b)).tobytes() == want, (a, b)
 
     @given(_VECTORS, _VECTORS)
     @settings(max_examples=200)

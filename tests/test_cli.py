@@ -449,6 +449,17 @@ class TestReport:
         assert doc["version"] == "0.1.0"
         assert doc["config"]["N"] == 5
 
+    def test_a_generator_past_double_precision_is_named(self, capsys):
+        # B = 1e300, T = 5e10: Y = -T dX overflows; the message is the library's,
+        # not numpy's text for the overflow inside a multiply
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_main(capsys, "report", "--B", "1e300", "--t", "1e10")
+        assert (code, out) == (2, "")
+        assert err.startswith("error[overflow]: ") and err.count("\n") == 1
+        assert "the generator Y, at most T|dX| in size, overflows: T = 5e+10" in err
+        assert "encountered in" not in err
+
     def test_pure_probe_without_control_not_attainable(self, capsys):
         code, out, _ = run_main(
             capsys, "report", "--probe", "pure", "--r", "0", "0", "1", "--control", "none"

@@ -109,7 +109,8 @@ class TestBadInputsFailClosed:
 
     @pytest.mark.parametrize("route", ROUTES, ids=["closed", "series"])
     def test_cubed_phase_overflow_raises(self, route):
-        # z = 1e110 is finite but z^3 is not: the one refusal of finite inputs
+        # z = 1e110 is finite but z^3 is not: a refusal of finite inputs, with
+        # a generator past double precision (TestGeneratorOverflow) the other
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match=re.escape("phase T|X| or (T|X|)^3")):
@@ -123,6 +124,54 @@ class TestBadInputsFailClosed:
     def test_nan_partial_raises_in_qfi_max(self):
         with pytest.raises(ValueError, match="not finite"):
             qfi_max([0.3, -1.1, 0.7], [float("nan"), 0.0, 0.0], 1.0)
+
+
+_GENERATOR_OVERFLOW = "the generator Y, at most T|dX| in size, overflows"
+
+
+class TestGeneratorOverflow:
+    """Finite inputs whose generator, up to T|dX| in size, is past double precision."""
+
+    def test_raises_naming_the_generator_without_a_warning(self):
+        message = re.escape(_GENERATOR_OVERFLOW + ": T = 1e+10, |dX| = 2e+300")
+        # X = 0: Y = -T dX = (-2e310, 0, 0) in exact arithmetic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=message):
+                closed_form_generator(np.zeros(3), [2e300, 0.0, 0.0], 1e10)
+            with pytest.raises(OverflowError, match=message):
+                qfi_max(np.zeros(3), [2e300, 0.0, 0.0], 1e10)
+            with pytest.raises(OverflowError, match=message):
+                closed_form_generator(np.zeros(3), [[1.0, 0.0, 0.0], [2e300, 0.0, 0.0]], 1e10)
+
+    @pytest.mark.parametrize("k", [0, 1, 30, 400, 1000])
+    def test_a_generator_of_the_largest_double_is_returned(self, k):
+        # X = 0 and T = 2^k, unscaled or scaled by the band: Y = -T dX exactly,
+        # with |Y| the largest double; at the next double up of T it overflows
+        big = np.ldexp(np.finfo(float).max, -k)
+        d = np.array([big, -3.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = closed_form_generator(np.zeros(3), d, 2.0**k)
+            np.testing.assert_array_equal(y, -(2.0**k) * d)
+            with pytest.raises(OverflowError, match=re.escape(_GENERATOR_OVERFLOW)):
+                closed_form_generator(np.zeros(3), d, math.nextafter(2.0**k, math.inf))
+
+    @pytest.mark.parametrize("t", [0.7, 3.0, 1e10, 2.0**400])
+    @pytest.mark.parametrize("x_size", [0.0, 1e-150, 0.3, 40.0])
+    def test_inputs_past_the_unchecked_range_keep_their_exact_generator(self, t, x_size):
+        # Y is linear in dX: dX scaled by the power of two that puts
+        # max(T, 1) |dX| in [2^1020, 2^1021), where the map's application runs
+        # checked, gives exactly 2^k times the unscaled Y, and no warning
+        rng = np.random.default_rng(int(1e3 * math.log2(t) + 1e3 * x_size) % 2**32)
+        x, d = x_size * random_unit(rng), random_unit(rng)
+        if t * x_size > 1e30:
+            x = x * (1e30 / (t * x_size))  # a phase z whose cube is finite
+        y = closed_form_generator(x, d, t)
+        k = 1021 - math.frexp(max(t, 1.0) * math.hypot(*d))[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert closed_form_generator(x, np.ldexp(d, k), t).tobytes() == np.ldexp(y, k).tobytes()
 
 
 # Inputs past the range of the powers the closed form takes, with Y from the

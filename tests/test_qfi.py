@@ -1156,6 +1156,70 @@ def bound_inputs(draw):
     return gens, _unit(v)
 
 
+def _array_round_trip_bounds(gens, r):
+    """The bound rule with every cross product an array read back as a list and
+    every dot product a ``sum`` over ``zip``: the bit-for-bit reference for the
+    Python-float form of ``_precision_bounds``."""
+    rows, bounds = gens.tolist(), []
+    spanning = [[math.ldexp(c, -e) for c in v] for v in rows + [r.tolist()]
+                for e in [math.frexp(max(map(abs, v)))[1]]]
+    for ell, y in enumerate(rows):
+        a = w = None
+        for v in [u for k, u in enumerate(spanning) if k != ell and any(u)]:
+            if a is None:
+                a = v
+            elif w is None:
+                w = normal if any(normal := np.cross(a, v).tolist()) else None
+            elif sum(p * q for p, q in zip(w, v)) != 0.0:
+                bounds.append(math.inf)
+                break
+        else:
+            if w is not None:
+                dist = abs(sum(p * q for p, q in zip(y, w))) / math.hypot(*w)
+            elif a is not None:
+                dist = math.hypot(*np.cross(y, a).tolist()) / math.hypot(*a)
+            else:
+                dist = math.hypot(*y)
+            bounds.append(1.0 / dist if dist > 0.0 else math.inf)
+    return np.array(bounds)
+
+
+def _random_bound_stack(rng):
+    """1 to 3 rows and a probe with the rule's edge cases: zero rows, rows
+    parallel to another, signed-zero components, rows scaled by 2^+-1000, and
+    r = 0, an axis, a unit vector along a row or in the span of the rows."""
+    d = int(rng.integers(1, 4))
+    rows = []
+    for _ in range(d):
+        kind = rng.choice(["free", "zero", "parallel", "signed-zero"]) if rows else "free"
+        if kind == "zero":
+            row = np.array([0.0, -0.0, 0.0]) * rng.choice([1.0, -1.0], 3)
+        elif kind == "parallel":
+            factor = rng.choice([2.0 ** int(rng.integers(-8, 9)), rng.uniform(-100.0, 100.0)])
+            row = factor * rows[int(rng.integers(len(rows)))]
+        else:
+            row = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0, 3)
+            if kind == "signed-zero":
+                row[rng.random(3) < 0.5] = rng.choice([0.0, -0.0])
+        rows.append(row)
+    gens = np.array(rows)
+    scaled = rng.random(d) < 0.2
+    gens[scaled] = np.ldexp(gens[scaled], rng.choice([-1000, 1000], (int(scaled.sum()), 1)))
+    kind = rng.choice(["entangled", "axis", "unit", "row", "span"])
+    if kind == "entangled":
+        return gens, np.zeros(3) * rng.choice([1.0, -1.0], 3)
+    if kind == "axis":
+        return gens, np.where(np.eye(3)[int(rng.integers(3))] > 0, 1.0, rng.choice([0.0, -0.0]))
+    if kind == "unit":
+        v = rng.normal(size=3)
+    else:  # along one row, or a random combination of all of them
+        comb = rng.normal(size=d) if kind == "span" else np.eye(d)[int(rng.integers(d))]
+        v = np.ldexp(np.array(rows), -int(np.frexp(np.abs(rows).max() or 1.0)[1])).T @ comb
+        if not np.abs(v).max() > 0.0:
+            return gens, np.zeros(3)
+    return gens, v / np.linalg.norm(v)
+
+
 class TestPrecisionBoundRule:
     """sigma_l = 1/dist(Y_l, span of the other rows and r) against exact arithmetic,
     a change of units and the regularised inverse it is the limit of."""
@@ -1189,6 +1253,19 @@ class TestPrecisionBoundRule:
         # the doubles, and that of their rescaled copies does not
         everywhere = _precision_bounds(np.ldexp(gens, k_all), r)
         assert everywhere.tobytes() == np.ldexp(before, -k_all).tobytes()
+
+    def test_bit_for_bit_the_array_round_trip_rule(self):
+        rng = np.random.default_rng(3203)
+        finite = infinite = 0
+        sizes = set()
+        for _ in range(12000):
+            gens, r = _random_bound_stack(rng)
+            bounds = _precision_bounds(gens, r)
+            assert bounds.tobytes() == _array_round_trip_bounds(gens, r).tobytes(), (gens, r)
+            finite += int(np.isfinite(bounds).sum())
+            infinite += int(np.isinf(bounds).sum())
+            sizes.add(len(gens))
+        assert sizes == {1, 2, 3} and finite > 3000 and infinite > 3000
 
     def test_three_pure_probe_bounds_are_the_divergent_limit_of_regularised_inverses(self):
         # F = Y (I - r r^T) Y^T has the exact null vector n = Y^-T r, whose l-th
