@@ -19,7 +19,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import as_vec3
-from .errors import SeriesDepthError
+from .errors import DegenerateVectorError, SeriesDepthError
 from .scheme import SchemeConfig, unitary_derivatives
 
 # Truncation tolerance and refusal cap for the nested cross-product series.
@@ -38,9 +38,6 @@ _B_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7))
 
 # with T and |X| in this band every power the closed form takes is a normal double
 _BAND_LOW, _BAND_HIGH = 2.0**-300, 2.0**300
-# below this max(T, 1) |dX| (dX a partial or a stack of them), six times it
-# is still a double: the map's application cannot overflow, so it runs unchecked
-_SAFE_REACH = 2.0**1020
 
 
 def _series_weights(z: float) -> tuple[float, float, float]:
@@ -61,17 +58,14 @@ def _series_weights(z: float) -> tuple[float, float, float]:
     return sin_z / z, 2.0 * (math.sin(0.5 * z) / z) ** 2, (z - sin_z) / z**3
 
 
-def _checked_inputs(
-    x_coeff, d_coeff, total_time
-) -> tuple[np.ndarray, np.ndarray, float, float, bool]:
-    """X and dX as float arrays, |X|, the phase z = T|X| and whether the map
-    dX -> Y is sure to stay finite, for both analytic routes.
+def _checked_inputs(x_coeff, d_coeff: np.ndarray, total_time) -> tuple[list, list, float, float]:
+    """X and the float array dX each as a flat list of floats, |X| and the
+    phase z = T|X|, for both analytic routes.
     ``ValueError`` for a negative, NaN or infinite T or a non-finite X or dX;
     ``OverflowError`` for finite inputs whose phase z or z^3 is not finite."""
     if not 0.0 <= total_time < math.inf:
         raise ValueError(f"total_time must be nonnegative and finite, got {total_time}")
     x_coeff = as_vec3(x_coeff)
-    d_coeff = np.asarray(d_coeff, dtype=float)
     x_list, d_list = x_coeff.tolist(), d_coeff.ravel().tolist()
     if not all(map(math.isfinite, x_list)):
         raise ValueError(f"the coefficients X = {x_coeff} are not finite")
@@ -81,11 +75,7 @@ def _checked_inputs(
     z = total_time * norm
     try:
         if math.isfinite(z**3):  # a Python float power raises where numpy's reads inf
-            # every entry of the map is at most 3 max(T, 1) in size (3 T unscaled,
-            # 3 at T scaled into [1/2, 1)), so no product or sum of its
-            # application, and no Y, reaches 6 max(T, 1) |dX|
-            reach = (total_time if total_time > 1.0 else 1.0) * math.hypot(*d_list)
-            return x_coeff, d_coeff, norm, z, reach < _SAFE_REACH
+            return x_list, d_list, norm, z
     except OverflowError:
         pass
     raise OverflowError(f"the phase T|X| or (T|X|)^3 overflows: T = {total_time:g}, |X| = {norm:g}")
@@ -110,50 +100,49 @@ def closed_form_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     Outside a band of T and |X| it is evaluated exactly at T scaled into
     [1/2, 1), through the homogeneity Y(X, T) = 2^e Y(2^e X, 2^-e T).
     ``d_coeff`` is one 3-vector or a ``(d, 3)`` stack of partials, and Y has
-    its shape.  The maximal information is |Y|^2.  A negative, NaN or
-    infinite time and a non-finite X or dX raise ``ValueError``; finite inputs
-    raise ``OverflowError`` only where the phase z or z^3 is not finite (z
-    above about 5.6e102) or where Y, at most T|dX| in size, overflows on its
-    way out, which needs max(T, 1) |dX| of at least 2^1020 (no warning is
-    raised: below that bound the map's application runs unchecked, since it
-    cannot overflow, and above it under an overflow check).
+    its shape; a last axis other than 3 raises ``DegenerateVectorError``.
+    The maximal information is |Y|^2.  A negative, NaN or infinite time and a
+    non-finite X or dX raise ``ValueError``; finite inputs raise
+    ``OverflowError`` only where the phase z or z^3 is not finite (z above
+    about 5.6e102) or where Y, at most T|dX| in size, is not: the map is
+    applied in Python floats, which overflow to inf silently, and Y is checked once.
     """
-    x_coeff, d_coeff, norm, z, safe = _checked_inputs(x_coeff, d_coeff, total_time)
+    d_coeff = np.asarray(d_coeff, dtype=float)
+    if d_coeff.shape[-1:] != (3,):
+        raise DegenerateVectorError(
+            f"expected a 3-vector or a (d, 3) stack, got shape {d_coeff.shape}")
+    (x1, x2, x3), d_list, norm, z = _checked_inputs(x_coeff, d_coeff, total_time)
     t, scale = total_time, 0
     if not (_BAND_LOW < t < _BAND_HIGH and norm < _BAND_HIGH):
         # t in [1/2, 1) makes the scaled |X| at most 2z; at T = 0, where Y = 0, X is scaled
         t, scale = math.frexp(t) if t else (0.0, -math.frexp(norm)[1])
-        x_coeff = np.ldexp(x_coeff, scale)
+        x1, x2, x3 = math.ldexp(x1, scale), math.ldexp(x2, scale), math.ldexp(x3, scale)
     sinc, a, b = _series_weights(z)
-    # the linear map dX -> Y = c1 I + c2 [X]x - c3 X X^T, entry by entry from
-    # Python floats with the operations and order of the elementwise array
-    # expression, including the signed zeros of c1 I and c2 [X]x off their support
+    # the linear map dX -> Y = c1 I + c2 [X]x - c3 X X^T, entry by entry with
+    # the operations and order of the elementwise array expression, including
+    # the signed zeros of c1 I and c2 [X]x off their support
     c1, c2, c3 = -t * sinc, t * t * a, t**3 * b
-    x1, x2, x3 = x_coeff.tolist()
     on, off = c1 + c2 * 0.0, c1 * 0.0
-    generator_map = np.array(
-        [
-            [on - c3 * (x1 * x1), off + c2 * -x3 - c3 * (x1 * x2), off + c2 * x2 - c3 * (x1 * x3)],
-            [off + c2 * x3 - c3 * (x2 * x1), on - c3 * (x2 * x2), off + c2 * -x1 - c3 * (x2 * x3)],
-            [off + c2 * -x2 - c3 * (x3 * x1), off + c2 * x1 - c3 * (x3 * x2), on - c3 * (x3 * x3)],
-        ]
+    generator_map = (
+        (on - c3 * (x1 * x1), off + c2 * -x3 - c3 * (x1 * x2), off + c2 * x2 - c3 * (x1 * x3)),
+        (off + c2 * x3 - c3 * (x2 * x1), on - c3 * (x2 * x2), off + c2 * -x1 - c3 * (x2 * x3)),
+        (off + c2 * -x2 - c3 * (x3 * x1), off + c2 * x1 - c3 * (x3 * x2), on - c3 * (x3 * x3)),
     )
-    if safe:
-        return _apply_map(d_coeff, generator_map, scale)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below instead
-        generator = _apply_map(d_coeff, generator_map, scale)
-    if not np.isfinite(generator).all():
-        size = max(math.hypot(*row) for row in d_coeff.reshape(-1, 3).tolist())
-        raise OverflowError(f"the generator Y, at most T|dX| in size, overflows: "
-                            f"T = {total_time:g}, |dX| = {size:g}")
-    return generator
-
-
-def _apply_map(d_coeff, generator_map, scale):
-    """Y = 2^scale (map dX) for the partial or stack of partials ``d_coeff``."""
-    # applied row by row so a stack rounds like its rows
-    generator = np.add.reduce(d_coeff[..., None, :] * generator_map, axis=-1)
-    return np.ldexp(generator, scale) if scale else generator
+    # Y row by row (zip(d, d, d) reads dX three floats at a time), each entry in
+    # numpy's order of reduction, so a stack rounds like its rows
+    d = iter(d_list)
+    generator = [((0.0 + d1 * m1) + d2 * m2) + d3 * m3
+                 for d1, d2, d3 in zip(d, d, d) for m1, m2, m3 in generator_map]
+    try:
+        if scale:
+            generator = [math.ldexp(y, scale) for y in generator]
+        if all(map(math.isfinite, generator)):
+            return np.array(generator).reshape(d_coeff.shape)
+    except OverflowError:  # ldexp raises where 2^scale Y is past the doubles
+        pass
+    size = max(math.hypot(*row) for row in d_coeff.reshape(-1, 3).tolist())
+    raise OverflowError(f"the generator Y, at most T|dX| in size, overflows: "
+                        f"T = {total_time:g}, |dX| = {size:g}")
 
 
 def series_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
@@ -169,10 +158,10 @@ def series_generator(x_coeff, d_coeff, total_time: float) -> np.ndarray:
     the closed form's ``ValueError`` or ``OverflowError``, and so does a sum
     that overflows double precision.
     """
-    x_coeff, d_coeff, _, z, _ = _checked_inputs(x_coeff, as_vec3(d_coeff), total_time)
+    x_list, d_list, _, z = _checked_inputs(x_coeff, as_vec3(d_coeff), total_time)
     # Python floats: a product past double precision reads inf without a warning
-    x1, x2, x3 = [-total_time * v for v in x_coeff.tolist()]
-    w1, w2, w3 = [-total_time * v for v in d_coeff.tolist()]
+    x1, x2, x3 = [-total_time * v for v in x_list]
+    w1, w2, w3 = [-total_time * v for v in d_list]
     s1 = s2 = s3 = 0.0
     # the next term carries 1/n! and is at most T|dX| times bound = z^(n-1)/n!,
     # which is updated multiplicatively to sidestep factorial overflow

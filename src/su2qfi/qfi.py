@@ -33,9 +33,13 @@ PURE_QUBIT = "pure_qubit"
 ENTANGLED_WITH_ANCILLA = "entangled_with_ancilla"
 
 
-def _squared_norms(gens: np.ndarray) -> np.ndarray:
-    """|Y|^2 over the last axis, rounded the same way for one vector or a stack."""
-    return np.add.reduce(gens * gens, axis=-1)
+def _squared_norms(gens: np.ndarray) -> list:
+    """|Y|^2 of each row of ``gens`` in Python floats, in numpy's order (a square is never
+    -0.0), which overflow to inf silently: ``OverflowError`` naming |Y|^2 where one is inf."""
+    norms = [y1 * y1 + y2 * y2 + y3 * y3 for y1, y2, y3 in gens.reshape(-1, 3).tolist()]
+    if not all(map(math.isfinite, norms)):
+        raise OverflowError(f"the information |Y|^2 = {norms} overflows double precision")
+    return norms
 
 
 def qfim_pure(gens, r) -> np.ndarray:
@@ -102,9 +106,9 @@ def qfi_max(x_coeff, d_coeff, total_time: float) -> float:
     T^2 |dX|^2 cos^2(a) + (4 |dX|^2 sin^2(a) / |X|^2) sin^2(T|X|/2), with the
     |X| -> 0 limit T^2 |dX|^2 and a vanishing dX giving 0.  With control,
     pass S = X + X_c for X: as |S| -> 0 the maximum attains the ceiling
-    T^2 |dX|^2 for every geometry.
+    T^2 |dX|^2 for every geometry.  A |Y|^2 past double precision raises ``OverflowError``.
     """
-    return float(_squared_norms(closed_form_generator(x_coeff, as_vec3(d_coeff), total_time)))
+    return _squared_norms(closed_form_generator(x_coeff, as_vec3(d_coeff), total_time))[0]
 
 
 def weak_comm_matrix(gens, r) -> np.ndarray:
@@ -271,11 +275,11 @@ def build_report(
     else:
         raise ValueError(f"unknown probe kind {probe_kind!r}")
 
-    maxima = _squared_norms(gens)
+    norms = _squared_norms(gens)
+    maxima, largest = np.array(norms), max(norms, default=0.0)
     qfim = qfim_pure(gens, r)
-    largest = float(maxima.max(initial=0.0))  # NaN if any maximum is NaN
-    if not (math.isfinite(largest) and np.isfinite(qfim).all()):
-        raise OverflowError(f"the information |Y|^2 = {maxima.tolist()} overflows double precision")
+    if not np.isfinite(qfim).all():
+        raise OverflowError(f"a QFIM entry overflows double precision, with |Y|^2 = {norms}")
     if probe_kind == PURE_QUBIT:
         residuals = np.abs(weak_comm_matrix(gens, r))
     else:  # r = 0: every residual vanishes

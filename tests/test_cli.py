@@ -460,6 +460,17 @@ class TestReport:
         assert "the generator Y, at most T|dX| in size, overflows: T = 5e+10" in err
         assert "encountered in" not in err
 
+    @pytest.mark.parametrize("flag", ["--B", "--t"])
+    def test_information_past_double_precision_is_named(self, capsys, flag):
+        # |Y| ~ 1e160 is a double and |Y|^2 is not: the library's message, not
+        # numpy's text for the overflow inside a multiply
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(capsys, "report", flag, "1e160")
+        assert (code, out) == (2, "")
+        assert err.startswith("error[overflow]: ") and err.count("\n") == 1
+        assert "|Y|^2" in err and "encountered in" not in err
+
     def test_pure_probe_without_control_not_attainable(self, capsys):
         code, out, _ = run_main(
             capsys, "report", "--probe", "pure", "--r", "0", "0", "1", "--control", "none"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from su2qfi import (
+    DegenerateVectorError,
     SeriesDepthError,
     closed_form_generator,
     nested_cross,
@@ -109,12 +110,21 @@ class TestBadInputsFailClosed:
 
     @pytest.mark.parametrize("route", ROUTES, ids=["closed", "series"])
     def test_cubed_phase_overflow_raises(self, route):
-        # z = 1e110 is finite but z^3 is not: a refusal of finite inputs, with
-        # a generator past double precision (TestGeneratorOverflow) the other
+        # z = 1e110 is finite but z^3 is not: one refusal of finite inputs; the
+        # other is a generator past double precision (TestGeneratorOverflow)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match=re.escape("phase T|X| or (T|X|)^3")):
                 route([1e110, 0.0, 0.0], [0.3, 1.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("shape", [(2,), (6,), (3, 2)])
+    def test_a_partial_whose_last_axis_is_not_three_raises(self, shape):
+        # a row loop could otherwise read a (6,) partial as two rows
+        with pytest.raises(DegenerateVectorError, match=re.escape(f"got shape {shape}")):
+            closed_form_generator(SAMPLE_X, np.ones(shape), 1.0)
+
+    def test_an_empty_stack_gives_an_empty_stack(self):
+        assert closed_form_generator(SAMPLE_X, np.zeros((0, 3)), 1.0).shape == (0, 3)
 
     def test_non_finite_partial_in_a_stack_raises_in_the_closed_form(self):
         stack = np.array([SAMPLE_D, [0.0, float("nan"), 0.0]])
@@ -159,10 +169,10 @@ class TestGeneratorOverflow:
 
     @pytest.mark.parametrize("t", [0.7, 3.0, 1e10, 2.0**400])
     @pytest.mark.parametrize("x_size", [0.0, 1e-150, 0.3, 40.0])
-    def test_inputs_past_the_unchecked_range_keep_their_exact_generator(self, t, x_size):
+    def test_partials_near_the_largest_double_keep_their_exact_generator(self, t, x_size):
         # Y is linear in dX: dX scaled by the power of two that puts
-        # max(T, 1) |dX| in [2^1020, 2^1021), where the map's application runs
-        # checked, gives exactly 2^k times the unscaled Y, and no warning
+        # max(T, 1) |dX| in [2^1020, 2^1021), within a factor of 16 of the
+        # largest double, gives exactly 2^k times the unscaled Y, and no warning
         rng = np.random.default_rng(int(1e3 * math.log2(t) + 1e3 * x_size) % 2**32)
         x, d = x_size * random_unit(rng), random_unit(rng)
         if t * x_size > 1e30:

@@ -313,6 +313,16 @@ class TestQfiMax:
             val = qfi_max(RNG.uniform(0.1, 5) * random_unit(), d, t)
             assert -1e-12 <= val <= t**2 * np.dot(d, d) + 1e-12
 
+    @pytest.mark.parametrize("d,t", [([1e160, 0.0, 0.0], 1.0), ([0.0, 1.0, 0.0], 1e160)])
+    def test_a_finite_generator_whose_square_overflows_raises(self, d, t):
+        # |Y| = 1e160 is a double, |Y|^2 = 1e320 is not: the refusal names
+        # |Y|^2, where it used to return inf with numpy's RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"the information \|Y\|\^2 = \[inf\]") as err:
+                qfi_max(np.zeros(3), d, t)
+        assert "encountered in" not in str(err.value)
+
     @pytest.mark.parametrize(
         "args", [(2.0, 1e300, 0.5, 10.0), (2.0, 1.0, 0.5, 1e200), (1e308, 1.0, 0.5, 1e10)]
     )
@@ -993,11 +1003,14 @@ class TestBuildReport:
     )
     def test_overflowing_information_raises(self, gradients, probe_kind, r):
         # |Y_l|^2 ~ 1e400: the entangled probe used to read an all-inf QFIM with
-        # bounds [inf, inf] ("no information"), the pure probe failed in the SVD
+        # bounds [inf, inf] ("no information"), the pure probe failed in the SVD;
+        # the refusal names |Y|^2 and carries no numpy warning text
         scheme = affine_scheme([0.1, 0.2, 0.3], gradients, np.zeros(3), 1.0, 1, "merged")
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(OverflowError, match="information .* overflows double precision"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"the information \|Y\|\^2 = .* overflows") as err:
                 build_report(scheme, [0.0, 0.0], probe_kind, r=r)
+        assert "encountered in" not in str(err.value)
 
 
 class TestInexactComposition:
