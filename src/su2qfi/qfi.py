@@ -196,16 +196,15 @@ def scheme_generators(scheme: SchemeConfig, x) -> np.ndarray:
 def _precision_bounds(gens: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Single-shot standard-deviation floor per parameter: 1/dist(Y_l, span O_l).
 
-    O_l holds the other rows of ``gens`` and then r, read as a direction (|r|
-    may miss 1 by ``PURITY``): the entangled probe's r = 0 drops out like a
-    zero row.  Scaled by a power of two into [1/2, 1), a vector joins the basis
-    a, b where its cross or triple product with it is not exactly 0; a third
-    spans R^3: dist = 0.  Else dist is |Y_l.(a x b)|/|a x b|, |Y_l x a|/|a| or
-    |Y_l|: Cramer's rule where the QFIM F is invertible, else e_l^T F^+ e_l
-    where e_l lies in range(F), and inf where it does not.  The rule runs on
-    Python floats throughout, with ``algebra.cross3`` for the cross products
-    and the three-term dot products written out, and builds one array: the
-    result.
+    O_l holds the other rows of ``gens`` and then r, read as a direction: the
+    entangled probe's r = 0 drops out like a zero row.  Scaled by a power of
+    two into [1/2, 1), a vector joins the basis a, b where its cross or triple
+    product with it is not exactly 0; a third spans R^3: dist = 0.  Else dist
+    is |Y_l.(a x b)|/|a x b|, |Y_l x a|/|a| or |Y_l|: Cramer's rule where the
+    QFIM F is invertible, else e_l^T F^+ e_l where e_l lies in range(F), and
+    inf where it does not.  The rule runs on Python floats throughout, with
+    ``algebra.cross3`` for the cross products and the three-term dot products
+    written out, and builds one array: the result.
     """
     rows, bounds, spanning = gens.tolist(), [], []
     # the nonzero vectors of O_1, ..., O_d, scaled, with their row indices (r is index d)
@@ -243,7 +242,8 @@ def build_report(
 
     Every per-parameter number is read off the closed-form generators Y_l,
     built once; the maxima are |Y_l|^2.  A pure qubit probe needs a unit
-    Bloch vector ``r``: the QFIM is ``qfim_pure(Y, r)`` and the residuals are
+    Bloch vector ``r``, and one within ``PURITY`` of unit length is read as
+    r/|r|: the QFIM is ``qfim_pure(Y, r)`` and the residuals are
     the magnitudes of ``weak_comm_matrix(Y, r)``.  The entangled probe needs
     none: its reduced state is I/2, so its QFIM is ``qfim_pure`` at r = 0 and
     every residual vanishes (``entangled_weak_comm`` checks this on 4x4
@@ -267,9 +267,12 @@ def build_report(
         if r is None:
             raise UnphysicalStateError("a pure qubit probe requires a Bloch vector r")
         r = check_bloch(r)
-        if not abs(algebra.euclidean_norm(r) - 1.0) <= PURITY:
+        length = algebra.euclidean_norm(r)
+        if not abs(length - 1.0) <= PURITY:
             raise UnphysicalStateError("pure-probe analysis requires |r| = 1; the variance "
                                        "formula is not the QFI for mixed probes")
+        if length != 1.0:  # every field, like the bounds, reads r as a direction
+            r = r / length
     elif probe_kind == ENTANGLED_WITH_ANCILLA:
         r = np.zeros(3)
     else:

@@ -897,6 +897,18 @@ class TestBuildReport:
         with pytest.raises(UnphysicalStateError):
             build_report(scheme, point.as_array(), PURE_QUBIT)
 
+    @pytest.mark.parametrize("length", [1.0 - 5e-10, 1.0 + 5e-13])
+    def test_a_nearly_unit_bloch_vector_reports_as_its_direction(self, length):
+        # |r| within PURITY of 1 is read as r/|r| by every field: at |r| = 1 - 5e-10
+        # the QFIM used to turn full rank (eigenvalue 2.9e-9) next to three inf bounds
+        point = FieldPoint(3.0, np.pi / 6, 0.0)
+        scheme = magnetometry_scheme(point, 1.0, 5)
+        got, unit = (build_report(scheme, point.as_array(), PURE_QUBIT, r=[0.0, 0.0, z])
+                     for z in (length, 1.0))
+        for name in ("qfim", "qfi_max", "weak_comm_residuals", "precision_bounds"):
+            assert getattr(got, name).tobytes() == getattr(unit, name).tobytes(), name
+        assert got.attainable is unit.attainable
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_bloch_vector_rejected(self, bad):
         # a NaN fails every comparison, so each check must fail closed
